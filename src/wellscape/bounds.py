@@ -21,8 +21,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .energy import EmptyB, EmptyPiM, TauOne, b_geometry, truncate_b
-from .grid import ScalarField, _apply_x, _apply_y, integrate, l2_norm
+from .energy import EmptyB, EmptyPiM, TauOne, b_geometry, surface_and_elastic, truncate_b
+from .grid import ScalarField, apply, integrate, l2_norm
 
 POINCARE_CONSTANT = math.pi**2 / 4.0  # sharp 1D Dirichlet-Neumann constant
 
@@ -33,6 +33,10 @@ class DegenerateInterval(ValueError):
 
 class BandEmpty(ValueError):
     """The proportional band needs delta >= 16 eps^2."""
+
+
+class InequalityViolated(RuntimeError):
+    """A proven inequality failed its tolerance-adjusted check."""
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +167,7 @@ def lemma1_check(u: ScalarField) -> BoundReport:
         raise EmptyB("lemma1_check requires area(B) > 0")
     if geom.tau is None or geom.tau >= 1.0 - 1e-9:
         raise TauOne(f"tau = {geom.tau}: occupied columns fully inside B")
-    lhs = integrate(_apply_y(u.grid, "Dyy", u.values) ** 2, u.grid) / geom.area_b
+    lhs = integrate(apply(u.grid, u.values, y="Dyy") ** 2, u.grid) / geom.area_b
     rhs = 4.0 / (geom.tau * (1.0 - geom.tau))
     holds = lhs >= rhs * grid_tolerance(u)
     ctx = f"tau={geom.tau:.6g},area_B={geom.area_b:.6g}"
@@ -200,7 +204,7 @@ def estimate_interp_constant(family: Iterable[np.ndarray],
 def poincare_check(u: ScalarField) -> BoundReport:
     """int u_x^2 >= (pi^2/4) / L^2 * int u^2 for fields vanishing at x = 0."""
     g = u.grid
-    lhs = integrate(_apply_x(g, "Dx", u.values) ** 2, g)
+    lhs = integrate(apply(g, u.values, "Dx") ** 2, g)
     rhs = POINCARE_CONSTANT / g.L**2 * integrate(u.values**2, g)
     holds = lhs >= rhs * grid_tolerance(u)
     return BoundReport("poincare", f"L={g.L:g}", lhs, rhs, lhs - rhs, holds)
@@ -221,7 +225,7 @@ def killerinterp_check(u: ScalarField, M: float,
     if trunc.pi_m_columns.size == 0 or trunc.area_b_m <= 0.0:
         raise EmptyPiM("truncation removed every column")
     lhs = l2_norm(u) * math.sqrt(max(integrate(
-        _apply_x(u.grid, "Dx", u.values) ** 2, u.grid), 0.0))
+        apply(u.grid, u.values, "Dx") ** 2, u.grid), 0.0))
     base = (trunc.area_b_m / trunc.len_pi_m) ** 2 / M
     C = calibration_value("killerinterp_C", calibration)
     rhs = C * base
@@ -240,17 +244,16 @@ def wopper_check(u: ScalarField, epsilon: float) -> BoundReport:
     identically, since a periodic sum of central differences telescopes.
     """
     g = u.grid
-    uy = _apply_y(g, "Dy", u.values)
-    ux = _apply_x(g, "Dx", u.values)
-    dcol = _apply_y(g, "Dy", uy * ux)
+    uy = apply(g, u.values, y="Dy")
+    ux = apply(g, u.values, "Dx")
+    dcol = apply(g, uy * ux, y="Dy")
     con2 = g.hy * dcol.sum(axis=1)  # per node column
     tol = 1e-8 * (np.abs(uy).max() * np.abs(ux).max() + 1.0)
     ok_nodes = np.abs(con2) <= tol
     ok_cells = ok_nodes[:-1] & ok_nodes[1:]
 
     geom = b_geometry(u)
-    lhs = epsilon**2 * integrate(_apply_y(g, "Dyy", u.values) ** 2, g) \
-        + integrate(ux**2, g)
+    lhs = sum(surface_and_elastic(u, epsilon, 1))
     lengths = np.where(ok_cells, geom.column_lengths, 0.0)
     rhs = epsilon * float(lengths.max()) if lengths.size else 0.0
     if geom.area_b <= 0.0:

@@ -20,8 +20,10 @@ import sys
 import numpy as np
 
 from .constructions import BranchedSpec, PotentialSpec, branched_seed, potential_seed
-from .energy import EnergyParams, b_geometry, column_uyy_integrals, energy
-from .grid import ScalarField, _apply_x, integrate, l2_norm, make_grid
+from .bounds import estimate_interp_constant
+from .energy import (EnergyParams, _cell_center_uy, b_geometry,
+                     column_uyy_integrals, energy, truncate_b)
+from .grid import ScalarField, apply, integrate, l2_norm, make_grid
 from .landscape import MinimizeConfig, critical_delta, minimize, multistart_portfolio, random_admissible
 
 SAFETY = 3.0
@@ -30,15 +32,12 @@ SAFETY = 3.0
 def _interp_mode_constant() -> float:
     """Closed-form check: each pure mode sin(2 pi n y) gives exactly 2."""
     y = np.arange(4096) / 4096.0
-    from .bounds import estimate_interp_constant
     family = [np.sin(2.0 * math.pi * n * y) for n in range(1, 9)]
     sigma = np.geomspace(0.1, 1000.0, 400)
     return estimate_interp_constant(family, sigma)
 
 
 def _killerinterp_sweep() -> float:
-    from .energy import truncate_b
-
     fields: list[ScalarField] = []
     for eps in (3e-3, 1e-2, 3e-2):
         grid = make_grid(1.0, 256, 512)
@@ -50,7 +49,6 @@ def _killerinterp_sweep() -> float:
     grid = make_grid(1.0, 128, 128)
     for _ in range(12):
         w = random_admissible(grid, rng)
-        from .energy import _cell_center_uy
         top = float(np.abs(_cell_center_uy(w)).max())
         if top > 0:
             fields.append(w.with_values(w.values * (1.5 / top)))
@@ -70,7 +68,7 @@ def _killerinterp_sweep() -> float:
             if trunc.pi_m_columns.size == 0 or trunc.area_b_m <= 0:
                 continue
             lhs = l2_norm(fld) * math.sqrt(max(integrate(
-                _apply_x(fld.grid, "Dx", fld.values) ** 2, fld.grid), 0.0))
+                apply(fld.grid, fld.values, "Dx") ** 2, fld.grid), 0.0))
             base = (trunc.area_b_m / trunc.len_pi_m) ** 2 / M
             if base > 0:
                 best = min(best, lhs / base)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import constructions as cons
-from .energy import EnergyParams, b_geometry, energy
+from .energy import EnergyParams, _cell_center_uy, b_geometry, energy
 from .grid import ScalarField, make_grid, read_field, write_field, zero_field
 from .landscape import (BracketNotFound, Diverged, MinimizeConfig,
                         critical_delta, local_minimality_probe, minimize,
@@ -239,7 +239,7 @@ def _cmd_verify(cfg, out_dir, seed, threads):
         pass
     for i in range(n_random):
         w = random_admissible(grid, rng)
-        uy_max = float(np.abs(_cell_uy_values(w)).max())
+        uy_max = float(np.abs(_cell_center_uy(w)).max())
         if uy_max > 0:
             w = w.with_values(w.values * (1.5 / uy_max))
         fields.append((f"random{i}", w))
@@ -264,14 +264,11 @@ def _cmd_verify(cfg, out_dir, seed, threads):
 
     artifacts = [_atomic_write(out_dir, "reports.csv",
                                lambda fh: bnd.reports_to_csv(reports, fh))]
-    if not all(r.holds for r in reports):
-        raise Diverged("a proven inequality failed its tolerance-adjusted check")
+    failed = [f"{r.check} ({r.context})" for r in reports if not r.holds]
+    if failed:
+        raise bnd.InequalityViolated(
+            f"{len(failed)} of {len(reports)} checks failed: " + "; ".join(failed))
     return artifacts
-
-
-def _cell_uy_values(u):
-    from .energy import _cell_center_uy
-    return _cell_center_uy(u)
 
 
 def _cmd_probe(cfg, out_dir, seed, threads):
@@ -344,7 +341,7 @@ def run(config_path: str, out_dir: str = ".", seed: int | None = None,
     except (ConfigError, cons.ResolutionTooCoarse) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (Diverged, BracketNotFound) as exc:
+    except (Diverged, BracketNotFound, bnd.InequalityViolated) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

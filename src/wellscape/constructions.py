@@ -121,7 +121,7 @@ def branched_seed(spec: BranchedSpec, grid: Grid) -> ScalarField:
     left = (x / spec.l) * w0
     right = _sawtooth_profile(x - spec.l, y, spec.h, spec.k)
     values = np.where(x <= spec.l, left, right)
-    return ScalarField(grid, values, claimed_class=3)
+    return ScalarField(grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ def nucleation_bump(spec: BumpSpec, grid: Grid) -> ScalarField:
     upper = a * f - f * (2.0 * a - yr) ** 2 / (2.0 * a)
     values = np.where(yr <= a, lower, upper)
     values = np.where((yr >= 0.0) & (y < 4.0 * a), values, 0.0)
-    return ScalarField(grid, values, claimed_class=1)
+    return ScalarField(grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -428,4 +428,4 @@ def potential_seed(spec: PotentialSpec, grid: Grid) -> ScalarField:
     ratio = np.where(R > 1e-14, sol(R) / np.where(R > 1e-14, R, 1.0), sol.zprime0)
     values = psi(R) * ratio * Ty
     values[0, :] = 0.0  # no-op (psi vanishes there); keeps the edge exact
-    return ScalarField(grid, values, claimed_class=3)
+    return ScalarField(grid, values)

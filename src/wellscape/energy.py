@@ -5,9 +5,10 @@ Each functional has the form
     E_i(u) = S_i(u) + integral of u_x^2 + Delta * area(A(u)),
 
 where S_i is the eps^2-weighted surface term (u_yy^2, |grad u_y|^2 or
-|D^2 u|^2), B(u) = {|u_y| >= 1} and A(u) is its complement.  The well term
-is discontinuous in u; minimization goes through a C^1 smoothstep surrogate
-(energy_smoothed / energy_gradient) while all reporting uses the sharp term.
+|D^2 u|^2, one table: SURFACE_STENCILS), B(u) = {|u_y| >= 1} and A(u) is
+its complement.  The well term is discontinuous in u; minimization goes
+through a C^1 smoothstep surrogate (energy_smoothed / energy_gradient)
+while all reporting uses the sharp term.
 
 B-membership is decided per cell from the y-derivative of the bilinear
 interpolant at the cell center.  Two measures of B coexist:
@@ -28,12 +29,20 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import (ScalarField, _apply_x, _apply_y, _ops, _x_weights,
-                   integrate, validate_admissible)
+from .grid import (ScalarField, _x_weights, adjoint, apply, integrate,
+                   validate_admissible)
 
 # |u_y| >= 1 is tested with this slack so that exact ties survive roundoff
 # (the branched seed's entire B-set sits at |u_y| = 1 exactly).
 TIE_TOL = 1e-12
+
+# S_i(u) = sum of weight * integral (X u Y^T)^2 over the (x-op, y-op, weight)
+# rows of variant i: u_yy^2, then u_xy^2, then u_xx^2
+SURFACE_STENCILS = {
+    1: ((None, "Dyy", 1.0),),
+    2: ((None, "Dyy", 1.0), ("Dx", "Dy", 1.0)),
+    3: ((None, "Dyy", 1.0), ("Dx", "Dy", 2.0), ("Dxx", None, 1.0)),
+}
 
 
 class NotAdmissible(ValueError):
@@ -124,23 +133,14 @@ def well_potential(a, b, delta: float):
 
 def _cell_center_uy(u: ScalarField) -> np.ndarray:
     """d/dy of the bilinear interpolant at cell centers, shape (nx, ny)."""
-    ops = _ops(u.grid)
-    return ops["Axc"] @ (u.values @ ops["Fy"].T)
+    return apply(u.grid, u.values, "Axc", "Fy")
 
 
-def _column_runs(col_mask: np.ndarray) -> list[tuple[int, int]]:
-    """(start, length) of the maximal True runs on the periodic cell circle."""
-    ny = col_mask.size
-    if col_mask.all():
-        return [(0, ny)]
-    rising = np.flatnonzero(col_mask & ~np.roll(col_mask, 1))
-    falling = np.flatnonzero(~col_mask & np.roll(col_mask, 1))
-    runs = []
-    for start in rising:
-        end_candidates = falling[falling > start]
-        end = end_candidates[0] if end_candidates.size else falling[0] + ny
-        runs.append((int(start), int(end - start)))
-    return runs
+def _b_cells(u: ScalarField) -> tuple[np.ndarray, np.ndarray, float]:
+    """|u_y| at cell centers, the B-cell mask and its area (mask sum * hx * hy)."""
+    q = np.abs(_cell_center_uy(u))
+    mask = q >= 1.0 - TIE_TOL
+    return q, mask, float(mask.sum()) * u.grid.hx * u.grid.hy
 
 
 def _column_lengths(mask: np.ndarray, q: np.ndarray, hy: float) -> np.ndarray:
@@ -149,28 +149,43 @@ def _column_lengths(mask: np.ndarray, q: np.ndarray, hy: float) -> np.ndarray:
     A run whose |u_y| never exceeds 1 is a tie plateau (the situation of the
     sawtooth strips, where |u_y| = 1 exactly): its two boundary cells are
     half-covered on average, so it counts (n+1)*hy.  A run that genuinely
-    crosses 1 is already midpoint-unbiased at n*hy.
+    crosses 1 is already midpoint-unbiased at n*hy; so does a full column.
+
+    Each partly-B column is rotated to start at its last cell if non-B, else
+    at its first non-B cell: no run then crosses the seam, and runs come in
+    the order of their unrotated starts, which is the order they are summed.
     """
     nx, ny = mask.shape
     lengths = np.zeros(nx)
-    for i in np.flatnonzero(mask.any(axis=1)):
-        col = mask[i]
-        qi = q[i]
-        total = 0.0
-        for start, n in _column_runs(col):
-            idx = (start + np.arange(n)) % ny
-            plateau = float(qi[idx].max()) <= 1.0 + TIE_TOL
-            total += (n + 1 if plateau and n < ny else n) * hy
-        lengths[i] = min(total, 1.0)
+    full = mask.all(axis=1)
+    lengths[full] = min(ny * hy, 1.0)
+    cols = np.flatnonzero(mask.any(axis=1) & ~full)
+    if cols.size == 0:
+        return lengths
+    sub = mask[cols]
+    start = np.where(sub[:, -1], np.argmin(sub, axis=1), ny - 1)
+    idx = (start[:, None] + np.arange(ny)) % ny
+    flat = np.take_along_axis(sub, idx, axis=1).ravel()
+    qmax = np.where(flat, np.take_along_axis(q[cols], idx, axis=1).ravel(), -np.inf)
+    edges = np.diff(flat.astype(np.int8), append=np.int8(0))
+    starts = np.flatnonzero(edges == 1) + 1  # every rotated column starts non-B
+    n = np.flatnonzero(edges == -1) + 1 - starts
+    plateau = np.maximum.reduceat(qmax, starts) <= 1.0 + TIE_TOL
+    contrib = (n + plateau) * hy
+    # cumsum adds each column's runs left to right like the scalar loop did;
+    # np.add.reduceat may sum pairwise, which can change the last bit
+    col_of = starts // ny
+    rank = np.arange(starts.size) - np.searchsorted(col_of, col_of)
+    table = np.zeros((cols.size, int(rank.max()) + 1))
+    table[col_of, rank] = contrib
+    lengths[cols] = np.minimum(np.cumsum(table, axis=1)[:, -1], 1.0)
     return lengths
 
 
 def b_geometry(u: ScalarField) -> BSetGeometry:
     """Discrete B(u) = {cell centers with |u_y| >= 1} and derived geometry."""
     g = u.grid
-    q = np.abs(_cell_center_uy(u))
-    mask = q >= 1.0 - TIE_TOL
-    area_cells = float(mask.sum()) * g.hx * g.hy
+    q, mask, area_cells = _b_cells(u)
     lengths = _column_lengths(mask, q, g.hy)
     pi = np.flatnonzero(mask.any(axis=1))
     len_pi = g.hx * pi.size
@@ -186,10 +201,9 @@ def column_uyy_integrals(u: ScalarField) -> np.ndarray:
 
     Cell-centered like integrate(), so hx * sum equals integrate(u_yy^2).
     """
-    ops = _ops(u.grid)
-    uyy2 = (u.values @ ops["Dyy"].T) ** 2
-    cells = ops["Axc"] @ uyy2 @ ops["Ayc"].T
-    return u.grid.hy * cells.sum(axis=1)
+    g = u.grid
+    cells = apply(g, apply(g, apply(g, u.values, y="Dyy") ** 2, "Axc"), y="Ayc")
+    return g.hy * cells.sum(axis=1)
 
 
 def truncate_b(u: ScalarField, M: float) -> TruncatedBSet:
@@ -212,17 +226,13 @@ def truncate_b(u: ScalarField, M: float) -> TruncatedBSet:
 # ---------------------------------------------------------------------------
 # energies
 
-def _surface_fields(u: ScalarField, variant: int) -> list[tuple[np.ndarray, float]]:
-    """(nodal derivative array, quadratic weight) pairs for the surface term."""
+def surface_and_elastic(u: ScalarField, epsilon: float, variant: int) -> tuple[float, float]:
+    """(eps^2 * S_variant(u), integral of u_x^2): the quadratic part of E_i."""
     g = u.grid
-    uyy = _apply_y(g, "Dyy", u.values)
-    if variant == 1:
-        return [(uyy, 1.0)]
-    uxy = _apply_x(g, "Dx", _apply_y(g, "Dy", u.values))
-    if variant == 2:
-        return [(uyy, 1.0), (uxy, 1.0)]
-    uxx = _apply_x(g, "Dxx", u.values)
-    return [(uyy, 1.0), (uxy, 2.0), (uxx, 1.0)]
+    surface = epsilon**2 * sum(w * integrate(apply(g, u.values, x, y) ** 2, g)
+                               for x, y, w in SURFACE_STENCILS[variant])
+    elastic = integrate(apply(g, u.values, "Dx") ** 2, g)
+    return surface, elastic
 
 
 def energy(u: ScalarField, p: EnergyParams) -> EnergyBreakdown:
@@ -234,13 +244,9 @@ def energy(u: ScalarField, p: EnergyParams) -> EnergyBreakdown:
     report = validate_admissible(u)
     if not report.ok:
         raise NotAdmissible("; ".join(report.violations))
-    g = u.grid
-    surface = p.epsilon**2 * sum(
-        w * integrate(f**2, g) for f, w in _surface_fields(u, p.variant))
-    elastic = integrate(_apply_x(g, "Dx", u.values) ** 2, g)
-    geom = b_geometry(u)
-    area_b = geom.area_b_cells
-    area_a = g.L - area_b
+    surface, elastic = surface_and_elastic(u, p.epsilon, p.variant)
+    area_b = _b_cells(u)[2]
+    area_a = u.grid.L - area_b
     well = p.delta * area_a
     return EnergyBreakdown(surface, elastic, well,
                            surface + elastic + well, area_b, area_a)
@@ -267,13 +273,9 @@ def energy_smoothed(u: ScalarField, p: EnergyParams) -> float:
     With smooth_w = 0 this is exactly the sharp total.
     """
     g = u.grid
-    surface = p.epsilon**2 * sum(
-        w * integrate(f**2, g) for f, w in _surface_fields(u, p.variant))
-    elastic = integrate(_apply_x(g, "Dx", u.values) ** 2, g)
+    surface, elastic = surface_and_elastic(u, p.epsilon, p.variant)
     if p.smooth_w == 0.0:
-        mask = np.abs(_cell_center_uy(u)) >= 1.0 - TIE_TOL
-        area_a = g.L - float(mask.sum()) * g.hx * g.hy
-        return surface + elastic + p.delta * area_a
+        return surface + elastic + p.delta * (g.L - _b_cells(u)[2])
     s = _smoothstep_indicator(np.abs(_cell_center_uy(u)), p.smooth_w)
     return surface + elastic + p.delta * g.hx * g.hy * float(s.sum())
 
@@ -281,33 +283,26 @@ def energy_smoothed(u: ScalarField, p: EnergyParams) -> float:
 def energy_gradient(u: ScalarField, p: EnergyParams) -> ScalarField:
     """Exact gradient of energy_smoothed with respect to the nodal values.
 
-    Rows at i = 0 are zeroed (the Dirichlet edge stays pinned during descent).
+    Each quadratic term w * integral (X u Y^T)^2 contributes
+    2 w X^T (wx * X u Y^T) Y, with wx the quadrature weight per node; the
+    well term contributes the adjoint of the cell-center u_y.  Rows at i = 0
+    are zeroed (the Dirichlet edge stays pinned during descent).
     """
     if p.smooth_w <= 0.0:
         raise ZeroSmoothing("gradient needs smooth_w > 0")
     g = u.grid
-    ops = _ops(g)
-    wx = _x_weights(g)[:, None]  # quadrature weight per node
+    wx = _x_weights(g)[:, None]
     scale = g.hx * g.hy
 
     grad = np.zeros_like(u.values)
-
-    uyy = _apply_y(g, "Dyy", u.values)
-    grad += 2.0 * p.epsilon**2 * scale * ((wx * uyy) @ ops["Dyy"])
-    if p.variant >= 2:
-        uxy = _apply_x(g, "Dx", _apply_y(g, "Dy", u.values))
-        wmix = 2.0 if p.variant == 3 else 1.0
-        grad += 2.0 * wmix * p.epsilon**2 * scale * (ops["Dx"].T @ (wx * uxy) @ ops["Dy"])
-    if p.variant == 3:
-        uxx = _apply_x(g, "Dxx", u.values)
-        grad += 2.0 * p.epsilon**2 * scale * (ops["Dxx"].T @ (wx * uxx))
-
-    ux = _apply_x(g, "Dx", u.values)
-    grad += 2.0 * scale * (ops["Dx"].T @ (wx * ux))
+    for x, y, w in SURFACE_STENCILS[p.variant]:
+        grad += 2.0 * w * p.epsilon**2 * scale * adjoint(
+            g, wx * apply(g, u.values, x, y), x, y)
+    grad += 2.0 * scale * adjoint(g, wx * apply(g, u.values, "Dx"), "Dx")
 
     uy_c = _cell_center_uy(u)
     slope = _smoothstep_slope(np.abs(uy_c), p.smooth_w) * np.sign(uy_c)
-    grad += p.delta * scale * (ops["Axc"].T @ slope @ ops["Fy"])
+    grad += p.delta * scale * adjoint(g, slope, "Axc", "Fy")
 
     grad[0, :] = 0.0
     return u.with_values(grad)

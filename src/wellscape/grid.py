@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,23 +67,15 @@ def make_grid(L: float, nx: int, ny: int) -> Grid:
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Nodal values on a Grid, y-periodic by storage, immutable.
-
-    claimed_class is 1, 2 or 3 and records which admissible class (and hence
-    which energy variant) the field is meant for; on a grid every field is
-    smooth, so the class only selects the functional.
-    """
+    """Nodal values on a Grid, y-periodic by storage, immutable."""
 
     grid: Grid
     values: np.ndarray
-    claimed_class: int = 1
 
     def __post_init__(self):
         expected = (self.grid.nx + 1, self.grid.ny)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
-        if self.claimed_class not in (1, 2, 3):
-            raise ValueError(f"claimed_class must be 1, 2 or 3, got {self.claimed_class}")
         vals = np.array(self.values, dtype=float)  # defensive copy, then freeze
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
@@ -94,19 +86,20 @@ class ScalarField:
         return replace(self, values=values)
 
 
-def zero_field(grid: Grid, claimed_class: int = 1) -> ScalarField:
-    return ScalarField(grid, np.zeros((grid.nx + 1, grid.ny)), claimed_class)
+def zero_field(grid: Grid) -> ScalarField:
+    return ScalarField(grid, np.zeros((grid.nx + 1, grid.ny)))
 
 
-def field_from_function(grid: Grid, fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                        claimed_class: int = 1) -> ScalarField:
+def field_from_function(grid: Grid,
+                        fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> ScalarField:
     """Sample fn(x, y) at the nodes."""
     X, Y = grid.node_mesh()
-    return ScalarField(grid, np.asarray(fn(X, Y), dtype=float), claimed_class)
+    return ScalarField(grid, np.asarray(fn(X, Y), dtype=float))
 
 
 # ---------------------------------------------------------------------------
-# finite-difference operator matrices (1D, applied along one axis)
+# finite-difference operator matrices (1D, applied along one axis); nothing
+# outside this module reaches them except through apply() and adjoint()
 
 @lru_cache(maxsize=128)
 def _ops(grid: Grid) -> dict:
@@ -159,35 +152,52 @@ def _ops(grid: Grid) -> dict:
             "Axc": Axc, "Fy": Fy, "Ayc": Ayc}
 
 
-def _apply_y(grid: Grid, name: str, values: np.ndarray) -> np.ndarray:
-    return values @ _ops(grid)[name].T
+def apply(grid: Grid, values: np.ndarray, x: Optional[str] = None,
+          y: Optional[str] = None) -> np.ndarray:
+    """X @ values @ Y^T for the named x- and y-operators (None: identity), y first.
+
+    Names: Dx, Dxx, Axc (nodes -> cells) in x; Dy, Dyy, Fy, Ayc (cell circle) in y.
+    """
+    ops = _ops(grid)
+    if y is not None:
+        values = values @ ops[y].T
+    if x is not None:
+        values = ops[x] @ values
+    return values
 
 
-def _apply_x(grid: Grid, name: str, values: np.ndarray) -> np.ndarray:
-    return _ops(grid)[name] @ values
+def adjoint(grid: Grid, values: np.ndarray, x: Optional[str] = None,
+            y: Optional[str] = None) -> np.ndarray:
+    """X^T @ values @ Y, the adjoint of apply(); the x-operator acts first."""
+    ops = _ops(grid)
+    if x is not None:
+        values = ops[x].T @ values
+    if y is not None:
+        values = values @ ops[y]
+    return values
 
 
 def d_y(u: ScalarField) -> ScalarField:
     """Central difference in y with periodic wraparound."""
-    return u.with_values(_apply_y(u.grid, "Dy", u.values))
+    return u.with_values(apply(u.grid, u.values, y="Dy"))
 
 
 def d_x(u: ScalarField) -> ScalarField:
     """Central difference in x; one-sided second-order stencils at i=0, nx."""
-    return u.with_values(_apply_x(u.grid, "Dx", u.values))
+    return u.with_values(apply(u.grid, u.values, "Dx"))
 
 
 def d_yy(u: ScalarField) -> ScalarField:
-    return u.with_values(_apply_y(u.grid, "Dyy", u.values))
+    return u.with_values(apply(u.grid, u.values, y="Dyy"))
 
 
 def d_xx(u: ScalarField) -> ScalarField:
-    return u.with_values(_apply_x(u.grid, "Dxx", u.values))
+    return u.with_values(apply(u.grid, u.values, "Dxx"))
 
 
 def d_xy(u: ScalarField) -> ScalarField:
     """Mixed second derivative, computed as d_x(d_y(u))."""
-    return u.with_values(_apply_x(u.grid, "Dx", _apply_y(u.grid, "Dy", u.values)))
+    return u.with_values(apply(u.grid, u.values, "Dx", "Dy"))
 
 
 def _x_weights(grid: Grid) -> np.ndarray:
@@ -261,7 +271,7 @@ def write_field(path, u: ScalarField) -> None:
             fh.write(" ".join(f"{v:.17g}" for v in u.values[i, :]) + "\n")
 
 
-def read_field(path, claimed_class: int = 1) -> ScalarField:
+def read_field(path) -> ScalarField:
     """Read a WSF1 dump written by write_field."""
     with open(path) as fh:
         header = fh.readline().split()
@@ -272,4 +282,4 @@ def read_field(path, claimed_class: int = 1) -> ScalarField:
         values = np.loadtxt(fh, dtype=float, ndmin=2)
     if values.shape != (nx + 1, ny):
         raise ValueError(f"WSF1 payload shape {values.shape} != {(nx + 1, ny)}")
-    return ScalarField(make_grid(L, nx, ny), values, claimed_class)
+    return ScalarField(make_grid(L, nx, ny), values)

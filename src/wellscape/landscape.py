@@ -16,13 +16,14 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .constructions import BranchedSpec, ResolutionTooCoarse, branched_seed
-from .energy import (EnergyBreakdown, EnergyParams, NotAdmissible, b_geometry,
-                     energy, energy_gradient, energy_smoothed)
+from .energy import (EnergyBreakdown, EnergyParams, NotAdmissible,
+                     _cell_center_uy, b_geometry, energy, energy_gradient,
+                     energy_smoothed)
 from .grid import Grid, ScalarField, l2_norm, validate_admissible, zero_field
 
 
@@ -69,12 +70,12 @@ class MinimizeResult:
     start_sharp: float
 
 
-def _descend_stage(x: np.ndarray, make_field: Callable, p: EnergyParams,
+def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
                    cfg: MinimizeConfig, stage: int, trace: list,
                    e_cap: float) -> tuple[np.ndarray, int]:
     """BB two-point steps with Armijo backtracking; monotone in the smoothed energy."""
     failures = 0
-    u = make_field(x)
+    u = ScalarField(grid, x)
     e = energy_smoothed(u, p)
     g = energy_gradient(u, p).values
     t = cfg.step0
@@ -99,7 +100,7 @@ def _descend_stage(x: np.ndarray, make_field: Callable, p: EnergyParams,
         gg = float((g * g).sum())
         for _ in range(cfg.max_backtracks):
             x_new = x - t * g
-            e_new = energy_smoothed(make_field(x_new), p)
+            e_new = energy_smoothed(ScalarField(grid, x_new), p)
             if e_new <= e - cfg.armijo * t * gg:
                 accepted = True
                 break
@@ -110,7 +111,7 @@ def _descend_stage(x: np.ndarray, make_field: Callable, p: EnergyParams,
             break
         prev_x, prev_g = x, g
         x, e = x_new, e_new
-        u = make_field(x)
+        u = ScalarField(grid, x)
         g = energy_gradient(u, p).values
     return x, failures
 
@@ -127,13 +128,9 @@ def minimize(start: ScalarField, p: EnergyParams,
     if not report.ok:
         raise NotAdmissible("; ".join(report.violations))
     grid = start.grid
-
-    def make_field(arr: np.ndarray) -> ScalarField:
-        return ScalarField(grid, arr, start.claimed_class)
-
     x = np.array(start.values)
     x[0, :] = 0.0  # pin the Dirichlet edge exactly
-    start_sharp = energy(make_field(x), p).total
+    start_sharp = energy(ScalarField(grid, x), p).total
     e_cap = cfg.divergence_factor * max(abs(start_sharp), 1e-30)
 
     trace: list[dict] = []
@@ -141,12 +138,12 @@ def minimize(start: ScalarField, p: EnergyParams,
     candidates = [(start_sharp, x)]
     for stage, w in enumerate(cfg.schedule(grid.hy)):
         pw = replace(p, smooth_w=w)
-        x, nfail = _descend_stage(x, make_field, pw, cfg, stage, trace, e_cap)
+        x, nfail = _descend_stage(x, grid, pw, cfg, stage, trace, e_cap)
         failures += nfail
-        candidates.append((energy(make_field(x), p).total, x))
+        candidates.append((energy(ScalarField(grid, x), p).total, x))
 
     best_e, best_x = min(candidates, key=lambda c: c[0])
-    best = make_field(best_x)
+    best = ScalarField(grid, best_x)
     return MinimizeResult(best, energy(best, p), trace, failures, start_sharp)
 
 
@@ -154,7 +151,7 @@ def minimize(start: ScalarField, p: EnergyParams,
 # admissible random fields and the multistart portfolio
 
 def random_admissible(grid: Grid, rng: np.random.Generator, modes: int = 8,
-                      amplitude: float = 1.0, claimed_class: int = 1) -> ScalarField:
+                      amplitude: float = 1.0) -> ScalarField:
     """Band-limited trigonometric profile times powers of x/L; admissible by
     construction (vanishes at x = 0, y-periodic by storage)."""
     X, Y = grid.node_mesh()
@@ -169,13 +166,13 @@ def random_admissible(grid: Grid, rng: np.random.Generator, modes: int = 8,
     rms = math.sqrt(float((values**2).mean()))
     if rms > 0:
         values *= amplitude / rms
-    return ScalarField(grid, values, claimed_class)
+    return ScalarField(grid, values)
 
 
-def multistart_portfolio(epsilon: float, grid: Grid, seed: int = 0,
-                         claimed_class: int = 1) -> list[tuple[str, ScalarField]]:
+def multistart_portfolio(epsilon: float, grid: Grid,
+                         seed: int = 0) -> list[tuple[str, ScalarField]]:
     """zero field, branched seed, its x0.5 / x2 rescalings, one random start."""
-    starts: list[tuple[str, ScalarField]] = [("zero", zero_field(grid, claimed_class))]
+    starts: list[tuple[str, ScalarField]] = [("zero", zero_field(grid))]
     try:
         seedf = branched_seed(BranchedSpec.from_epsilon(epsilon, grid.L), grid)
         starts.append(("branched", seedf))
@@ -367,7 +364,7 @@ def local_minimality_probe(p: EnergyParams, grid: Grid, n_samples: int,
             if energy(v, p).total <= e0:
                 violations += 1
         else:
-            uy_max = float(np.abs(_cell_uy(w)).max())
+            uy_max = float(np.abs(_cell_center_uy(w)).max())
             if uy_max <= 0:
                 continue
             v = None
@@ -385,8 +382,3 @@ def local_minimality_probe(p: EnergyParams, grid: Grid, n_samples: int,
     cap = norm_cap if norm_cap is not None else area_cap
     mode = "norm" if norm_cap is not None else "area"
     return ProbeReport(n_samples, eligible, violations, float(cap), mode)
-
-
-def _cell_uy(u: ScalarField) -> np.ndarray:
-    from .energy import _cell_center_uy
-    return _cell_center_uy(u)

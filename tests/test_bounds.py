@@ -15,7 +15,7 @@ from wellscape import (BandEmpty, BranchedSpec, BumpSpec, DegenerateInterval,
 from wellscape import PotentialSpec
 from wellscape.bounds import obstacle_qp_oracle
 from wellscape.energy import b_geometry
-from wellscape.grid import _apply_y, integrate
+from wellscape.grid import d_yy, integrate
 from wellscape.landscape import random_admissible
 
 
@@ -171,7 +171,7 @@ def test_band_contains_tau_under_curvature_budget():
     g = make_grid(1.0, 256, 256)
     seed = branched_seed(BranchedSpec.from_epsilon(0.02, 1.0), g)
     geom = b_geometry(seed)
-    curv = integrate(_apply_y(g, "Dyy", seed.values) ** 2, g)
+    curv = integrate(d_yy(seed).values ** 2, g)
     eps = 0.02
     delta = 1.05 * curv * eps**2 / geom.area_b
     lo, hi = proportional_band(eps, delta)

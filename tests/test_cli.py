@@ -186,6 +186,23 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_verify_inequalities_violation_exit_code(tmp_path, monkeypatch, capsys):
+    from dataclasses import replace
+
+    from wellscape import bounds
+    poincare = bounds.poincare_check
+    monkeypatch.setattr(bounds, "poincare_check",
+                        lambda u: replace(poincare(u), holds=False))
+    cfg = {"schema": 1, "command": "verify-inequalities", "seed": 0,
+           "grid": {"L": 1.0, "nx": 32, "ny": 32},
+           "energy": {"epsilon": 0.02, "variant": 1}, "n_random": 2}
+    code, out_dir = _run(tmp_path, cfg)
+    assert code == 3
+    assert (out_dir / "reports.csv").exists()
+    err = capsys.readouterr().err
+    assert "2 of" in err and "checks failed: poincare (random0); poincare (random1)" in err
+
+
 def test_main_entry(tmp_path):
     cfg = {"schema": 1, "command": "obstacle-1d", "obstacle": {"n": 128}}
     path = tmp_path / "cfg.json"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wellscape import (BranchedSpec, EmptyB, EnergyParams, NotAdmissible,
@@ -9,8 +11,9 @@ from wellscape import (BranchedSpec, EmptyB, EnergyParams, NotAdmissible,
                        energy, energy_gradient, energy_smoothed,
                        field_from_function, integrate, make_grid, shift_y,
                        truncate_b, well_potential, zero_field)
-from wellscape.energy import _cell_center_uy, column_uyy_integrals
-from wellscape.grid import _apply_y
+from wellscape.energy import (TIE_TOL, _cell_center_uy, _column_lengths,
+                              column_uyy_integrals)
+from wellscape.grid import d_yy
 from wellscape.landscape import random_admissible
 
 
@@ -49,6 +52,54 @@ def test_b_geometry_branched_tau_strictly_inside():
     assert geom.area_b == pytest.approx(g.hx * geom.column_lengths.sum())
 
 
+def _column_lengths_loop(mask, q, hy):
+    """The per-column run loop that _column_lengths vectorizes: its reference."""
+    nx, ny = mask.shape
+    lengths = np.zeros(nx)
+    for i in np.flatnonzero(mask.any(axis=1)):
+        col = mask[i]
+        if col.all():
+            runs = [(0, ny)]
+        else:
+            rising = np.flatnonzero(col & ~np.roll(col, 1))
+            falling = np.flatnonzero(~col & np.roll(col, 1))
+            runs = []
+            for start in rising:
+                later = falling[falling > start]
+                end = later[0] if later.size else falling[0] + ny
+                runs.append((int(start), int(end - start)))
+        total = 0.0
+        for start, n in runs:
+            idx = (start + np.arange(n)) % ny
+            plateau = float(q[i][idx].max()) <= 1.0 + TIE_TOL
+            total += (n + 1 if plateau and n < ny else n) * hy
+        lengths[i] = min(total, 1.0)
+    return lengths
+
+
+@settings(max_examples=300, deadline=None)
+@given(ny=st.sampled_from([8, 12, 16, 37, 48, 64, 96, 100, 128]),
+       nx=st.integers(1, 12), density=st.floats(0.0, 1.0),
+       full_rows=st.sets(st.integers(0, 11), max_size=3),
+       seam_rows=st.sets(st.integers(0, 11), max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_column_lengths_match_run_loop(ny, nx, density, full_rows, seam_rows, seed):
+    # all-B columns, runs across the y seam, tie plateaus (|u_y| within
+    # TIE_TOL of 1) beside runs that cross 1, and ny off the powers of two
+    rng = np.random.default_rng(seed)
+    mask = rng.random((nx, ny)) < density
+    for i in seam_rows:
+        if i < nx:
+            mask[i, [0, -1]] = True
+    for i in full_rows:
+        if i < nx:
+            mask[i] = True
+    ties = rng.choice([1.0, 1.0 + 0.5 * TIE_TOL, 1.0 + 1e-6, 1.3], size=mask.shape)
+    q = np.where(mask, ties, rng.random(mask.shape) * (1.0 - 2.0 * TIE_TOL))
+    hy = 1.0 / ny
+    assert _column_lengths(mask, q, hy).tobytes() == _column_lengths_loop(mask, q, hy).tobytes()
+
+
 def test_truncate_b_no_truncation(grid64):
     u = field_from_function(grid64, lambda X, Y: 0.5 * X * np.sin(2 * np.pi * Y))
     geom = b_geometry(u)
@@ -75,7 +126,7 @@ def test_truncate_b_half_mass_choice(grid64):
                             + 0.2 * X**2 * np.cos(4 * np.pi * Y))
     geom = b_geometry(u)
     assert geom.area_b > 0
-    M = 2.0 * integrate(_apply_y(grid64, "Dyy", u.values) ** 2, grid64) / geom.area_b
+    M = 2.0 * integrate(d_yy(u).values ** 2, grid64) / geom.area_b
     trunc = truncate_b(u, M)
     assert trunc.area_b_m >= 0.5 * geom.area_b
 

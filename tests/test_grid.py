@@ -2,11 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wellscape import (InvalidGrid, ScalarField, d_x, d_xx, d_xy, d_y, d_yy,
                        field_from_function, integrate, l2_norm, make_grid,
                        read_field, shift_y, validate_admissible, write_field,
                        zero_field)
+from wellscape.energy import SURFACE_STENCILS
+from wellscape.grid import adjoint, apply
+
+# every (x, y) operator pair the energies apply: the surface stencils, the
+# elastic u_x, the cell-center u_y of the well term and the cell averaging
+# of column_uyy_integrals
+OPERATOR_PAIRS = sorted({(x, y) for rows in SURFACE_STENCILS.values() for x, y, _ in rows}
+                        | {("Dx", None), ("Axc", "Fy"), ("Axc", "Ayc")}, key=str)
 
 
 def test_make_grid_spacings():
@@ -178,6 +188,22 @@ def test_second_order_convergence(op):
         g, got = sample(n)
         errs.append(np.abs(got - exact(g)).max())
     assert errs[0] / errs[1] >= 3.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.sampled_from(OPERATOR_PAIRS), nx=st.integers(8, 48),
+       ny=st.integers(8, 48), L=st.floats(0.25, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_adjoint_identity(pair, nx, ny, L, seed):
+    # <apply(u), v> = <u, adjoint(v)>, relative to |apply(u)| |v|
+    x, y = pair
+    g = make_grid(L, nx, ny)
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(nx + 1, ny))
+    au = apply(g, u, x, y)
+    v = rng.normal(size=au.shape)
+    lhs = float((au * v).sum())
+    rhs = float((u * adjoint(g, v, x, y)).sum())
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(au) * np.linalg.norm(v)
 
 
 def test_wsf1_roundtrip_bit_identical(tmp_path, rng):
