@@ -20,8 +20,8 @@ from .grid import (AdmissibilityReport, Grid, InvalidGrid, ScalarField, d_x,
                    l2_norm, make_grid, read_field, shift_y,
                    validate_admissible, write_field, zero_field)
 from .landscape import (BracketNotFound, CriticalDeltaResult, Diverged,
-                        MinimizeConfig, MinimizeResult, ProbeReport,
-                        ScalingFit, critical_delta, fit_power_law,
+                        MinimizeConfig, MinimizeResult, PortfolioShrunk,
+                        ProbeReport, ScalingFit, critical_delta, fit_power_law,
                         local_minimality_probe, minimize, multistart_portfolio,
                         random_admissible, scaling_sweep)
 

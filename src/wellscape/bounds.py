@@ -21,7 +21,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .energy import EmptyB, EmptyPiM, TauOne, b_geometry, surface_and_elastic, truncate_b
+from .energy import (EmptyB, EmptyPiM, TauOne, TruncatedBSet, b_geometry,
+                     surface_and_elastic, truncate_b)
 from .grid import ScalarField, apply, integrate, l2_norm
 
 POINCARE_CONSTANT = math.pi**2 / 4.0  # sharp 1D Dirichlet-Neumann constant
@@ -218,15 +219,25 @@ def proportional_band(epsilon: float, delta: float) -> tuple[float, float]:
     return lo, 1.0 - lo
 
 
-def killerinterp_check(u: ScalarField, M: float,
-                       calibration: Optional[dict] = None) -> BoundReport:
-    """||u||_2 ||u_x||_2 >= (C/M) (area(B_M)/len(Pi_M))^2, calibrated C."""
+def killerinterp_sides(u: ScalarField, M: float) -> tuple[float, float, TruncatedBSet]:
+    """(||u||_2 ||u_x||_2, (area(B_M)/len(Pi_M))^2 / M, the truncation).
+
+    The two sides of the truncated interpolation bound without its constant,
+    shared by killerinterp_check and the calibration sweep that sets C.
+    """
     trunc = truncate_b(u, M)  # EmptyB when area(B) = 0
     if trunc.pi_m_columns.size == 0 or trunc.area_b_m <= 0.0:
         raise EmptyPiM("truncation removed every column")
     lhs = l2_norm(u) * math.sqrt(max(integrate(
         apply(u.grid, u.values, "Dx") ** 2, u.grid), 0.0))
     base = (trunc.area_b_m / trunc.len_pi_m) ** 2 / M
+    return lhs, base, trunc
+
+
+def killerinterp_check(u: ScalarField, M: float,
+                       calibration: Optional[dict] = None) -> BoundReport:
+    """||u||_2 ||u_x||_2 >= (C/M) (area(B_M)/len(Pi_M))^2, calibrated C."""
+    lhs, base, trunc = killerinterp_sides(u, M)
     C = calibration_value("killerinterp_C", calibration)
     rhs = C * base
     holds = lhs >= rhs * grid_tolerance(u)

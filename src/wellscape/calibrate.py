@@ -20,10 +20,10 @@ import sys
 import numpy as np
 
 from .constructions import BranchedSpec, PotentialSpec, branched_seed, potential_seed
-from .bounds import estimate_interp_constant
-from .energy import (EnergyParams, _cell_center_uy, b_geometry,
-                     column_uyy_integrals, energy, truncate_b)
-from .grid import ScalarField, apply, integrate, l2_norm, make_grid
+from .bounds import estimate_interp_constant, killerinterp_sides
+from .energy import (EmptyB, EmptyPiM, EnergyParams, _cell_center_uy,
+                     b_geometry, column_uyy_integrals, energy)
+from .grid import ScalarField, l2_norm, make_grid
 from .landscape import MinimizeConfig, critical_delta, minimize, multistart_portfolio, random_admissible
 
 SAFETY = 3.0
@@ -62,14 +62,9 @@ def _killerinterp_sweep() -> float:
         for M in (1e30, 2.0 * float(col.max()) + 1.0,
                   2.0 * float(np.median(col[geom.pi_columns])) + 1e-12):
             try:
-                trunc = truncate_b(fld, M)
-            except Exception:
+                lhs, base, _ = killerinterp_sides(fld, M)
+            except (EmptyB, EmptyPiM):
                 continue
-            if trunc.pi_m_columns.size == 0 or trunc.area_b_m <= 0:
-                continue
-            lhs = l2_norm(fld) * math.sqrt(max(integrate(
-                apply(fld.grid, fld.values, "Dx") ** 2, fld.grid), 0.0))
-            base = (trunc.area_b_m / trunc.len_pi_m) ** 2 / M
             if base > 0:
                 best = min(best, lhs / base)
     return best / SAFETY

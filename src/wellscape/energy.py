@@ -7,8 +7,9 @@ Each functional has the form
 where S_i is the eps^2-weighted surface term (u_yy^2, |grad u_y|^2 or
 |D^2 u|^2, one table: SURFACE_STENCILS), B(u) = {|u_y| >= 1} and A(u) is
 its complement.  The well term is discontinuous in u; minimization goes
-through a C^1 smoothstep surrogate (energy_smoothed / energy_gradient)
-while all reporting uses the sharp term.
+through a C^1 smoothstep surrogate (energy_smoothed / energy_gradient,
+one value pass and one adjoint pass over the same stencils) while all
+reporting uses the sharp term.
 
 B-membership is decided per cell from the y-derivative of the bilinear
 interpolant at the cell center.  Two measures of B coexist:
@@ -25,11 +26,11 @@ interpolant at the cell center.  Two measures of B coexist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .grid import (ScalarField, _x_weights, adjoint, apply, integrate,
+from .grid import (Grid, ScalarField, _x_weights, adjoint, apply, integrate,
                    validate_admissible)
 
 # |u_y| >= 1 is tested with this slack so that exact ties survive roundoff
@@ -43,6 +44,8 @@ SURFACE_STENCILS = {
     2: ((None, "Dyy", 1.0), ("Dx", "Dy", 1.0)),
     3: ((None, "Dyy", 1.0), ("Dx", "Dy", 2.0), ("Dxx", None, 1.0)),
 }
+# (x-op, y-op) of the y-derivative of the bilinear interpolant at cell centers
+CELL_UY = ("Axc", "Fy")
 
 
 class NotAdmissible(ValueError):
@@ -133,7 +136,7 @@ def well_potential(a, b, delta: float):
 
 def _cell_center_uy(u: ScalarField) -> np.ndarray:
     """d/dy of the bilinear interpolant at cell centers, shape (nx, ny)."""
-    return apply(u.grid, u.values, "Axc", "Fy")
+    return apply(u.grid, u.values, *CELL_UY)
 
 
 def _b_cells(u: ScalarField) -> tuple[np.ndarray, np.ndarray, float]:
@@ -226,13 +229,30 @@ def truncate_b(u: ScalarField, M: float) -> TruncatedBSet:
 # ---------------------------------------------------------------------------
 # energies
 
+def _quadratic_fields(values: np.ndarray, grid: Grid, variant: int) -> Iterator[np.ndarray]:
+    """apply(values, x, y) per SURFACE_STENCILS row of the variant, then u_x.
+
+    Lazily, one apply at a time: a caller that only integrates them holds a
+    single field (at 1024^2 a variant-3 field set would be 34 MB).
+    """
+    for x, y, _ in SURFACE_STENCILS[variant]:
+        yield apply(grid, values, x, y)
+    yield apply(grid, values, "Dx")
+
+
+def _quadratic_sums(fields: Iterable[np.ndarray], grid: Grid, epsilon: float,
+                    variant: int) -> tuple[float, float]:
+    """(eps^2 * S_variant, integral of u_x^2) over the fields of _quadratic_fields."""
+    fields = iter(fields)
+    surface = epsilon**2 * sum(w * integrate(next(fields) ** 2, grid)
+                               for _, _, w in SURFACE_STENCILS[variant])
+    return surface, integrate(next(fields) ** 2, grid)
+
+
 def surface_and_elastic(u: ScalarField, epsilon: float, variant: int) -> tuple[float, float]:
     """(eps^2 * S_variant(u), integral of u_x^2): the quadratic part of E_i."""
-    g = u.grid
-    surface = epsilon**2 * sum(w * integrate(apply(g, u.values, x, y) ** 2, g)
-                               for x, y, w in SURFACE_STENCILS[variant])
-    elastic = integrate(apply(g, u.values, "Dx") ** 2, g)
-    return surface, elastic
+    return _quadratic_sums(_quadratic_fields(u.values, u.grid, variant),
+                           u.grid, epsilon, variant)
 
 
 def energy(u: ScalarField, p: EnergyParams) -> EnergyBreakdown:
@@ -252,19 +272,75 @@ def energy(u: ScalarField, p: EnergyParams) -> EnergyBreakdown:
                            surface + elastic + well, area_b, area_a)
 
 
-def _smoothstep_indicator(q: np.ndarray, w: float) -> np.ndarray:
-    """C^1 surrogate for chi_(-1,1)(|u_y|): 1 below 1-w, 0 above 1, cubic between."""
-    t = np.clip((q - (1.0 - w)) / w, 0.0, 1.0)
-    return 1.0 - t * t * (3.0 - 2.0 * t)
+class _SmoothedTerms(NamedTuple):
+    """What the value pass of the smoothed energy keeps for its gradient."""
+
+    fields: list          # apply(values, x, y) per SURFACE_STENCILS row
+    dx: np.ndarray        # apply(values, "Dx")
+    uy: np.ndarray        # cell-center u_y
+    t: np.ndarray         # smoothstep coordinate (|u_y| - (1 - w)) / w, clipped to [0, 1]
 
 
-def _smoothstep_slope(q: np.ndarray, w: float) -> np.ndarray:
-    t = (q - (1.0 - w)) / w
-    inside = (t > 0.0) & (t < 1.0)
-    out = np.zeros_like(q)
-    tb = t[inside]
-    out[inside] = -6.0 * tb * (1.0 - tb) / w
-    return out
+def _smoothed_terms(values: np.ndarray, grid: Grid,
+                    p: EnergyParams) -> tuple[float, _SmoothedTerms]:
+    """Value pass of the smoothed energy (smooth_w > 0): every forward apply once.
+
+    The indicator chi_(-1,1)(|u_y|) becomes the C^1 smoothstep
+    1 - t^2 (3 - 2t): 1 below |u_y| = 1 - w, 0 above 1, cubic between.
+    """
+    w = p.smooth_w
+    *fields, dx = _quadratic_fields(values, grid, p.variant)
+    surface, elastic = _quadratic_sums(fields + [dx], grid, p.epsilon, p.variant)
+    uy = apply(grid, values, *CELL_UY)
+    t = np.abs(uy)
+    t -= 1.0 - w
+    t /= w
+    np.clip(t, 0.0, 1.0, out=t)
+    s = t * t
+    c = t * 2.0
+    np.subtract(3.0, c, out=c)
+    s *= c
+    np.subtract(1.0, s, out=s)
+    value = surface + elastic + p.delta * grid.hx * grid.hy * float(s.sum())
+    return value, _SmoothedTerms(fields, dx, uy, t)
+
+
+def _smoothed_gradient(terms: _SmoothedTerms, grid: Grid, p: EnergyParams) -> np.ndarray:
+    """Gradient pass: only adjoint applies, on the value pass's terms (overwritten).
+
+    Each quadratic term w * integral (X u Y^T)^2 contributes
+    2 w X^T (wx * X u Y^T) Y, with wx the quadrature weight per node; the
+    well term contributes the adjoint of the cell-center u_y applied to the
+    smoothstep slope -6 t (1 - t) / w, which vanishes where t is clipped.
+    Rows at i = 0 are zeroed (the Dirichlet edge stays pinned during descent).
+    """
+    wx = _x_weights(grid)[:, None]
+    scale = grid.hx * grid.hy
+    quadratic = [(2.0 * w * p.epsilon**2 * scale, f, x, y)
+                 for f, (x, y, w) in zip(terms.fields, SURFACE_STENCILS[p.variant])]
+    quadratic.append((2.0 * scale, terms.dx, "Dx", None))
+
+    grad = np.zeros((grid.nx + 1, grid.ny))
+    for coef, f, x, y in quadratic:
+        f *= wx
+        term = adjoint(grid, f, x, y)
+        term *= coef
+        grad += term
+
+    # at a clipped t the slope is a signed zero; grad starts at +0 and is
+    # accumulated, so the sign of a zero term never reaches it
+    t = terms.t
+    slope = 1.0 - t
+    t *= -6.0
+    slope *= t
+    slope /= p.smooth_w
+    slope *= np.sign(terms.uy, out=terms.uy)
+    term = adjoint(grid, slope, *CELL_UY)
+    term *= p.delta * scale
+    grad += term
+
+    grad[0, :] = 0.0
+    return grad
 
 
 def energy_smoothed(u: ScalarField, p: EnergyParams) -> float:
@@ -272,37 +348,15 @@ def energy_smoothed(u: ScalarField, p: EnergyParams) -> float:
 
     With smooth_w = 0 this is exactly the sharp total.
     """
-    g = u.grid
-    surface, elastic = surface_and_elastic(u, p.epsilon, p.variant)
     if p.smooth_w == 0.0:
-        return surface + elastic + p.delta * (g.L - _b_cells(u)[2])
-    s = _smoothstep_indicator(np.abs(_cell_center_uy(u)), p.smooth_w)
-    return surface + elastic + p.delta * g.hx * g.hy * float(s.sum())
+        surface, elastic = surface_and_elastic(u, p.epsilon, p.variant)
+        return surface + elastic + p.delta * (u.grid.L - _b_cells(u)[2])
+    return _smoothed_terms(u.values, u.grid, p)[0]
 
 
 def energy_gradient(u: ScalarField, p: EnergyParams) -> ScalarField:
-    """Exact gradient of energy_smoothed with respect to the nodal values.
-
-    Each quadratic term w * integral (X u Y^T)^2 contributes
-    2 w X^T (wx * X u Y^T) Y, with wx the quadrature weight per node; the
-    well term contributes the adjoint of the cell-center u_y.  Rows at i = 0
-    are zeroed (the Dirichlet edge stays pinned during descent).
-    """
+    """Exact gradient of energy_smoothed with respect to the nodal values."""
     if p.smooth_w <= 0.0:
         raise ZeroSmoothing("gradient needs smooth_w > 0")
-    g = u.grid
-    wx = _x_weights(g)[:, None]
-    scale = g.hx * g.hy
-
-    grad = np.zeros_like(u.values)
-    for x, y, w in SURFACE_STENCILS[p.variant]:
-        grad += 2.0 * w * p.epsilon**2 * scale * adjoint(
-            g, wx * apply(g, u.values, x, y), x, y)
-    grad += 2.0 * scale * adjoint(g, wx * apply(g, u.values, "Dx"), "Dx")
-
-    uy_c = _cell_center_uy(u)
-    slope = _smoothstep_slope(np.abs(uy_c), p.smooth_w) * np.sign(uy_c)
-    grad += p.delta * scale * adjoint(g, slope, "Axc", "Fy")
-
-    grad[0, :] = 0.0
-    return u.with_values(grad)
+    terms = _smoothed_terms(u.values, u.grid, p)[1]
+    return u.with_values(_smoothed_gradient(terms, u.grid, p))

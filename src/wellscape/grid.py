@@ -103,6 +103,8 @@ def field_from_function(grid: Grid,
 
 @lru_cache(maxsize=128)
 def _ops(grid: Grid) -> dict:
+    """Operator name -> (D, D^T), both CSR, so that no product builds a
+    transposed sparse object per call."""
     nx, ny = grid.nx, grid.ny
     hx, hy = grid.hx, grid.hy
 
@@ -148,8 +150,9 @@ def _ops(grid: Grid) -> dict:
     Ayc[ny - 1, 0] = 0.5
     Ayc = Ayc.tocsr()
 
-    return {"Dy": Dy, "Dyy": Dyy, "Dx": Dx, "Dxx": Dxx,
+    mats = {"Dy": Dy, "Dyy": Dyy, "Dx": Dx, "Dxx": Dxx,
             "Axc": Axc, "Fy": Fy, "Ayc": Ayc}
+    return {name: (D, D.T.tocsr()) for name, D in mats.items()}
 
 
 def apply(grid: Grid, values: np.ndarray, x: Optional[str] = None,
@@ -157,12 +160,14 @@ def apply(grid: Grid, values: np.ndarray, x: Optional[str] = None,
     """X @ values @ Y^T for the named x- and y-operators (None: identity), y first.
 
     Names: Dx, Dxx, Axc (nodes -> cells) in x; Dy, Dyy, Fy, Ayc (cell circle) in y.
+    The y-apply is computed as (Y @ values^T)^T, which is what scipy does for
+    values @ Y.T, so the bits are the same.
     """
     ops = _ops(grid)
     if y is not None:
-        values = values @ ops[y].T
+        values = (ops[y][0] @ values.T).T
     if x is not None:
-        values = ops[x] @ values
+        values = ops[x][0] @ values
     return values
 
 
@@ -171,9 +176,9 @@ def adjoint(grid: Grid, values: np.ndarray, x: Optional[str] = None,
     """X^T @ values @ Y, the adjoint of apply(); the x-operator acts first."""
     ops = _ops(grid)
     if x is not None:
-        values = ops[x].T @ values
+        values = ops[x][1] @ values
     if y is not None:
-        values = values @ ops[y]
+        values = (ops[y][1] @ values.T).T
     return values
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -21,14 +22,22 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .constructions import BranchedSpec, ResolutionTooCoarse, branched_seed
-from .energy import (EnergyBreakdown, EnergyParams, NotAdmissible,
-                     _cell_center_uy, b_geometry, energy, energy_gradient,
-                     energy_smoothed)
+# energy_gradient and energy_smoothed are not called here; bench/ wraps them
+# under these names, so they stay importable from this module
+from .energy import (EnergyBreakdown, EnergyParams, NotAdmissible,  # noqa: F401
+                     _cell_center_uy, _smoothed_gradient, _smoothed_terms,
+                     b_geometry, energy, energy_gradient, energy_smoothed)
 from .grid import Grid, ScalarField, l2_norm, validate_admissible, zero_field
 
 
 class Diverged(RuntimeError):
-    """Smoothed energy blew past 1000x the starting energy."""
+    """Smoothed energy blew past 1000x the starting energy, or a descent
+    step produced a non-finite iterate."""
+
+
+class PortfolioShrunk(UserWarning):
+    """The branched seed is unresolvable on the grid; the portfolio lost its
+    branched starts."""
 
 
 class BracketNotFound(RuntimeError):
@@ -73,11 +82,14 @@ class MinimizeResult:
 def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
                    cfg: MinimizeConfig, stage: int, trace: list,
                    e_cap: float) -> tuple[np.ndarray, int]:
-    """BB two-point steps with Armijo backtracking; monotone in the smoothed energy."""
+    """BB two-point steps with Armijo backtracking; monotone in the smoothed energy.
+
+    Works on raw arrays: each trial point gets one value pass, and the
+    gradient at an accepted trial reuses the terms of that pass.
+    """
     failures = 0
-    u = ScalarField(grid, x)
-    e = energy_smoothed(u, p)
-    g = energy_gradient(u, p).values
+    e, terms = _smoothed_terms(x, grid, p)
+    g = _smoothed_gradient(terms, grid, p)
     t = cfg.step0
     prev_x = None
     prev_g = None
@@ -100,7 +112,10 @@ def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
         gg = float((g * g).sum())
         for _ in range(cfg.max_backtracks):
             x_new = x - t * g
-            e_new = energy_smoothed(ScalarField(grid, x_new), p)
+            if not np.isfinite(x_new).all():
+                raise Diverged(f"non-finite trial iterate in stage {stage}, "
+                               f"iteration {it} (step {t:.3e})")
+            e_new, terms = _smoothed_terms(x_new, grid, p)
             if e_new <= e - cfg.armijo * t * gg:
                 accepted = True
                 break
@@ -111,8 +126,7 @@ def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
             break
         prev_x, prev_g = x, g
         x, e = x_new, e_new
-        u = ScalarField(grid, x)
-        g = energy_gradient(u, p).values
+        g = _smoothed_gradient(terms, grid, p)
     return x, failures
 
 
@@ -178,8 +192,10 @@ def multistart_portfolio(epsilon: float, grid: Grid,
         starts.append(("branched", seedf))
         for s in (0.5, 2.0):
             starts.append((f"branched_x{s:g}", seedf.with_values(s * seedf.values)))
-    except ResolutionTooCoarse:
-        pass  # seed unresolvable on this grid; the portfolio shrinks
+    except ResolutionTooCoarse as exc:
+        warnings.warn(f"no branched starts at epsilon={epsilon:g} on the "
+                      f"{grid.nx}x{grid.ny} grid (L={grid.L:g}): {exc}",
+                      PortfolioShrunk, stacklevel=2)
     rng = np.random.default_rng(seed)
     starts.append(("random", random_admissible(grid, rng, amplitude=0.1)))
     return starts

@@ -13,8 +13,8 @@ from wellscape import (BandEmpty, BranchedSpec, BumpSpec, DegenerateInterval,
                        pq_region, proportional_band, reports_to_csv,
                        theorem2_bounds, wopper_check, zero_field)
 from wellscape import PotentialSpec
-from wellscape.bounds import obstacle_qp_oracle
-from wellscape.energy import b_geometry
+from wellscape.bounds import killerinterp_sides, obstacle_qp_oracle
+from wellscape.energy import b_geometry, column_uyy_integrals
 from wellscape.grid import d_yy, integrate
 from wellscape.landscape import random_admissible
 
@@ -187,6 +187,20 @@ def test_killerinterp_branched_and_potential():
     assert killerinterp_check(seed, 1e30).holds
     pot = potential_seed(PotentialSpec(4, 1.0, nR=2048), g)
     assert killerinterp_check(pot, 1e30).holds
+
+
+def test_killerinterp_calibration_and_check_agree():
+    # calibrate's sweep sets killerinterp_C from killerinterp_sides' lhs / base;
+    # the checker reads the same two sides: at C = 1 its rhs is that base
+    g = make_grid(1.0, 128, 128)
+    seed = branched_seed(BranchedSpec.from_epsilon(0.02, 1.0), g)
+    geom = b_geometry(seed)
+    M = 2.0 * float(np.median(column_uyy_integrals(seed)[geom.pi_columns])) + 1e-12
+    lhs, base, trunc = killerinterp_sides(seed, M)
+    assert 0 < trunc.area_b_m <= geom.area_b
+    rep = killerinterp_check(seed, M, {"killerinterp_C": 1.0})
+    assert (rep.lhs, rep.rhs) == (lhs, base)
+    assert f"raw_C={lhs / base:.6g}" in rep.context
 
 
 def test_killerinterp_zero_field(grid64):

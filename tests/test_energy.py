@@ -11,9 +11,10 @@ from wellscape import (BranchedSpec, EmptyB, EnergyParams, NotAdmissible,
                        energy, energy_gradient, energy_smoothed,
                        field_from_function, integrate, make_grid, shift_y,
                        truncate_b, well_potential, zero_field)
-from wellscape.energy import (TIE_TOL, _cell_center_uy, _column_lengths,
-                              column_uyy_integrals)
-from wellscape.grid import d_yy
+from wellscape.energy import (SURFACE_STENCILS, TIE_TOL, _cell_center_uy,
+                              _column_lengths, column_uyy_integrals,
+                              surface_and_elastic)
+from wellscape.grid import _x_weights, adjoint, apply, d_yy
 from wellscape.landscape import random_admissible
 
 
@@ -238,3 +239,74 @@ def test_breakdown_json_keys(grid64):
     br = energy(zero_field(grid64), EnergyParams(0.1, 0.2, 1))
     assert set(br.to_json_dict()) == {"surface", "elastic", "well", "total",
                                       "area_B", "area_A"}
+
+
+# The smoothed energy and its gradient as two separate passes, each doing its
+# own forward applies: the references for the fused value/gradient kernel.
+
+def _smoothstep_indicator_ref(q, w):
+    t = np.clip((q - (1.0 - w)) / w, 0.0, 1.0)
+    return 1.0 - t * t * (3.0 - 2.0 * t)
+
+
+def _smoothstep_slope_ref(q, w):
+    t = (q - (1.0 - w)) / w
+    inside = (t > 0.0) & (t < 1.0)
+    out = np.zeros_like(q)
+    tb = t[inside]
+    out[inside] = -6.0 * tb * (1.0 - tb) / w
+    return out
+
+
+def _energy_smoothed_ref(u, p):
+    g = u.grid
+    surface, elastic = surface_and_elastic(u, p.epsilon, p.variant)
+    s = _smoothstep_indicator_ref(np.abs(_cell_center_uy(u)), p.smooth_w)
+    return surface + elastic + p.delta * g.hx * g.hy * float(s.sum())
+
+
+def _energy_gradient_ref(u, p):
+    g = u.grid
+    wx = _x_weights(g)[:, None]
+    scale = g.hx * g.hy
+    grad = np.zeros_like(u.values)
+    for x, y, w in SURFACE_STENCILS[p.variant]:
+        grad += 2.0 * w * p.epsilon**2 * scale * adjoint(
+            g, wx * apply(g, u.values, x, y), x, y)
+    grad += 2.0 * scale * adjoint(g, wx * apply(g, u.values, "Dx"), "Dx")
+    uy_c = _cell_center_uy(u)
+    slope = _smoothstep_slope_ref(np.abs(uy_c), p.smooth_w) * np.sign(uy_c)
+    grad += p.delta * scale * adjoint(g, slope, "Axc", "Fy")
+    grad[0, :] = 0.0
+    return grad
+
+
+GRID_SHAPES = st.sampled_from([(1.0, 64, 64), (2.0, 80, 48)]) | st.tuples(
+    st.floats(0.25, 4.0), st.integers(8, 40), st.integers(8, 40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=GRID_SHAPES, variant=st.sampled_from([1, 2, 3]),
+       w=st.floats(0.0, 0.5, exclude_min=True), delta=st.floats(0.0, 3.0),
+       eps=st.floats(0.005, 0.3), kind=st.sampled_from(["band", "random", "branched"]),
+       amplitude=st.floats(0.05, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_fused_smoothed_kernel_matches_two_pass(shape, variant, w, delta, eps, kind,
+                                                amplitude, seed):
+    # same bits for (value, gradient); "band" scales max |u_y| to 1, so cells
+    # fall on both sides of the smoothstep band and inside it
+    g = make_grid(*shape)
+    rng = np.random.default_rng(seed)
+    u = random_admissible(g, rng, amplitude=amplitude)
+    if kind == "band":
+        u = u.with_values(u.values / float(np.abs(_cell_center_uy(u)).max()))
+    elif kind == "branched":
+        try:
+            u = branched_seed(BranchedSpec.from_epsilon(eps, g.L), g)
+        except ValueError:
+            pass   # unresolvable here: keep the random field
+    p = EnergyParams(eps, delta, variant, smooth_w=w)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value, grad = energy_smoothed(u, p), energy_gradient(u, p).values
+        value_ref, grad_ref = _energy_smoothed_ref(u, p), _energy_gradient_ref(u, p)
+    assert value.hex() == value_ref.hex()
+    assert grad.tobytes() == grad_ref.tobytes()

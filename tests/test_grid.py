@@ -10,7 +10,7 @@ from wellscape import (InvalidGrid, ScalarField, d_x, d_xx, d_xy, d_y, d_yy,
                        read_field, shift_y, validate_admissible, write_field,
                        zero_field)
 from wellscape.energy import SURFACE_STENCILS
-from wellscape.grid import adjoint, apply
+from wellscape.grid import _ops, adjoint, apply
 
 # every (x, y) operator pair the energies apply: the surface stencils, the
 # elastic u_x, the cell-center u_y of the well term and the cell averaging
@@ -204,6 +204,33 @@ def test_adjoint_identity(pair, nx, ny, L, seed):
     lhs = float((au * v).sum())
     rhs = float((u * adjoint(g, v, x, y)).sum())
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(au) * np.linalg.norm(v)
+
+
+X_OPS = ("Dx", "Dxx", "Axc")
+Y_OPS = ("Dy", "Dyy", "Fy", "Ayc")
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(X_OPS + Y_OPS), nx=st.integers(8, 48),
+       ny=st.integers(8, 48), L=st.floats(0.25, 4.0), fortran=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_apply_adjoint_match_plain_products(name, nx, ny, L, fortran, seed):
+    # apply/adjoint compute X @ v, X^T @ v, (Y @ v^T)^T and (Y^T @ v^T)^T from
+    # cached CSR matrices; scipy's own D @ v, D.T @ v, v @ D.T and v @ D must
+    # give the same bits and the same memory layout
+    g = make_grid(L, nx, ny)
+    D = _ops(g)[name][0]
+    rng = np.random.default_rng(seed)
+    order = "F" if fortran else "C"
+    u = np.asarray(rng.normal(size=(nx + 1, ny)), order=order)
+    if name in X_OPS:
+        v = np.asarray(rng.normal(size=(D.shape[0], ny)), order=order)
+        pairs = [(apply(g, u, name), D @ u), (adjoint(g, v, name), D.T @ v)]
+    else:
+        pairs = [(apply(g, u, y=name), u @ D.T), (adjoint(g, u, y=name), u @ D)]
+    for got, want in pairs:
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
 
 
 def test_wsf1_roundtrip_bit_identical(tmp_path, rng):

@@ -1,10 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
-from wellscape import (BranchedSpec, EnergyParams, MinimizeConfig,
-                       branched_seed, critical_delta, energy, fit_power_law,
-                       local_minimality_probe, make_grid, minimize,
-                       multistart_portfolio, random_admissible, zero_field)
+from wellscape import (BranchedSpec, Diverged, EnergyParams, MinimizeConfig,
+                       PortfolioShrunk, ScalarField, branched_seed,
+                       critical_delta, energy, energy_gradient,
+                       energy_smoothed, fit_power_law, local_minimality_probe,
+                       make_grid, minimize, multistart_portfolio,
+                       random_admissible, zero_field)
+from wellscape import landscape
 
 FAST_CFG = MinimizeConfig(max_iters=50, w_init=0.2, w_factor=0.25, w_floor=0.04)
 
@@ -130,3 +135,84 @@ def test_portfolio_contents(grid64):
     assert names[0] == "zero"
     assert "branched" in names and "random" in names
     assert any(n.startswith("branched_x") for n in names)
+
+
+def test_portfolio_shrink_warns():
+    # at eps = 0.01 the branched seed needs ny >= 96; a 64^2 grid cannot hold it
+    g = make_grid(1.0, 64, 64)
+    with pytest.warns(PortfolioShrunk, match=r"epsilon=0\.01 on the 64x64 grid"):
+        starts = multistart_portfolio(0.01, g, seed=0)
+    assert [name for name, _ in starts] == ["zero", "random"]
+
+
+def test_minimize_overflowing_start_diverges(grid64, rng):
+    # the start's energy overflows, so does its gradient, and the first trial
+    # step leaves the finite numbers
+    start = random_admissible(grid64, rng, amplitude=1e305)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(energy(start, EnergyParams(0.05, 0.5, 1)).total)
+        with pytest.raises(Diverged, match="non-finite trial iterate in stage 0, iteration 0"):
+            minimize(start, EnergyParams(0.05, 0.5, 1), FAST_CFG)
+
+
+def _descend_stage_ref(x, grid, p, cfg, stage, trace, e_cap):
+    """The descent loop with separate energy and gradient calls per iterate."""
+    failures = 0
+    u = ScalarField(grid, x)
+    e = energy_smoothed(u, p)
+    g = energy_gradient(u, p).values
+    t = cfg.step0
+    prev_x = None
+    prev_g = None
+    for it in range(cfg.max_iters):
+        gnorm = float(np.max(np.abs(g)))
+        trace.append({"stage": stage, "iter": it, "smoothed_energy": e,
+                      "grad_norm": gnorm})
+        if e > e_cap:
+            raise Diverged(f"smoothed energy {e:.3e} exceeded cap {e_cap:.3e}")
+        if gnorm <= cfg.gtol:
+            break
+        if prev_x is not None:
+            s = x - prev_x
+            yv = g - prev_g
+            denom = float((yv * yv).sum())
+            if denom > 0:
+                t = abs(float((s * yv).sum())) / denom
+            t = min(max(t, 1e-18), 1e8)
+        accepted = False
+        gg = float((g * g).sum())
+        for _ in range(cfg.max_backtracks):
+            x_new = x - t * g
+            e_new = energy_smoothed(ScalarField(grid, x_new), p)
+            if e_new <= e - cfg.armijo * t * gg:
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            if gnorm > 100.0 * cfg.gtol:
+                failures += 1
+            break
+        prev_x, prev_g = x, g
+        x, e = x_new, e_new
+        u = ScalarField(grid, x)
+        g = energy_gradient(u, p).values
+    return x, failures
+
+
+@pytest.mark.parametrize("variant", [1, 2, 3])
+def test_fused_descent_matches_two_pass_loop(grid64, monkeypatch, variant):
+    # same field bits and the same trace as the loop that calls energy_smoothed
+    # and energy_gradient separately, from branched and random starts
+    eps = 0.05
+    starts = [(name, f) for name, f in multistart_portfolio(eps, grid64, seed=variant)
+              if name in ("branched", "branched_x2", "random")]
+    for name, start in starts:
+        for delta in (0.3, 1.5):
+            p = EnergyParams(eps, delta, variant)
+            fused = minimize(start, p, FAST_CFG)
+            with monkeypatch.context() as m:
+                m.setattr(landscape, "_descend_stage", _descend_stage_ref)
+                ref = minimize(start, p, FAST_CFG)
+            assert fused.field.values.tobytes() == ref.field.values.tobytes(), name
+            assert json.dumps(fused.trace) == json.dumps(ref.trace), name
+            assert fused.backtrack_failures == ref.backtrack_failures
