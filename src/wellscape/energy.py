@@ -14,7 +14,7 @@ reporting uses the sharp term.
 B-membership is decided per cell from the y-derivative of the bilinear
 interpolant at the cell center.  Two measures of B coexist:
 
-* cell areas (`area_b_cells`): the plain mask sum, so that
+* the cell area (`energy().area_B`): the plain mask sum, so that
   area(A) + area(B) = |Omega| exactly; this drives the well term;
 * per-column interval lengths (`column_lengths`, `area_b`): each maximal
   run of n B-cells counts as an interval of length (n+1)*hy (its two
@@ -108,12 +108,10 @@ class BSetGeometry:
     """Discrete B(u) with its column projection and mean vertical extent tau."""
 
     b_mask: np.ndarray            # (nx, ny) bool, per cell
-    area_b_cells: float           # mask sum * hx * hy (partitions |Omega| exactly)
     column_lengths: np.ndarray    # (nx,) run-corrected L^1(l_x cap B) per cell column
     area_b: float                 # hx * sum(column_lengths)
     pi_columns: np.ndarray        # cell columns containing at least one B-cell
-    len_pi: float                 # hx * |pi_columns|
-    tau: Optional[float]          # area_b / len_pi, None when B is empty
+    tau: Optional[float]          # area_b / (hx * |pi_columns|), None when B is empty
 
 
 @dataclass(frozen=True)
@@ -123,7 +121,6 @@ class TruncatedBSet:
     b_m_mask: np.ndarray
     area_b_m: float
     len_pi_m: float
-    column_integrals: np.ndarray  # per-column integral of u_yy^2 dy
 
 
 def well_potential(a, b, delta: float):
@@ -188,7 +185,7 @@ def _column_lengths(mask: np.ndarray, q: np.ndarray, hy: float) -> np.ndarray:
 def b_geometry(u: ScalarField) -> BSetGeometry:
     """Discrete B(u) = {cell centers with |u_y| >= 1} and derived geometry."""
     g = u.grid
-    q, mask, area_cells = _b_cells(u)
+    q, mask, _ = _b_cells(u)
     lengths = _column_lengths(mask, q, g.hy)
     pi = np.flatnonzero(mask.any(axis=1))
     len_pi = g.hx * pi.size
@@ -196,7 +193,7 @@ def b_geometry(u: ScalarField) -> BSetGeometry:
     tau = None
     if area_b > 0.0 and len_pi > 0.0:
         tau = min(area_b / len_pi, 1.0)
-    return BSetGeometry(mask, area_cells, lengths, area_b, pi, len_pi, tau)
+    return BSetGeometry(mask, lengths, area_b, pi, tau)
 
 
 def column_uyy_integrals(u: ScalarField) -> np.ndarray:
@@ -223,7 +220,7 @@ def truncate_b(u: ScalarField, M: float) -> TruncatedBSet:
     kept_lengths = np.zeros_like(geom.column_lengths)
     kept_lengths[keep] = geom.column_lengths[keep]
     area_m = float(u.grid.hx * kept_lengths.sum())
-    return TruncatedBSet(float(M), keep, b_m, area_m, u.grid.hx * keep.size, col_ints)
+    return TruncatedBSet(float(M), keep, b_m, area_m, u.grid.hx * keep.size)
 
 
 # ---------------------------------------------------------------------------

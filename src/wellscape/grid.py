@@ -242,10 +242,9 @@ def shift_y(u: ScalarField, cells: int) -> ScalarField:
 class AdmissibilityReport:
     ok: bool
     violations: tuple[str, ...]
-    max_left_edge: float
 
 
-def validate_admissible(u: ScalarField, tol_bc: float = TOL_BC) -> AdmissibilityReport:
+def validate_admissible(u: ScalarField) -> AdmissibilityReport:
     """Check the essential conditions: left-edge Dirichlet and finiteness.
 
     Periodicity in y is structural (a single stored row per period) and
@@ -255,9 +254,9 @@ def validate_admissible(u: ScalarField, tol_bc: float = TOL_BC) -> Admissibility
     if not np.all(np.isfinite(u.values)):
         violations.append("non-finite values")
     max_edge = float(np.max(np.abs(u.values[0, :])))
-    if max_edge > tol_bc:
+    if max_edge > TOL_BC:
         violations.append(f"Dirichlet violation at x=0: max |u(0,.)| = {max_edge:.3e}")
-    return AdmissibilityReport(not violations, tuple(violations), max_edge)
+    return AdmissibilityReport(not violations, tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +282,9 @@ def read_field(path) -> ScalarField:
         if not header or header[0] != "WSF1":
             raise ValueError(f"not a WSF1 file: {path}")
         meta = dict(part.split("=", 1) for part in header[1:])
+        missing = [key for key in ("nx", "ny", "L") if key not in meta]
+        if missing:
+            raise ValueError(f"WSF1 header of {path} lacks {', '.join(missing)}")
         nx, ny, L = int(meta["nx"]), int(meta["ny"]), float(meta["L"])
         values = np.loadtxt(fh, dtype=float, ndmin=2)
     if values.shape != (nx + 1, ny):

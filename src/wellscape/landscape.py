@@ -44,19 +44,21 @@ class BracketNotFound(RuntimeError):
     """No predicate sign change within ten decades of well-depth."""
 
 
+STEP0 = 1e-3              # first trial step of each stage
+MAX_BACKTRACKS = 40       # step halvings per iteration
+ARMIJO = 1e-4             # sufficient-decrease constant
+DIVERGENCE_FACTOR = 1e3   # smoothed-energy cap over the start's sharp energy
+
+
 @dataclass(frozen=True)
 class MinimizeConfig:
-    """Continuation schedule and step rule for projected descent."""
+    """Continuation schedule and stopping rule for projected descent."""
 
     max_iters: int = 150
     w_init: float = 0.3
     w_factor: float = 0.5
     w_floor: Optional[float] = None   # None -> 2*hy of the grid in use
     gtol: float = 1e-9
-    step0: float = 1e-3
-    max_backtracks: int = 40
-    armijo: float = 1e-4
-    divergence_factor: float = 1e3
 
     def schedule(self, hy: float) -> list[float]:
         floor = self.w_floor if self.w_floor is not None else 2.0 * hy
@@ -90,7 +92,7 @@ def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
     failures = 0
     e, terms = _smoothed_terms(x, grid, p)
     g = _smoothed_gradient(terms, grid, p)
-    t = cfg.step0
+    t = STEP0
     prev_x = None
     prev_g = None
     for it in range(cfg.max_iters):
@@ -110,13 +112,13 @@ def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
             t = min(max(t, 1e-18), 1e8)
         accepted = False
         gg = float((g * g).sum())
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             x_new = x - t * g
             if not np.isfinite(x_new).all():
                 raise Diverged(f"non-finite trial iterate in stage {stage}, "
                                f"iteration {it} (step {t:.3e})")
             e_new, terms = _smoothed_terms(x_new, grid, p)
-            if e_new <= e - cfg.armijo * t * gg:
+            if e_new <= e - ARMIJO * t * gg:
                 accepted = True
                 break
             t *= 0.5
@@ -145,7 +147,7 @@ def minimize(start: ScalarField, p: EnergyParams,
     x = np.array(start.values)
     x[0, :] = 0.0  # pin the Dirichlet edge exactly
     start_sharp = energy(ScalarField(grid, x), p).total
-    e_cap = cfg.divergence_factor * max(abs(start_sharp), 1e-30)
+    e_cap = DIVERGENCE_FACTOR * max(abs(start_sharp), 1e-30)
 
     trace: list[dict] = []
     failures = 0
@@ -164,16 +166,16 @@ def minimize(start: ScalarField, p: EnergyParams,
 # ---------------------------------------------------------------------------
 # admissible random fields and the multistart portfolio
 
-def random_admissible(grid: Grid, rng: np.random.Generator, modes: int = 8,
+def random_admissible(grid: Grid, rng: np.random.Generator,
                       amplitude: float = 1.0) -> ScalarField:
-    """Band-limited trigonometric profile times powers of x/L; admissible by
-    construction (vanishes at x = 0, y-periodic by storage)."""
+    """Band-limited trigonometric profile (modes 1..8) times powers of x/L;
+    admissible by construction (vanishes at x = 0, y-periodic by storage)."""
     X, Y = grid.node_mesh()
     xi = X / grid.L
     values = np.zeros_like(X)
     for power in (1, 2):
         prof = np.zeros_like(Y)
-        for n in range(1, modes + 1):
+        for n in range(1, 9):
             a, b = rng.normal(size=2) / n
             prof += a * np.cos(2.0 * math.pi * n * Y) + b * np.sin(2.0 * math.pi * n * Y)
         values += xi**power * prof
@@ -222,7 +224,6 @@ class CriticalDeltaResult:
     delta_lo: float
     delta_hi: float
     evaluations: list[EvalRecord]
-    grid: Grid
 
     @property
     def midpoint(self) -> float:
@@ -236,14 +237,15 @@ def _tol_e(e0: float, epsilon: float) -> float:
 
 def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
                    cfg: Optional[MinimizeConfig] = None, tol_rel: float = 0.25,
-                   calibration: Optional[dict] = None, seed: int = 0,
-                   threads: int = 0,
+                   seed: int = 0,
                    bracket: Optional[tuple[float, float]] = None) -> CriticalDeltaResult:
     """Bisection on delta over "some multistart descent beats E(0) by tol_e".
 
     The initial bracket comes from the calibrated theoretical band, widened
     by factors of 10 until the predicate flips; bisection is geometric and
-    stops at hi/lo <= 1 + tol_rel.
+    stops at hi/lo <= 1 + tol_rel.  A predicate descends the starts on
+    min(portfolio, cores) threads; its winner is the first lowest energy in
+    portfolio order, whatever that count.
     """
     from .bounds import critical_delta_bounds
 
@@ -252,7 +254,7 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
     cfg = cfg or MinimizeConfig()
     starts = multistart_portfolio(epsilon, grid, seed=seed)
     evaluations: list[EvalRecord] = []
-    n_workers = threads if threads > 0 else min(len(starts), os.cpu_count() or 1)
+    n_workers = min(len(starts), os.cpu_count() or 1)
 
     def predicate(delta: float) -> bool:
         p = EnergyParams(epsilon, delta, variant)
@@ -263,11 +265,8 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
             br = minimize(start_field, p, cfg).breakdown
             return name, br.total, br.area_B
 
-        if n_workers > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                outcomes = list(pool.map(run, starts))
-        else:
-            outcomes = [run(item) for item in starts]
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            outcomes = list(pool.map(run, starts))
         winner, best, area = min(outcomes, key=lambda o: o[1])
         beats = best < e0 - _tol_e(e0, epsilon)
         evaluations.append(EvalRecord(delta, best, e0, winner, beats, area))
@@ -276,7 +275,7 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
     if bracket is not None:
         lo, hi = bracket
     else:
-        lo, hi = critical_delta_bounds(epsilon, L, calibration)
+        lo, hi = critical_delta_bounds(epsilon, L)
         if hi <= lo:
             hi = 2.0 * lo
     for _ in range(11):
@@ -298,7 +297,7 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
             hi = mid
         else:
             lo = mid
-    return CriticalDeltaResult(epsilon, L, variant, lo, hi, evaluations, grid)
+    return CriticalDeltaResult(epsilon, L, variant, lo, hi, evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +327,13 @@ def fit_power_law(x: Sequence[float], y: Sequence[float]) -> ScalingFit:
 
 def scaling_sweep(eps_list: Sequence[float], L: float, variant: int, grid: Grid,
                   cfg: Optional[MinimizeConfig] = None, tol_rel: float = 0.25,
-                  calibration: Optional[dict] = None, seed: int = 0,
-                  threads: int = 0) -> tuple[ScalingFit, list[CriticalDeltaResult]]:
+                  seed: int = 0) -> tuple[ScalingFit, list[CriticalDeltaResult]]:
     """Bisect the critical depth per epsilon and fit log delta_c vs log eps."""
     eps = sorted(eps_list)
     if len(eps) < 4 or math.log10(eps[-1] / eps[0]) < 1.3:
         raise ValueError("need >= 4 epsilon values spanning >= 1.3 decades")
-    results = [critical_delta(e, L, variant, grid, cfg, tol_rel, calibration,
-                              seed=seed, threads=threads) for e in eps]
+    results = [critical_delta(e, L, variant, grid, cfg, tol_rel, seed=seed)
+               for e in eps]
     fit = fit_power_law(eps, [r.midpoint for r in results])
     return fit, results
 
@@ -349,7 +347,6 @@ class ProbeReport:
     eligible: int
     violations: int
     cap: float
-    mode: str
 
 
 def local_minimality_probe(p: EnergyParams, grid: Grid, n_samples: int,
@@ -396,5 +393,4 @@ def local_minimality_probe(p: EnergyParams, grid: Grid, n_samples: int,
             if energy(v, p).total <= e0:
                 violations += 1
     cap = norm_cap if norm_cap is not None else area_cap
-    mode = "norm" if norm_cap is not None else "area"
-    return ProbeReport(n_samples, eligible, violations, float(cap), mode)
+    return ProbeReport(n_samples, eligible, violations, float(cap))

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from wellscape import cli
 from wellscape.grid import read_field
+from wellscape.landscape import PortfolioShrunk
 
 
 def _run(tmp_path, cfg, name="cfg.json", seed=None, out="out"):
@@ -125,7 +127,12 @@ def test_sweep_delta_csv_columns(tmp_path):
            "sweep": {"epsilons": [0.004, 0.01, 0.03, 0.09], "variant": 1},
            "minimize": {"max_iters": 25, "w_init": 0.2, "w_factor": 0.25,
                         "w_floor": 0.06}}
-    code, out_dir = _run(tmp_path, cfg)
+    with pytest.warns(PortfolioShrunk) as shrunk:
+        code, out_dir = _run(tmp_path, cfg)
+    # the 48^2 grid cannot hold the branched seed below eps = 0.09
+    named = {float(re.search(r"epsilon=(\S+) on the 48x48 grid", str(w.message)).group(1))
+             for w in shrunk}
+    assert named == {0.004, 0.01, 0.03}
     assert code == 0
     lines = (out_dir / "sweep.csv").read_text().strip().split("\n")
     assert lines[0] == "epsilon,L,variant,delta_lo,delta_hi,energy_best,area_B_best"
@@ -172,10 +179,29 @@ def test_config_errors(tmp_path):
     assert cli.run(str(bad), str(tmp_path / "z")) == 2
 
 
+def test_unreadable_field_is_config_error(tmp_path, capsys):
+    # a missing file, a file that is not WSF1 and a header without L, both
+    # as the energy command's input and as minimize's start
+    (tmp_path / "text.wsf1").write_text("hello\n")
+    (tmp_path / "no_l.wsf1").write_text("WSF1 nx=8 ny=8\n" + "0 " * 8 + "\n")
+    for name, reason in (("missing.wsf1", "No such file"), ("text.wsf1", "not a WSF1"),
+                         ("no_l.wsf1", "lacks L")):
+        path = str(tmp_path / name)
+        for cfg in ({"schema": 1, "command": "energy", "input": {"field": path},
+                     "energy": {"epsilon": 0.1}},
+                    {"schema": 1, "command": "minimize",
+                     "grid": {"L": 1.0, "nx": 8, "ny": 8}, "energy": {"epsilon": 0.1},
+                     "start": {"type": "file", "path": path}}):
+            code, _ = _run(tmp_path, cfg)
+            err = capsys.readouterr().err
+            assert code == 2, (name, cfg["command"])
+            assert err.startswith("config error") and reason in err, err
+
+
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     from wellscape.landscape import BracketNotFound
 
-    def explode(cfg, out_dir, seed, threads):
+    def explode(cfg, out_dir, seed):
         raise BracketNotFound("no flip")
 
     monkeypatch.setitem(cli._COMMANDS, "critical-delta", explode)

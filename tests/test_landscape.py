@@ -94,6 +94,22 @@ def test_critical_delta_deterministic(grid64):
            [(r.delta, r.best_energy) for r in b.evaluations]
 
 
+def test_critical_delta_same_records_on_one_worker(grid64, monkeypatch):
+    # the predicate's winner is the first lowest energy in portfolio order,
+    # however many workers descended the starts
+    args = (0.06, 1.0, 1, grid64, FAST_CFG)
+    kwargs = dict(tol_rel=0.6, bracket=(0.06, 6.0), seed=5)
+    pooled = critical_delta(*args, **kwargs)
+    workers = []
+    pool = landscape.ThreadPoolExecutor
+    monkeypatch.setattr(landscape.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(landscape, "ThreadPoolExecutor",
+                        lambda max_workers: workers.append(max_workers) or pool(max_workers))
+    serial = critical_delta(*args, **kwargs)
+    assert workers and set(workers) == {1}
+    assert serial.evaluations == pooled.evaluations
+
+
 def test_fit_power_law_exact():
     eps = [0.002, 0.005, 0.01, 0.02, 0.05]
     fit = fit_power_law(eps, [3 * e for e in eps])
@@ -161,7 +177,7 @@ def _descend_stage_ref(x, grid, p, cfg, stage, trace, e_cap):
     u = ScalarField(grid, x)
     e = energy_smoothed(u, p)
     g = energy_gradient(u, p).values
-    t = cfg.step0
+    t = landscape.STEP0
     prev_x = None
     prev_g = None
     for it in range(cfg.max_iters):
@@ -181,10 +197,10 @@ def _descend_stage_ref(x, grid, p, cfg, stage, trace, e_cap):
             t = min(max(t, 1e-18), 1e8)
         accepted = False
         gg = float((g * g).sum())
-        for _ in range(cfg.max_backtracks):
+        for _ in range(landscape.MAX_BACKTRACKS):
             x_new = x - t * g
             e_new = energy_smoothed(ScalarField(grid, x_new), p)
-            if e_new <= e - cfg.armijo * t * gg:
+            if e_new <= e - landscape.ARMIJO * t * gg:
                 accepted = True
                 break
             t *= 0.5
