@@ -296,16 +296,13 @@ class PqRegion:
     nonempty: bool
 
 
-def pq_region(epsilon: float, delta: float, L: float,
-              constants: Optional[dict] = None) -> PqRegion:
+def pq_region(epsilon: float, delta: float, L: float) -> PqRegion:
+    """The region with the theorem's constants all set to 1."""
     if min(epsilon, delta, L) <= 0:
         raise ValueError("epsilon, delta, L must be positive")
-    c = {"C_f": 1.0, "C_g": 1.0, "C_u": 1.0}
-    if constants:
-        c.update(constants)
-    f_const = c["C_f"] * epsilon**6 * delta**-3.5
-    g_slope = c["C_g"] * epsilon * delta**-0.5
-    upper_slope = c["C_u"] * L * delta**0.5
+    f_const = epsilon**6 * delta**-3.5
+    g_slope = epsilon * delta**-0.5
+    upper_slope = L * delta**0.5
     p_min = math.sqrt(f_const * g_slope)
     q_min = math.sqrt(f_const / upper_slope)
     return PqRegion(f_const, g_slope, upper_slope, p_min, q_min,

@@ -20,21 +20,15 @@ import sys
 import numpy as np
 
 from .constructions import BranchedSpec, PotentialSpec, branched_seed, potential_seed
-from .bounds import estimate_interp_constant, killerinterp_sides
+from .bounds import killerinterp_sides
 from .energy import (EmptyB, EmptyPiM, EnergyParams, _cell_center_uy,
                      b_geometry, column_uyy_integrals, energy)
 from .grid import ScalarField, l2_norm, make_grid
-from .landscape import MinimizeConfig, critical_delta, minimize, multistart_portfolio, random_admissible
+from .landscape import (MinimizeConfig, _tol_e, critical_delta, minimize,
+                        multistart_portfolio, random_admissible)
 
 SAFETY = 3.0
-
-
-def _interp_mode_constant() -> float:
-    """Closed-form check: each pure mode sin(2 pi n y) gives exactly 2."""
-    y = np.arange(4096) / 4096.0
-    family = [np.sin(2.0 * math.pi * n * y) for n in range(1, 9)]
-    sigma = np.geomspace(0.1, 1000.0, 400)
-    return estimate_interp_constant(family, sigma)
+SWEEP_CONFIG = MinimizeConfig(max_iters=60, w_init=0.2, w_factor=0.25, w_floor=0.02)
 
 
 def _killerinterp_sweep() -> float:
@@ -72,9 +66,8 @@ def _killerinterp_sweep() -> float:
 
 def _critical_delta_constants() -> tuple[float, float]:
     grid = make_grid(1.0, 128, 128)
-    cfg = MinimizeConfig(max_iters=60, w_init=0.2, w_factor=0.25, w_floor=0.02)
     eps = 0.02
-    res = critical_delta(eps, 1.0, 1, grid, cfg, tol_rel=0.25,
+    res = critical_delta(eps, 1.0, 1, grid, SWEEP_CONFIG, tol_rel=0.25,
                          bracket=(0.5 * eps, 50.0 * eps), seed=0)
     return res.delta_lo / eps / SAFETY, res.delta_hi / eps * SAFETY
 
@@ -87,14 +80,13 @@ def _local_min_constants() -> tuple[float, float]:
     grid = make_grid(L, 128, 128)
     p = EnergyParams(eps, delta, 1)
     e0 = delta * L
-    tol_e = 1e-6 * max(e0, eps)
-    cfg = MinimizeConfig(max_iters=60, w_init=0.2, w_factor=0.25, w_floor=0.02)
+    tol_e = _tol_e(e0, eps)
     candidates: list[ScalarField] = []
     seed = branched_seed(BranchedSpec.from_epsilon(eps, L), grid)
     for s in (0.25, 0.5, 1.0, 2.0, 4.0):
         candidates.append(seed.with_values(s * seed.values))
     for name, start in multistart_portfolio(eps, grid, seed=1):
-        candidates.append(minimize(start, p, cfg).field)
+        candidates.append(minimize(start, p, SWEEP_CONFIG).field)
     min_norm = math.inf
     min_area = math.inf
     for fld in candidates:
@@ -112,13 +104,11 @@ def _local_min_constants() -> tuple[float, float]:
 
 
 def calibrate() -> dict:
-    interp = _interp_mode_constant()
     ki = _killerinterp_sweep()
     c_lo, c_hi = _critical_delta_constants()
     r_c, s_c = _local_min_constants()
     return {
         "_meta": "empirical constants, safety factor 3; regenerate with python -m wellscape.calibrate",
-        "interp_C14": interp,
         "killerinterp_C": ki,
         "critical_delta_lower_c": c_lo,
         "critical_delta_upper_C": c_hi,

@@ -93,15 +93,18 @@ def _params_from(cfg: dict) -> EnergyParams:
         raise ConfigError(f"bad energy section: {exc}") from exc
 
 
+_MINCFG_TYPES = {"max_iters": int, "w_init": float, "w_factor": float,
+                 "w_floor": float, "gtol": float}
+
+
 def _mincfg_from(cfg: dict) -> MinimizeConfig:
+    """MinimizeConfig from the keys the config gives; the dataclass holds the defaults."""
     m = cfg.get("minimize", {})
-    return MinimizeConfig(
-        max_iters=int(m.get("max_iters", 150)),
-        w_init=float(m.get("w_init", 0.3)),
-        w_factor=float(m.get("w_factor", 0.5)),
-        w_floor=(float(m["w_floor"]) if "w_floor" in m else None),
-        gtol=float(m.get("gtol", 1e-9)),
-    )
+    try:
+        return MinimizeConfig(**{key: cast(m[key]) for key, cast in _MINCFG_TYPES.items()
+                                 if key in m})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad minimize section: {exc}") from exc
 
 
 def _read_field_from(path) -> ScalarField:
@@ -123,7 +126,10 @@ def _build_start(cfg: dict, grid, seed: int) -> ScalarField:
         rng = np.random.default_rng(seed)
         return random_admissible(grid, rng, amplitude=float(start.get("amplitude", 0.1)))
     if kind == "file":
-        return _read_field_from(_require(start, "path"))
+        fld = _read_field_from(_require(start, "path"))
+        if fld.grid != grid:
+            raise ConfigError(f"start field is on {fld.grid}, the config's grid is {grid}")
+        return fld
     raise ConfigError(f"unknown start type {kind!r}")
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -178,23 +178,17 @@ def nucleation_bump(spec: BumpSpec, grid: Grid) -> ScalarField:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Index j of the density sequence plus solver resolution and cutoffs.
+    """Index j of the density sequence plus the radial solver resolution.
 
-    k = -6*sqrt(L^2+1), A_j = k/j, alpha_j = 1/j - 2.  eta is the density
-    cutoff (plateau [0,1], zero beyond 3/2); it is OFF by default because the
-    reference values -k/4 - A_j for z_y(0,0) integrate the bare branches.
-    psi radii default to the pullback of the domain boundary so the seed is
-    compactly supported inside Omega (see potential_seed).
+    k = -6*sqrt(L^2+1), A_j = k/j, alpha_j = 1/j - 2.  The density carries
+    no cutoff, because the reference values -k/4 - A_j for z_y(0,0)
+    integrate the bare branches; the seed's cutoff psi lives on Omega (see
+    potential_seed).
     """
 
     j: int
     L: float
     nR: int = 4096
-    apply_density_cutoff: bool = False
-    eta_plateau: float = 1.0
-    eta_support: float = 1.5
-    psi_plateau: Optional[float] = None
-    psi_support: Optional[float] = None
 
     def __post_init__(self):
         if self.j < 1:
@@ -216,8 +210,7 @@ class PotentialSpec:
 
     def to_json_dict(self) -> dict:
         return {"j": self.j, "L": self.L, "k": self.k, "A_j": self.A_j,
-                "alpha_j": self.alpha_j, "nR": self.nR,
-                "apply_density_cutoff": self.apply_density_cutoff}
+                "alpha_j": self.alpha_j, "nR": self.nR}
 
 
 @dataclass(frozen=True)
@@ -232,21 +225,14 @@ class RadialProfile:
         inner = 2.0**s.j * s.A_j
         with np.errstate(invalid="ignore"):
             middle = s.A_j * np.power(np.maximum(R, 1e-300), s.alpha_j + 1.0)
-        g = np.where(R <= 2.0**(-s.j), inner,
-                     np.where(R <= 1.0, middle,
-                              np.where(R <= SUPPORT_RADIUS, s.A_j, 0.0)))
-        if s.apply_density_cutoff:
-            g = g * quintic_smoothstep_cutoff(s.eta_plateau, s.eta_support)(R)
-        return g
+        return np.where(R <= 2.0**(-s.j), inner,
+                        np.where(R <= 1.0, middle,
+                                 np.where(R <= SUPPORT_RADIUS, s.A_j, 0.0)))
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
         """Branch knots; quadratures place panel boundaries here."""
-        s = self.spec
-        pts = [2.0**(-s.j), 1.0, SUPPORT_RADIUS]
-        if s.apply_density_cutoff:
-            pts += [s.eta_plateau, s.eta_support]
-        return tuple(sorted(pts))
+        return (2.0**(-self.spec.j), 1.0, SUPPORT_RADIUS)
 
     def norm_l2(self, n: int = 200_000) -> float:
         """||f||_2 over the disk: sqrt(pi * int g^2 R dR) by quadrature."""
@@ -310,14 +296,14 @@ class RadialSolution:
             zp = i1 / (2.0 * r**2) - i2 / 2.0
         return np.where(r > 0.0, zp, self.zprime0)
 
-    def ode_residual(self, g: Callable, r_lo: float = 0.05, r_hi: float = 1.9) -> float:
-        """Max |Z'' + Z'/R - Z/R^2 - g| on [r_lo, r_hi], by central differences.
+    def ode_residual(self, g: Callable) -> float:
+        """Max |Z'' + Z'/R - Z/R^2 - g| on [0.05, 1.9], by central differences.
 
         Evaluated on the uniform panel edges (where the cumulative moments
         are quadrature-exact); points within two steps of a declared knot of
         g are skipped, since g itself may jump there.
         """
-        sel = (self.base_edges >= r_lo) & (self.base_edges <= r_hi)
+        sel = (self.base_edges >= 0.05) & (self.base_edges <= 1.9)
         R = self.base_edges[sel]
         h = R[1] - R[0]
         Z = self(R)
@@ -407,17 +393,15 @@ def domain_pullback_radius(L: float) -> float:
 def potential_seed(spec: PotentialSpec, grid: Grid) -> ScalarField:
     """Pull the cut-off potential back to Omega through the affine map T.
 
-    psi is a quintic cutoff whose support sits strictly inside the pullback
-    of the domain boundary (plateau at half that radius by default), so the
-    seed is compactly supported in the interior: the left edge is exactly
-    zero and the stored y-periodicity is genuine.
+    psi is a quintic cutoff with plateau radius 0.5*r_bd and support radius
+    0.9*r_bd, r_bd the pullback radius of the domain boundary, so the seed
+    is compactly supported in the interior: the left edge is exactly zero
+    and the stored y-periodicity is genuine.
     """
     if not math.isclose(grid.L, spec.L, rel_tol=1e-12):
         raise ValueError(f"grid width {grid.L} != spec width {spec.L}")
     r_bd = domain_pullback_radius(spec.L)
-    plateau = spec.psi_plateau if spec.psi_plateau is not None else 0.5 * r_bd
-    support = spec.psi_support if spec.psi_support is not None else 0.9 * r_bd
-    psi = quintic_smoothstep_cutoff(plateau, support)
+    psi = quintic_smoothstep_cutoff(0.5 * r_bd, 0.9 * r_bd)
 
     sol = radial_poisson(radial_profile(spec), spec.nR)
     denom = math.sqrt(spec.L**2 + 1.0)

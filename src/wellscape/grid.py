@@ -270,9 +270,8 @@ def write_field(path, u: ScalarField) -> None:
     """
     g = u.grid
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"WSF1 nx={g.nx} ny={g.ny} L={g.L:.17g}\n")
-        for i in range(g.nx + 1):
-            fh.write(" ".join(f"{v:.17g}" for v in u.values[i, :]) + "\n")
+        np.savetxt(fh, u.values, fmt="%.17g", comments="",
+                   header=f"WSF1 nx={g.nx} ny={g.ny} L={g.L:.17g}")
 
 
 def read_field(path) -> ScalarField:

@@ -60,6 +60,10 @@ class MinimizeConfig:
     w_floor: Optional[float] = None   # None -> 2*hy of the grid in use
     gtol: float = 1e-9
 
+    def __post_init__(self):
+        if not 0.0 < self.w_factor < 1.0:
+            raise ValueError(f"w_factor must lie in (0, 1), got {self.w_factor}")
+
     def schedule(self, hy: float) -> list[float]:
         floor = self.w_floor if self.w_floor is not None else 2.0 * hy
         floor = min(max(floor, 1e-6), 0.5)
@@ -170,15 +174,15 @@ def random_admissible(grid: Grid, rng: np.random.Generator,
                       amplitude: float = 1.0) -> ScalarField:
     """Band-limited trigonometric profile (modes 1..8) times powers of x/L;
     admissible by construction (vanishes at x = 0, y-periodic by storage)."""
-    X, Y = grid.node_mesh()
-    xi = X / grid.L
-    values = np.zeros_like(X)
+    y = grid.y_nodes
+    xi = (grid.x_nodes / grid.L)[:, None]
+    values = 0.0  # +0.0 + (-0.0) keeps the x = 0 row at +0.0
     for power in (1, 2):
-        prof = np.zeros_like(Y)
+        prof = np.zeros_like(y)
         for n in range(1, 9):
             a, b = rng.normal(size=2) / n
-            prof += a * np.cos(2.0 * math.pi * n * Y) + b * np.sin(2.0 * math.pi * n * Y)
-        values += xi**power * prof
+            prof += a * np.cos(2.0 * math.pi * n * y) + b * np.sin(2.0 * math.pi * n * y)
+        values = values + xi**power * prof
     rms = math.sqrt(float((values**2).mean()))
     if rms > 0:
         values *= amplitude / rms

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wellscape import cli
-from wellscape.grid import read_field
+from wellscape.grid import make_grid, read_field, write_field, zero_field
 from wellscape.landscape import PortfolioShrunk
 
 
@@ -196,6 +196,36 @@ def test_unreadable_field_is_config_error(tmp_path, capsys):
             err = capsys.readouterr().err
             assert code == 2, (name, cfg["command"])
             assert err.startswith("config error") and reason in err, err
+
+
+def test_bad_minimize_settings_are_config_errors(tmp_path, monkeypatch, capsys):
+    # w_factor >= 1 would make the continuation schedule loop forever; the
+    # stand-in descent fails the test instead of hanging if a setting slips by
+    def descent_reached(*args, **kwargs):
+        raise AssertionError("bad minimize settings reached the descent")
+
+    monkeypatch.setattr(cli, "minimize", descent_reached)
+    for section, reason in (({"w_factor": 1.0}, "w_factor"), ({"max_iters": "ten"}, "ten")):
+        cfg = {"schema": 1, "command": "minimize",
+               "grid": {"L": 1.0, "nx": 16, "ny": 16}, "energy": {"epsilon": 0.1},
+               "minimize": section}
+        code, _ = _run(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == 2, section
+        assert err.startswith("config error") and reason in err, err
+
+
+def test_file_start_on_another_grid_is_config_error(tmp_path, capsys):
+    write_field(tmp_path / "f16.wsf1", zero_field(make_grid(1.0, 16, 16)))
+    cfg = {"schema": 1, "command": "minimize",
+           "grid": {"L": 1.0, "nx": 24, "ny": 24}, "energy": {"epsilon": 0.1},
+           "start": {"type": "file", "path": str(tmp_path / "f16.wsf1")}}
+    code, out_dir = _run(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error")
+    assert "nx=16, ny=16" in err and "nx=24, ny=24" in err
+    assert not out_dir.exists()
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wellscape import (InvalidGrid, ScalarField, d_x, d_xx, d_xy, d_y, d_yy,
                        field_from_function, integrate, l2_norm, make_grid,
@@ -248,3 +249,35 @@ def test_wsf1_roundtrip_bit_identical(tmp_path, rng):
     assert first.startswith("WSF1 nx=12 ny=9 L=")
     write_field(path, back)
     assert path.read_text() == first
+
+
+def _write_field_ref(path, u):
+    """The per-value loop writer."""
+    g = u.grid
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"WSF1 nx={g.nx} ny={g.ny} L={g.L:.17g}\n")
+        for i in range(g.nx + 1):
+            fh.write(" ".join(f"{v:.17g}" for v in u.values[i, :]) + "\n")
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+               1e-300, -1e-300, 1e300, -1e300, 1.0 / 3.0, 0.1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), nx=st.integers(8, 41), ny=st.integers(8, 41),
+       L=st.floats(1e-3, 1e3))
+def test_write_field_matches_loop_writer(tmp_path_factory, data, nx, ny, L):
+    # same file bytes as the loop writer on odd grids, 17-digit widths,
+    # signed zeros, subnormals and +-1e300; the file reads back bit-identically
+    elements = st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False,
+                                                        allow_infinity=False)
+    vals = data.draw(arrays(np.float64, (nx + 1, ny), elements=elements))
+    u = ScalarField(make_grid(L, nx, ny), vals)
+    out = tmp_path_factory.mktemp("wsf1")
+    write_field(out / "new.wsf1", u)
+    _write_field_ref(out / "ref.wsf1", u)
+    assert (out / "new.wsf1").read_bytes() == (out / "ref.wsf1").read_bytes()
+    back = read_field(out / "new.wsf1")
+    assert back.grid == u.grid
+    assert back.values.tobytes() == u.values.tobytes()

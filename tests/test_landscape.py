@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wellscape import (BranchedSpec, Diverged, EnergyParams, MinimizeConfig,
                        PortfolioShrunk, ScalarField, branched_seed,
@@ -144,6 +147,43 @@ def test_random_admissible_properties(grid64, rng):
         u = random_admissible(grid64, rng, amplitude=rng.uniform(0.1, 4.0))
         assert np.abs(u.values[0, :]).max() == 0.0
         assert np.all(np.isfinite(u.values))
+
+
+def _random_admissible_ref(grid, rng, amplitude=1.0):
+    """The mesh body: every mode evaluated on the full (nx+1) x ny node mesh."""
+    X, Y = grid.node_mesh()
+    xi = X / grid.L
+    values = np.zeros_like(X)
+    for power in (1, 2):
+        prof = np.zeros_like(Y)
+        for n in range(1, 9):
+            a, b = rng.normal(size=2) / n
+            prof += a * np.cos(2.0 * math.pi * n * Y) + b * np.sin(2.0 * math.pi * n * Y)
+        values += xi**power * prof
+    rms = math.sqrt(float((values**2).mean()))
+    if rms > 0:
+        values *= amplitude / rms
+    return ScalarField(grid, values)
+
+
+GRIDS = (st.sampled_from([(1.0, 8, 8), (1.0, 64, 64), (2.0, 80, 48), (0.7, 37, 101),
+                          (1.0, 128, 128), (1.0, 256, 256), (1.0, 1024, 1024)])
+         | st.tuples(st.floats(0.25, 4.0), st.integers(8, 96), st.integers(8, 96)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=GRIDS, seed=st.integers(0, 2**32 - 1),
+       amplitude=st.sampled_from([0.1, 1.0]) | st.floats(1e-3, 1e3))
+def test_random_admissible_matches_mesh_reference(shape, seed, amplitude):
+    # the y-profiles built on y_nodes and broadcast against (x/L)^power give
+    # the bits of the mesh body, signed zeros of the x = 0 row included, and
+    # draw the same normals
+    g = make_grid(*shape)
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = random_admissible(g, rng, amplitude)
+    want = _random_admissible_ref(g, rng_ref, amplitude)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert rng.random() == rng_ref.random()
 
 
 def test_portfolio_contents(grid64):
