@@ -76,8 +76,18 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _section(cfg: dict, key: str, default: dict | None = None) -> dict:
+    """The JSON object under key; a missing key gives default, or is an error
+    when there is none."""
+    section = _require(cfg, key) if default is None else cfg.get(key, default)
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key!r} must be a JSON object, "
+                          f"got {type(section).__name__}: {section!r}")
+    return section
+
+
 def _grid_from(cfg: dict):
-    g = _require(cfg, "grid")
+    g = _section(cfg, "grid")
     try:
         return make_grid(float(g["L"]), int(g["nx"]), int(g["ny"]))
     except (KeyError, ValueError, TypeError) as exc:
@@ -85,7 +95,7 @@ def _grid_from(cfg: dict):
 
 
 def _params_from(cfg: dict) -> EnergyParams:
-    e = _require(cfg, "energy")
+    e = _section(cfg, "energy")
     try:
         return EnergyParams(float(e["epsilon"]), float(e.get("delta", 0.0)),
                             int(e.get("variant", 1)))
@@ -99,7 +109,7 @@ _MINCFG_TYPES = {"max_iters": int, "w_init": float, "w_factor": float,
 
 def _mincfg_from(cfg: dict) -> MinimizeConfig:
     """MinimizeConfig from the keys the config gives; the dataclass holds the defaults."""
-    m = cfg.get("minimize", {})
+    m = _section(cfg, "minimize", {})
     try:
         return MinimizeConfig(**{key: cast(m[key]) for key, cast in _MINCFG_TYPES.items()
                                  if key in m})
@@ -115,7 +125,7 @@ def _read_field_from(path) -> ScalarField:
 
 
 def _build_start(cfg: dict, grid, seed: int) -> ScalarField:
-    start = cfg.get("start", {"type": "zero"})
+    start = _section(cfg, "start", {"type": "zero"})
     kind = start.get("type", "zero")
     if kind == "zero":
         return zero_field(grid)
@@ -139,7 +149,7 @@ def _build_start(cfg: dict, grid, seed: int) -> ScalarField:
 def _cmd_construct(cfg, out_dir, seed):
     command = cfg["command"]
     grid = _grid_from(cfg)
-    c = cfg.get("construction", {})
+    c = _section(cfg, "construction", {})
     if command == "construct-branched":
         eps = float(_require(c, "epsilon"))
         spec = cons.BranchedSpec.from_epsilon(eps, grid.L)
@@ -166,7 +176,7 @@ def _cmd_construct(cfg, out_dir, seed):
 
 
 def _cmd_energy(cfg, out_dir, seed):
-    inp = _require(cfg, "input")
+    inp = _section(cfg, "input")
     fld = _read_field_from(_require(inp, "field"))
     p = _params_from(cfg)
     return [_write_json(out_dir, "breakdown.json", energy(fld, p).to_json_dict())]
@@ -216,7 +226,7 @@ def _cmd_critical_delta(cfg, out_dir, seed):
 
 def _cmd_sweep_delta(cfg, out_dir, seed):
     grid = _grid_from(cfg)
-    sweep = _require(cfg, "sweep")
+    sweep = _section(cfg, "sweep")
     eps_list = [float(e) for e in _require(sweep, "epsilons")]
     variant = int(sweep.get("variant", 1))
     fit, results = scaling_sweep(eps_list, grid.L, variant, grid,
@@ -284,7 +294,7 @@ def _cmd_verify(cfg, out_dir, seed):
 def _cmd_probe(cfg, out_dir, seed):
     grid = _grid_from(cfg)
     p = _params_from(cfg)
-    probe = cfg.get("probe", {})
+    probe = _section(cfg, "probe", {})
     n = int(probe.get("n_samples", 1000))
     cal = bnd.load_calibration()
     r_cal, _ = bnd.theorem2_bounds(p.epsilon, p.delta, grid.L,
@@ -303,7 +313,7 @@ def _cmd_probe(cfg, out_dir, seed):
 
 
 def _cmd_obstacle(cfg, out_dir, seed):
-    section = cfg.get("obstacle", {})
+    section = _section(cfg, "obstacle", {})
     pairs = section.get("pairs", [[0.0, 1.0], [0.0, 0.5], [0.2, 0.9]])
     n = int(section.get("n", 512))
     rows = []
@@ -335,6 +345,8 @@ def run(config_path: str, out_dir: str = ".", seed: int | None = None) -> int:
         with open(config_path, "rb") as fh:
             raw = fh.read()
         cfg = json.loads(raw)
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"a config is a JSON object, got {type(cfg).__name__}")
         if cfg.get("schema") != 1:
             raise ConfigError(f"unsupported schema {cfg.get('schema')!r}")
         command = _require(cfg, "command")

@@ -26,11 +26,11 @@ interpolant at the cell center.  Two measures of B coexist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .grid import (Grid, ScalarField, _x_weights, adjoint, apply, integrate,
+from .grid import (Grid, ScalarField, Workspace, adjoint, apply, integrate,
                    validate_admissible)
 
 # |u_y| >= 1 is tested with this slack so that exact ties survive roundoff
@@ -226,30 +226,43 @@ def truncate_b(u: ScalarField, M: float) -> TruncatedBSet:
 # ---------------------------------------------------------------------------
 # energies
 
-def _quadratic_fields(values: np.ndarray, grid: Grid, variant: int) -> Iterator[np.ndarray]:
-    """apply(values, x, y) per SURFACE_STENCILS row of the variant, then u_x.
+def _quadratic_sums(values: np.ndarray, grid: Grid, epsilon: float, variant: int,
+                    ws: Optional[Workspace] = None) -> tuple[float, float, list]:
+    """(eps^2 * S_variant, integral of u_x^2, fields) of the nodal values.
 
-    Lazily, one apply at a time: a caller that only integrates them holds a
-    single field (at 1024^2 a variant-3 field set would be 34 MB).
+    The fields are apply(values, x, y) per SURFACE_STENCILS row, then u_x.
+    Without a workspace each is dropped once integrated (at 1024^2 a
+    variant-3 field set would be 34 MB) and the list comes back empty; with
+    one they stay in it, C-ordered, for the gradient pass.  Each square is
+    laid out as apply() lays out its field by default (F order for a y-only
+    row), because the quadrature's row sums, and so their last bits, depend
+    on the layout.
     """
-    for x, y, _ in SURFACE_STENCILS[variant]:
-        yield apply(grid, values, x, y)
-    yield apply(grid, values, "Dx")
-
-
-def _quadratic_sums(fields: Iterable[np.ndarray], grid: Grid, epsilon: float,
-                    variant: int) -> tuple[float, float]:
-    """(eps^2 * S_variant, integral of u_x^2) over the fields of _quadratic_fields."""
-    fields = iter(fields)
-    surface = epsilon**2 * sum(w * integrate(next(fields) ** 2, grid)
-                               for _, _, w in SURFACE_STENCILS[variant])
-    return surface, integrate(next(fields) ** 2, grid)
+    rows = [(x, y) for x, y, _ in SURFACE_STENCILS[variant]] + [("Dx", None)]
+    shape = (grid.nx + 1, grid.ny)
+    fields, integrals = [], []
+    for k, (x, y) in enumerate(rows):
+        if ws is None:
+            square = apply(grid, values, x, y) ** 2
+        else:
+            f = apply(grid, values, x, y, out=ws.get(("field", k), shape), ws=ws)
+            fields.append(f)
+            square = np.square(f, out=ws.get("square", shape))
+            if x is None:
+                # to F order, as apply() lays out a y-only field; a plain
+                # copy transposes faster than np.square into F order does
+                square_f = ws.get("square F", shape, "F")
+                np.copyto(square_f, square)
+                square = square_f
+        integrals.append(integrate(square, grid))
+    *surface, elastic = integrals
+    weights = [w for _, _, w in SURFACE_STENCILS[variant]]
+    return epsilon**2 * sum(w * i for w, i in zip(weights, surface)), elastic, fields
 
 
 def surface_and_elastic(u: ScalarField, epsilon: float, variant: int) -> tuple[float, float]:
     """(eps^2 * S_variant(u), integral of u_x^2): the quadratic part of E_i."""
-    return _quadratic_sums(_quadratic_fields(u.values, u.grid, variant),
-                           u.grid, epsilon, variant)
+    return _quadratic_sums(u.values, u.grid, epsilon, variant)[:2]
 
 
 def energy(u: ScalarField, p: EnergyParams) -> EnergyBreakdown:
@@ -278,23 +291,27 @@ class _SmoothedTerms(NamedTuple):
     t: np.ndarray         # smoothstep coordinate (|u_y| - (1 - w)) / w, clipped to [0, 1]
 
 
-def _smoothed_terms(values: np.ndarray, grid: Grid,
-                    p: EnergyParams) -> tuple[float, _SmoothedTerms]:
+def _smoothed_terms(values: np.ndarray, grid: Grid, p: EnergyParams,
+                    ws: Optional[Workspace] = None) -> tuple[float, _SmoothedTerms]:
     """Value pass of the smoothed energy (smooth_w > 0): every forward apply once.
 
     The indicator chi_(-1,1)(|u_y|) becomes the C^1 smoothstep
     1 - t^2 (3 - 2t): 1 below |u_y| = 1 - w, 0 above 1, cubic between.
+    Every array, the returned terms included, lives in `ws` (a new one when
+    none is given) until the next pass that uses it.
     """
+    ws = Workspace() if ws is None else ws
     w = p.smooth_w
-    *fields, dx = _quadratic_fields(values, grid, p.variant)
-    surface, elastic = _quadratic_sums(fields + [dx], grid, p.epsilon, p.variant)
-    uy = apply(grid, values, *CELL_UY)
-    t = np.abs(uy)
+    surface, elastic, (*fields, dx) = _quadratic_sums(values, grid, p.epsilon,
+                                                      p.variant, ws)
+    cells = (grid.nx, grid.ny)
+    uy = apply(grid, values, *CELL_UY, out=ws.get("uy", cells), ws=ws)
+    t = np.abs(uy, out=ws.get("t", cells))
     t -= 1.0 - w
     t /= w
     np.clip(t, 0.0, 1.0, out=t)
-    s = t * t
-    c = t * 2.0
+    s = np.multiply(t, t, out=ws.get("s", cells))
+    c = np.multiply(t, 2.0, out=ws.get("c", cells))
     np.subtract(3.0, c, out=c)
     s *= c
     np.subtract(1.0, s, out=s)
@@ -302,38 +319,50 @@ def _smoothed_terms(values: np.ndarray, grid: Grid,
     return value, _SmoothedTerms(fields, dx, uy, t)
 
 
-def _smoothed_gradient(terms: _SmoothedTerms, grid: Grid, p: EnergyParams) -> np.ndarray:
+def _smoothed_gradient(terms: _SmoothedTerms, grid: Grid, p: EnergyParams,
+                       ws: Optional[Workspace] = None,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
     """Gradient pass: only adjoint applies, on the value pass's terms (overwritten).
 
     Each quadratic term w * integral (X u Y^T)^2 contributes
-    2 w X^T (wx * X u Y^T) Y, with wx the quadrature weight per node; the
-    well term contributes the adjoint of the cell-center u_y applied to the
-    smoothstep slope -6 t (1 - t) / w, which vanishes where t is clipped.
-    Rows at i = 0 are zeroed (the Dirichlet edge stays pinned during descent).
+    2 w X^T (wx * X u Y^T) Y, with wx the quadrature weight per node (1/2 at
+    i = 0 and nx, 1 between, where x * 1.0 is x, so only the two end rows are
+    scaled); the well term contributes the adjoint of the cell-center u_y
+    applied to the smoothstep slope -6 t (1 - t) / w times sign(u_y), which
+    vanishes where t is clipped.  Rows at i = 0 are zeroed (the Dirichlet
+    edge stays pinned during descent).  The gradient goes to `out` (a new
+    array when none is given); scratch comes from `ws`.
     """
-    wx = _x_weights(grid)[:, None]
+    ws = Workspace() if ws is None else ws
+    shape = (grid.nx + 1, grid.ny)
     scale = grid.hx * grid.hy
     quadratic = [(2.0 * w * p.epsilon**2 * scale, f, x, y)
                  for f, (x, y, w) in zip(terms.fields, SURFACE_STENCILS[p.variant])]
     quadratic.append((2.0 * scale, terms.dx, "Dx", None))
 
-    grad = np.zeros((grid.nx + 1, grid.ny))
+    # grad starts at +0 and is accumulated, so the sign of a zero term never
+    # reaches it (at a clipped t the slope is a signed zero)
+    grad = np.empty(shape) if out is None else out
+    grad.fill(0.0)
+    term = ws.get("term", shape)
     for coef, f, x, y in quadratic:
-        f *= wx
-        term = adjoint(grid, f, x, y)
+        f[0] *= 0.5
+        f[-1] *= 0.5
+        adjoint(grid, f, x, y, out=term, ws=ws)
         term *= coef
         grad += term
 
-    # at a clipped t the slope is a signed zero; grad starts at +0 and is
-    # accumulated, so the sign of a zero term never reaches it
+    # slope * sign(u_y) is formed as -copysign(6 t (1 - t) / w, u_y): the
+    # same numbers wherever it is nonzero, as the slope is <= 0 and nonzero
+    # only where |u_y| > 1 - w; the minus sign moves onto the coefficient
     t = terms.t
-    slope = 1.0 - t
-    t *= -6.0
-    slope *= t
-    slope /= p.smooth_w
-    slope *= np.sign(terms.uy, out=terms.uy)
-    term = adjoint(grid, slope, *CELL_UY)
-    term *= p.delta * scale
+    well = np.subtract(1.0, t, out=ws.get("s", t.shape))  # the value pass is done with s
+    t *= 6.0
+    well *= t
+    well /= p.smooth_w
+    np.copysign(well, terms.uy, out=well)
+    adjoint(grid, well, *CELL_UY, out=term, ws=ws)
+    term *= -(p.delta * scale)
     grad += term
 
     grad[0, :] = 0.0

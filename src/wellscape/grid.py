@@ -10,16 +10,28 @@ interior, one-sided at the two vertical edges, circulant in y).  Quadrature
 is cell-centered: the integral is the sum over cells of the bilinear
 cell-center value times hx*hy, which is exact for cellwise-bilinear
 integrands and makes boolean cell masks partition the area of Omega exactly.
+
+Each operator is a stencil table, built once per grid: the terms of its
+interior rows as (offset, coefficient) pairs, and its other rows (the
+y-wrap, the one-sided x rows) listed explicitly.  apply() and adjoint()
+evaluate a table with slices of whole rows, and write into a caller's array
+when given one.  They reproduce the sparse products the operators used to
+be, bit for bit: the coefficients are the same floats, every output sums
+its terms in the matrix's column order, and a sum comes out +0.0 wherever a
+sparse product, which starts each sum from +0.0, gives +0.0.  The result
+also keeps the sparse product's memory layout, C order after an x-operator
+and F order after a y-operator alone, because a later reduction (the row
+sums of integrate(), the total of a BB step) adds in memory order, so its
+last bits depend on the layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 TOL_BC = 1e-12  # left-edge Dirichlet tolerance; constructions set the edge exactly
 
@@ -98,88 +110,260 @@ def field_from_function(grid: Grid,
 
 
 # ---------------------------------------------------------------------------
-# finite-difference operator matrices (1D, applied along one axis); nothing
-# outside this module reaches them except through apply() and adjoint()
+# finite-difference operators as stencil tables; nothing outside this module
+# reaches them except through apply() and adjoint()
+
+class Workspace:
+    """Scratch arrays that one computation reuses from call to call.
+
+    get() hands out the array kept under a key and makes a new one only when
+    the key is new or its shape, dtype or memory order changed.  A workspace
+    serves one thread: the predicate pool descends two starts at once, so
+    each descent makes its own, and nothing caches one per grid.
+    """
+
+    def __init__(self):
+        self._arrays: dict = {}
+
+    def get(self, key, shape: tuple, order: str = "C", dtype=float) -> np.ndarray:
+        a = self._arrays.get(key)
+        if a is None or a.shape != shape or a.dtype != dtype or \
+                not a.flags[order + "_CONTIGUOUS"]:
+            a = self._arrays[key] = np.empty(shape, dtype, order)
+        return a
+
+
+class _Stencil(NamedTuple):
+    """One operator D with n_out rows as slice arithmetic along its axis.
+
+    Output rows lo..hi-1 share one row of terms, the interior: (offset,
+    coefficient) pairs in the order of the CSR columns, output row r reading
+    input row r + offset.  `steps` evaluates them (see _interior_steps) with
+    `shared`, the coefficient magnitude most of them have, applied once to
+    the whole input.  Every other output row is listed in `edges` as (row,
+    ((column, coefficient), ...)), columns ascending.
+    """
+
+    n_out: int
+    lo: int
+    hi: int
+    shared: float
+    steps: tuple
+    edges: tuple
+
+
+def _stencil(rows: list) -> _Stencil:
+    """The table of explicit rows [((column, coefficient), ...), ...]; the
+    longest run of rows with equal terms becomes the interior."""
+    shapes = [tuple((col - r, a) for col, a in row) for r, row in enumerate(rows)]
+    lo = hi = start = 0
+    for r in range(1, len(rows) + 1):
+        if r == len(rows) or shapes[r] != shapes[start]:
+            if r - start > hi - lo:
+                lo, hi = start, r
+            start = r
+    edges = tuple((r, row) for r, row in enumerate(rows) if not lo <= r < hi)
+    return _Stencil(len(rows), lo, hi, *_interior_steps(shapes[lo]), edges)
+
+
+def _interior_steps(terms: tuple) -> tuple[float, tuple]:
+    """(c, steps) that sum the interior terms in CSR column order.
+
+    tmp = c * src serves every term with coefficient +c or -c (-(c x) is
+    (-c) x exactly); a term with another coefficient is multiplied straight
+    into the output, so it must be one of the first two, whose sum does not
+    depend on their order.  Steps: ("own", offset, coefficient), ("tmp",),
+    ("pair", ufunc, offset, offset) and ("add", ufunc, offset).
+    """
+    mags = [abs(a) for _, a in terms]
+    c = max(mags, key=mags.count)
+    own = [k for k, m in enumerate(mags) if m != c]
+    reads = [(o, a > 0) for o, a in terms]
+    if len(terms) >= 2 and own in ([0], [1]):
+        first = [("own", *terms[own[0]]), ("tmp",)]
+        del reads[own[0]]
+    elif len(terms) >= 2 and not own and (reads[0][1] or reads[1][1]):
+        (o0, p0), (o1, p1) = reads[:2]
+        first = [("tmp",), ("pair", np.add if p0 == p1 else np.subtract,
+                            *((o0, o1) if p0 else (o1, o0)))]
+        del reads[:2]
+    else:
+        raise ValueError(f"no slice evaluation for the stencil {terms}")
+    return c, tuple(first + [("add", np.add if positive else np.subtract, o)
+                             for o, positive in reads])
+
+
+def _transposed(rows: list, n_in: int) -> list:
+    """Rows of D^T; each lists the rows of D in ascending order, as CSR does."""
+    cols = [[] for _ in range(n_in)]
+    for r, row in enumerate(rows):
+        for col, a in row:
+            cols[col].append((r, a))
+    return [tuple(c) for c in cols]
+
 
 @lru_cache(maxsize=128)
-def _ops(grid: Grid) -> dict:
-    """Operator name -> (D, D^T), both CSR, so that no product builds a
-    transposed sparse object per call."""
+def _stencils(grid: Grid) -> dict:
+    """Operator name -> (stencil of D, stencil of D^T).
+
+    The coefficients are the floats c / h and c / h**2 that the sparse
+    matrices held, so every product is bit for bit the one a CSR product forms.
+    """
     nx, ny = grid.nx, grid.ny
     hx, hy = grid.hx, grid.hy
 
-    # circulant central first derivative in y
-    Dy = sp.diags([np.full(ny - 1, 0.5), np.full(ny - 1, -0.5)], [1, -1],
-                  (ny, ny), format="lil")
-    Dy[0, ny - 1] = -0.5
-    Dy[ny - 1, 0] = 0.5
-    Dy = (Dy / hy).tocsr()
+    def circulant(terms):
+        return [tuple(sorted(((j + o) % ny, a) for o, a in terms)) for j in range(ny)]
 
-    # circulant second derivative in y
-    Dyy = sp.diags([np.ones(ny - 1), np.full(ny, -2.0), np.ones(ny - 1)],
-                   [1, 0, -1], (ny, ny), format="lil")
-    Dyy[0, ny - 1] = 1.0
-    Dyy[ny - 1, 0] = 1.0
-    Dyy = (Dyy / hy**2).tocsr()
+    def banded(n_out, terms, first=(), last=()):
+        rows = [tuple((i + o, a) for o, a in terms) for i in range(n_out)]
+        if first:
+            rows[0] = tuple(enumerate(first))
+        if last:
+            rows[-1] = tuple(enumerate(last, start=n_out - len(last)))
+        return rows
 
-    # central first derivative in x, one-sided second-order rows at i=0, nx
-    Dx = sp.diags([np.full(nx, 0.5), np.full(nx, -0.5)], [1, -1],
-                  (nx + 1, nx + 1), format="lil")
-    Dx[0, :3] = [-1.5, 2.0, -0.5]
-    Dx[nx, nx - 2:] = [0.5, -2.0, 1.5]
-    Dx = (Dx / hx).tocsr()
+    rows = {
+        # circulant central first and second derivatives in y
+        "Dy": (circulant(((-1, -0.5 / hy), (1, 0.5 / hy))), ny),
+        "Dyy": (circulant(((-1, 1.0 / hy**2), (0, -2.0 / hy**2), (1, 1.0 / hy**2))), ny),
+        # central first derivative in x, one-sided second-order rows at i=0, nx
+        "Dx": (banded(nx + 1, ((-1, -0.5 / hx), (1, 0.5 / hx)),
+                      (-1.5 / hx, 2.0 / hx, -0.5 / hx),
+                      (0.5 / hx, -2.0 / hx, 1.5 / hx)), nx + 1),
+        # second derivative in x, one-sided second-order rows at the edges
+        "Dxx": (banded(nx + 1, ((-1, 1.0 / hx**2), (0, -2.0 / hx**2), (1, 1.0 / hx**2)),
+                       (2.0 / hx**2, -5.0 / hx**2, 4.0 / hx**2, -1.0 / hx**2),
+                       (-1.0 / hx**2, 4.0 / hx**2, -5.0 / hx**2, 2.0 / hx**2)), nx + 1),
+        # node -> cell averaging (bilinear value at cell centers)
+        "Axc": (banded(nx, ((0, 0.5), (1, 0.5))), nx + 1),
+        # forward difference in y on the cell circle: (u[:, j+1] - u[:, j]) / hy
+        "Fy": (circulant(((0, -1.0 / hy), (1, 1.0 / hy))), ny),
+        # cell averaging in y: (w[:, j] + w[:, j+1]) / 2 on the circle
+        "Ayc": (circulant(((0, 0.5), (1, 0.5))), ny),
+    }
+    return {name: (_stencil(r), _stencil(_transposed(r, n))) for name, (r, n) in rows.items()}
 
-    # second derivative in x, one-sided second-order rows at the edges
-    Dxx = sp.diags([np.ones(nx), np.full(nx + 1, -2.0), np.ones(nx)],
-                   [1, 0, -1], (nx + 1, nx + 1), format="lil")
-    Dxx[0, :4] = [2.0, -5.0, 4.0, -1.0]
-    Dxx[nx, nx - 3:] = [-1.0, 4.0, -5.0, 2.0]
-    Dxx = (Dxx / hx**2).tocsr()
 
-    # node -> cell averaging (bilinear value at cell centers)
-    Axc = sp.diags([np.full(nx, 0.5), np.full(nx, 0.5)], [0, 1],
-                   (nx, nx + 1), format="csr")
-    # forward difference in y on the cell circle: (u[:, j+1] - u[:, j]) / hy
-    Fy = sp.diags([np.full(ny, -1.0), np.full(ny - 1, 1.0)], [0, 1],
-                  (ny, ny), format="lil")
-    Fy[ny - 1, 0] = 1.0
-    Fy = (Fy / hy).tocsr()
-    # cell averaging in y: (w[:, j] + w[:, j+1]) / 2 on the circle
-    Ayc = sp.diags([np.full(ny, 0.5), np.full(ny - 1, 0.5)], [0, 1],
-                   (ny, ny), format="lil")
-    Ayc[ny - 1, 0] = 0.5
-    Ayc = Ayc.tocsr()
+def _evaluate(st: _Stencil, src: np.ndarray, dst: np.ndarray, axis: int,
+              tmp: np.ndarray, exact: bool) -> None:
+    """dst = D along `axis` of src; src, dst and tmp share one memory order.
 
-    mats = {"Dy": Dy, "Dyy": Dyy, "Dx": Dx, "Dxx": Dxx,
-            "Axc": Axc, "Fy": Fy, "Ayc": Ayc}
-    return {name: (D, D.T.tocsr()) for name, D in mats.items()}
+    Along the slow axis each output row is a slice of whole input rows; along
+    the contiguous axis (y-operators only, which are square) the interior is
+    one flat run whose row seams land on the edge columns, rewritten after.
+    Each output sums its terms in CSR column order.  A plain sum is -0.0
+    only where every term it adds is -0.0, and there CSR, which starts from
+    +0.0, gives +0.0; with `exact` the closing dst += 0.0 maps exactly those
+    sums.  Without it the result differs from CSR's only in the sign of some
+    zeros, which the next operator of a chain cannot see: a sum started from
+    +0.0 comes out the same whatever the sign of a zero term.
+    """
+    if not src.flags.c_contiguous:
+        src, dst, tmp, axis = src.T, dst.T, tmp.T, 1 - axis
+    step = src.shape[1] if axis == 0 else 1
+    sf, df, tf = src.reshape(-1), dst.reshape(-1), tmp.reshape(-1)
+    b, e = st.lo * step, df.size - (st.n_out - st.hi) * step
+    out = df[b:e]
+    for kind, *args in st.steps:
+        if kind == "tmp":
+            np.multiply(sf, st.shared, out=tf)
+        elif kind == "own":
+            o, a = args
+            np.multiply(sf[b + o * step:e + o * step], a, out=out)
+        elif kind == "pair":
+            f, o0, o1 = args
+            f(tf[b + o0 * step:e + o0 * step], tf[b + o1 * step:e + o1 * step], out=out)
+        else:
+            f, o = args
+            f(out, tf[b + o * step:e + o * step], out=out)
+    if st.edges:
+        # edge rows are whole input rows, or columns when y is contiguous, done
+        # one line at a time: numpy keeps the GIL for loops of at most 500
+        # values, so at 256^2 the predicate pool's two threads do not hand it
+        # over at each of these short products
+        sv, dv = (src, dst) if axis == 0 else (src.T, dst.T)
+        scratch = np.empty(sv.shape[1])
+        for r, ((col, a), *more) in st.edges:
+            acc = dv[r]
+            np.multiply(sv[col], a, out=acc)
+            for col, a in more:
+                acc += np.multiply(sv[col], a, out=scratch)
+    if exact:
+        df += 0.0
+
+
+def _chain(values: np.ndarray, ops: list, out: Optional[np.ndarray],
+           ws: Optional[Workspace], default_order: str) -> np.ndarray:
+    """Apply (stencil, axis) pairs in turn.  The last result goes to `out`, or
+    to a new array in `default_order`; scratch comes from `ws`, else from
+    one temporary per operator."""
+    for k, (st, axis) in enumerate(ops):
+        if not values.flags.c_contiguous and (axis == 0 or not values.flags.f_contiguous):
+            values = np.ascontiguousarray(values)  # x-operators run on whole C rows
+        order = "C" if values.flags.c_contiguous else "F"
+        shape = (st.n_out, values.shape[1]) if axis == 0 else (values.shape[0], st.n_out)
+        last = k == len(ops) - 1
+        if last and out is not None and out.flags[order + "_CONTIGUOUS"]:
+            dst = out
+        elif ws is None or (last and out is None and order == default_order):
+            dst = np.empty(shape, order=order)
+        else:
+            dst = ws.get(("dst", k, order), shape, order)
+        tmp = (np.empty(values.shape, order=order) if ws is None else
+               ws.get(("tmp", values.shape, order), values.shape, order))
+        _evaluate(st, values, dst, axis, tmp, exact=last)
+        del tmp
+        values = dst
+    if out is None:
+        return np.asarray(values, order=default_order)
+    if values is not out:
+        np.copyto(out, values)
+    return out
 
 
 def apply(grid: Grid, values: np.ndarray, x: Optional[str] = None,
-          y: Optional[str] = None) -> np.ndarray:
+          y: Optional[str] = None, out: Optional[np.ndarray] = None,
+          ws: Optional[Workspace] = None) -> np.ndarray:
     """X @ values @ Y^T for the named x- and y-operators (None: identity), y first.
 
     Names: Dx, Dxx, Axc (nodes -> cells) in x; Dy, Dyy, Fy, Ayc (cell circle) in y.
-    The y-apply is computed as (Y @ values^T)^T, which is what scipy does for
-    values @ Y.T, so the bits are the same.
+    Every output is the sum of its terms in the column order of the CSR
+    matrix, started from +0.0: the bits of the sparse product.  Without
+    `out` the result is a new array laid out as that product was, C order
+    when an x-operator is applied (X @ v) and F order after a y-operator
+    alone ((Y @ v^T)^T), since later sums in memory order depend on it.
+    With `out` (C or F order, the caller's choice) the result is written
+    there.  Scratch arrays come from `ws`; without one, each operator
+    allocates one temporary.
+
+    A y-operator runs along whole rows of an F-ordered input; on a C-ordered
+    one, where y is the contiguous axis, its interior is one flat run over
+    the array.  An x-operator runs on whole rows of a C-ordered input (an
+    F-ordered one is copied first).
     """
-    ops = _ops(grid)
-    if y is not None:
-        values = (ops[y][0] @ values.T).T
-    if x is not None:
-        values = ops[x][0] @ values
-    return values
+    tables = _stencils(grid)
+    ops = ([(tables[y][0], 1)] if y is not None else []) + \
+        ([(tables[x][0], 0)] if x is not None else [])
+    if not ops:
+        return values
+    return _chain(values, ops, out, ws, "C" if x is not None else "F")
 
 
 def adjoint(grid: Grid, values: np.ndarray, x: Optional[str] = None,
-            y: Optional[str] = None) -> np.ndarray:
-    """X^T @ values @ Y, the adjoint of apply(); the x-operator acts first."""
-    ops = _ops(grid)
-    if x is not None:
-        values = ops[x][1] @ values
-    if y is not None:
-        values = (ops[y][1] @ values.T).T
-    return values
+            y: Optional[str] = None, out: Optional[np.ndarray] = None,
+            ws: Optional[Workspace] = None) -> np.ndarray:
+    """X^T @ values @ Y, the adjoint of apply(); the x-operator acts first.
+
+    Summed, laid out and written as apply() does; by default the result is
+    in F order when a y-operator acts last.
+    """
+    tables = _stencils(grid)
+    ops = ([(tables[x][1], 0)] if x is not None else []) + \
+        ([(tables[y][1], 1)] if y is not None else [])
+    if not ops:
+        return values
+    return _chain(values, ops, out, ws, "F" if y is not None else "C")
 
 
 def d_y(u: ScalarField) -> ScalarField:

@@ -27,7 +27,8 @@ from .constructions import BranchedSpec, ResolutionTooCoarse, branched_seed
 from .energy import (EnergyBreakdown, EnergyParams, NotAdmissible,  # noqa: F401
                      _cell_center_uy, _smoothed_gradient, _smoothed_terms,
                      b_geometry, energy, energy_gradient, energy_smoothed)
-from .grid import Grid, ScalarField, l2_norm, validate_admissible, zero_field
+from .grid import (Grid, ScalarField, Workspace, l2_norm, validate_admissible,
+                   zero_field)
 
 
 class Diverged(RuntimeError):
@@ -91,16 +92,25 @@ def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
     """BB two-point steps with Armijo backtracking; monotone in the smoothed energy.
 
     Works on raw arrays: each trial point gets one value pass, and the
-    gradient at an accepted trial reuses the terms of that pass.
+    gradient at an accepted trial reuses the terms of that pass.  Every
+    array lives in one workspace made here: trial iterates rotate through
+    three of its buffers and gradients through two (the stage's start x is
+    only read), and the passes and the BB step write into the rest, so no
+    iteration allocates a field.
     """
+    ws = Workspace()
+    xs = [ws.get(("x", k), x.shape) for k in range(3)]
+    gs = [ws.get(("g", k), x.shape) for k in range(2)]
+    a, b = ws.get("bb", x.shape), ws.get("bb2", x.shape)
+    finite = ws.get("finite", x.shape, dtype=bool)
     failures = 0
-    e, terms = _smoothed_terms(x, grid, p)
-    g = _smoothed_gradient(terms, grid, p)
+    e, terms = _smoothed_terms(x, grid, p, ws)
+    g = _smoothed_gradient(terms, grid, p, ws, out=gs[0])
     t = STEP0
     prev_x = None
     prev_g = None
     for it in range(cfg.max_iters):
-        gnorm = float(np.max(np.abs(g)))
+        gnorm = float(np.max(np.abs(g, out=a)))
         trace.append({"stage": stage, "iter": it, "smoothed_energy": e,
                       "grad_norm": gnorm})
         if e > e_cap:
@@ -108,20 +118,23 @@ def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
         if gnorm <= cfg.gtol:
             break
         if prev_x is not None:
-            s = x - prev_x
-            yv = g - prev_g
-            denom = float((yv * yv).sum())
+            yv = np.subtract(g, prev_g, out=a)
+            denom = float(np.multiply(yv, yv, out=b).sum())
             if denom > 0:
-                t = abs(float((s * yv).sum())) / denom
+                sy = np.subtract(x, prev_x, out=b)
+                sy *= yv
+                t = abs(float(sy.sum())) / denom
             t = min(max(t, 1e-18), 1e8)
         accepted = False
-        gg = float((g * g).sum())
+        gg = float(np.multiply(g, g, out=a).sum())
+        x_new = next(buf for buf in xs if buf is not x and buf is not prev_x)
         for _ in range(MAX_BACKTRACKS):
-            x_new = x - t * g
-            if not np.isfinite(x_new).all():
+            np.multiply(g, t, out=x_new)
+            np.subtract(x, x_new, out=x_new)
+            if not np.isfinite(x_new, out=finite).all():
                 raise Diverged(f"non-finite trial iterate in stage {stage}, "
                                f"iteration {it} (step {t:.3e})")
-            e_new, terms = _smoothed_terms(x_new, grid, p)
+            e_new, terms = _smoothed_terms(x_new, grid, p, ws)
             if e_new <= e - ARMIJO * t * gg:
                 accepted = True
                 break
@@ -132,7 +145,8 @@ def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
             break
         prev_x, prev_g = x, g
         x, e = x_new, e_new
-        g = _smoothed_gradient(terms, grid, p)
+        g = _smoothed_gradient(terms, grid, p, ws,
+                               out=next(buf for buf in gs if buf is not prev_g))
     return x, failures
 
 

@@ -179,6 +179,41 @@ def test_config_errors(tmp_path):
     assert cli.run(str(bad), str(tmp_path / "z")) == 2
 
 
+GRID16 = {"L": 1.0, "nx": 16, "ny": 16}
+# a config, or a section that a command reads, which is not a JSON object
+NOT_OBJECTS = {
+    "top level": [1, 2],
+    "start": {"command": "minimize", "grid": GRID16, "energy": {"epsilon": 0.1},
+              "start": "zero"},
+    "sweep": {"command": "sweep-delta", "grid": GRID16, "sweep": ["epsilons"]},
+    "construction": {"command": "construct-branched", "grid": GRID16,
+                     "construction": ["epsilon", 0.02]},
+    "input": {"command": "energy", "input": "field.wsf1", "energy": {"epsilon": 0.1}},
+    "energy": {"command": "verify-inequalities", "grid": GRID16, "energy": 0.02},
+    "grid": {"command": "critical-delta", "grid": [1.0, 16, 16],
+             "energy": {"epsilon": 0.05}},
+    "minimize": {"command": "minimize", "grid": GRID16, "energy": {"epsilon": 0.1},
+                 "minimize": "x"},
+    "probe": {"command": "probe-local-min", "grid": GRID16,
+              "energy": {"epsilon": 0.05, "delta": 0.5}, "probe": 25},
+    "obstacle": {"command": "obstacle-1d", "obstacle": [[0.0, 1.0]]},
+}
+
+
+@pytest.mark.parametrize("where", sorted(NOT_OBJECTS))
+def test_non_object_sections_are_config_errors(tmp_path, capsys, where):
+    cfg = NOT_OBJECTS[where]
+    if isinstance(cfg, dict):
+        cfg = {"schema": 1, **cfg}
+    code, out_dir = _run(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("config error") and "JSON object" in err, err
+    if where != "top level":
+        assert repr(where) in err, err
+    assert not out_dir.exists()
+
+
 def test_unreadable_field_is_config_error(tmp_path, capsys):
     # a missing file, a file that is not WSF1 and a header without L, both
     # as the energy command's input and as minimize's start

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -11,7 +15,8 @@ from wellscape import (InvalidGrid, ScalarField, d_x, d_xx, d_xy, d_y, d_yy,
                        read_field, shift_y, validate_admissible, write_field,
                        zero_field)
 from wellscape.energy import SURFACE_STENCILS
-from wellscape.grid import _ops, adjoint, apply
+import wellscape
+from wellscape.grid import Workspace, adjoint, apply
 
 # every (x, y) operator pair the energies apply: the surface stencils, the
 # elastic u_x, the cell-center u_y of the well term and the cell averaging
@@ -211,27 +216,102 @@ X_OPS = ("Dx", "Dxx", "Axc")
 Y_OPS = ("Dy", "Dyy", "Fy", "Ayc")
 
 
+def _csr_ops(grid):
+    """The operators as the sparse matrices the package used to multiply by:
+    name -> CSR matrix, built as it built them."""
+    nx, ny = grid.nx, grid.ny
+    hx, hy = grid.hx, grid.hy
+    Dy = sp.diags([np.full(ny - 1, 0.5), np.full(ny - 1, -0.5)], [1, -1],
+                  (ny, ny), format="lil")
+    Dy[0, ny - 1] = -0.5
+    Dy[ny - 1, 0] = 0.5
+    Dyy = sp.diags([np.ones(ny - 1), np.full(ny, -2.0), np.ones(ny - 1)],
+                   [1, 0, -1], (ny, ny), format="lil")
+    Dyy[0, ny - 1] = 1.0
+    Dyy[ny - 1, 0] = 1.0
+    Dx = sp.diags([np.full(nx, 0.5), np.full(nx, -0.5)], [1, -1],
+                  (nx + 1, nx + 1), format="lil")
+    Dx[0, :3] = [-1.5, 2.0, -0.5]
+    Dx[nx, nx - 2:] = [0.5, -2.0, 1.5]
+    Dxx = sp.diags([np.ones(nx), np.full(nx + 1, -2.0), np.ones(nx)],
+                   [1, 0, -1], (nx + 1, nx + 1), format="lil")
+    Dxx[0, :4] = [2.0, -5.0, 4.0, -1.0]
+    Dxx[nx, nx - 3:] = [-1.0, 4.0, -5.0, 2.0]
+    Axc = sp.diags([np.full(nx, 0.5), np.full(nx, 0.5)], [0, 1], (nx, nx + 1), format="csr")
+    Fy = sp.diags([np.full(ny, -1.0), np.full(ny - 1, 1.0)], [0, 1], (ny, ny), format="lil")
+    Fy[ny - 1, 0] = 1.0
+    Ayc = sp.diags([np.full(ny, 0.5), np.full(ny - 1, 0.5)], [0, 1], (ny, ny), format="lil")
+    Ayc[ny - 1, 0] = 0.5
+    return {"Dy": (Dy / hy).tocsr(), "Dyy": (Dyy / hy**2).tocsr(),
+            "Dx": (Dx / hx).tocsr(), "Dxx": (Dxx / hx**2).tocsr(),
+            "Axc": Axc, "Fy": (Fy / hy).tocsr(), "Ayc": Ayc.tocsr()}
+
+
+def _signed_normals(rng, shape, order):
+    """Normals with a fifth of the entries +0.0 and a fifth -0.0."""
+    v = rng.normal(size=shape)
+    pick = rng.random(shape)
+    v[pick < 0.2] = 0.0
+    v[pick > 0.8] = -0.0
+    return np.asarray(v, order=order)
+
+
 @settings(max_examples=120, deadline=None)
 @given(name=st.sampled_from(X_OPS + Y_OPS), nx=st.integers(8, 48),
        ny=st.integers(8, 48), L=st.floats(0.25, 4.0), fortran=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
+@example(name="Dyy", nx=256, ny=256, L=1.0, fortran=False, seed=0)
+@example(name="Dx", nx=256, ny=256, L=1.0, fortran=True, seed=1)
 def test_apply_adjoint_match_plain_products(name, nx, ny, L, fortran, seed):
-    # apply/adjoint compute X @ v, X^T @ v, (Y @ v^T)^T and (Y^T @ v^T)^T from
-    # cached CSR matrices; scipy's own D @ v, D.T @ v, v @ D.T and v @ D must
-    # give the same bits and the same memory layout
+    # apply/adjoint against the CSR products D @ v, D.T @ v, v @ D.T and v @ D:
+    # the same bits (signed zeros included), shape and strides without out=;
+    # the same bits, written into out, in either order and with or without a
+    # workspace, with out=
     g = make_grid(L, nx, ny)
-    D = _ops(g)[name][0]
+    D = _csr_ops(g)[name]
     rng = np.random.default_rng(seed)
     order = "F" if fortran else "C"
-    u = np.asarray(rng.normal(size=(nx + 1, ny)), order=order)
+    u = _signed_normals(rng, (nx + 1, ny), order)
     if name in X_OPS:
-        v = np.asarray(rng.normal(size=(D.shape[0], ny)), order=order)
-        pairs = [(apply(g, u, name), D @ u), (adjoint(g, v, name), D.T @ v)]
+        v = _signed_normals(rng, (D.shape[0], ny), order)
+        cases = [(apply, u, dict(x=name), D @ u), (adjoint, v, dict(x=name), D.T @ v)]
     else:
-        pairs = [(apply(g, u, y=name), u @ D.T), (adjoint(g, u, y=name), u @ D)]
-    for got, want in pairs:
+        cases = [(apply, u, dict(y=name), u @ D.T), (adjoint, u, dict(y=name), u @ D)]
+    ws = Workspace()
+    for fn, arg, ops, want in cases:
+        got = fn(g, arg, **ops)
         assert got.shape == want.shape and got.strides == want.strides
         assert got.tobytes() == want.tobytes()
+        for out_order in "CF":
+            for scratch in (None, ws):
+                out = np.full(want.shape, np.nan, order=out_order)
+                assert fn(g, arg, **ops, out=out, ws=scratch) is out
+                assert out.tobytes(order="C") == want.tobytes(order="C")
+
+
+def test_package_runs_without_scipy():
+    # scipy stays a test dependency: importing the package and running a
+    # descent and an energy must not load it
+    script = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import wellscape",
+        "from wellscape import EnergyParams, MinimizeConfig, energy, make_grid, minimize",
+        "from wellscape import random_admissible",
+        "g = make_grid(1.0, 32, 32)",
+        "u = random_admissible(g, np.random.default_rng(0), amplitude=0.1)",
+        "p = EnergyParams(0.05, 0.5, 1)",
+        "minimize(u, p, MinimizeConfig(max_iters=5))",
+        "energy(u, p)",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    src = os.path.dirname(os.path.dirname(wellscape.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_wsf1_roundtrip_bit_identical(tmp_path, rng):

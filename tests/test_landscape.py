@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -272,3 +273,73 @@ def test_fused_descent_matches_two_pass_loop(grid64, monkeypatch, variant):
             assert fused.field.values.tobytes() == ref.field.values.tobytes(), name
             assert json.dumps(fused.trace) == json.dumps(ref.trace), name
             assert fused.backtrack_failures == ref.backtrack_failures
+
+
+def _stage_outputs(monkeypatch):
+    """Record a copy of the iterate each continuation stage returns."""
+    outputs = []
+    descend = landscape._descend_stage
+
+    def recording(x, *args):
+        x_end, failures = descend(x, *args)
+        outputs.append(x_end.copy())
+        return x_end, failures
+
+    monkeypatch.setattr(landscape, "_descend_stage", recording)
+    return outputs
+
+
+@pytest.mark.parametrize("variant, name, delta, winner", [
+    (1, "branched", 0.3, "start"),       # every stage raises the sharp energy
+    (2, "branched_x2", 1.5, "stage 1"),  # the last stage undoes some of stage 1
+])
+def test_best_before_the_last_stage_matches_two_pass_loop(grid64, monkeypatch, variant,
+                                                          name, delta, winner):
+    # the reported field is an array the descent no longer writes to: the
+    # start, or a stage's iterate from a workspace that later stages do not
+    # share; its bytes and breakdown are those of the two-pass loop
+    start = dict(multistart_portfolio(0.05, grid64, seed=variant))[name]
+    p = EnergyParams(0.05, delta, variant)
+    with monkeypatch.context() as m:
+        outputs = _stage_outputs(m)
+        fused = minimize(start, p, FAST_CFG)
+    pinned = start.values.copy()
+    pinned[0, :] = 0.0
+    candidates = {"start": pinned, **{f"stage {k}": x for k, x in enumerate(outputs)}}
+    assert len(outputs) == 3
+    assert [k for k, x in candidates.items()
+            if x.tobytes() == fused.field.values.tobytes()] == [winner]
+    with monkeypatch.context() as m:
+        m.setattr(landscape, "_descend_stage", _descend_stage_ref)
+        ref = minimize(start, p, FAST_CFG)
+    assert fused.field.values.tobytes() == ref.field.values.tobytes()
+    assert json.dumps(fused.breakdown.to_json_dict()) == json.dumps(ref.breakdown.to_json_dict())
+    assert json.dumps(fused.trace) == json.dumps(ref.trace)
+
+
+def test_minimize_result_survives_later_descents(grid64):
+    # descents on the same grid, one after the other and four at once on two
+    # cores with a short switch interval, leave the bytes of a result already
+    # taken unchanged, and each concurrent descent gives its serial bytes
+    p = EnergyParams(0.05, 1.5, 2)
+    starts = dict(multistart_portfolio(0.05, grid64, seed=2))
+    names = ["branched_x2", "branched", "branched_x0.5", "random"]
+    first = minimize(starts["branched_x2"], p, FAST_CFG)
+    before = (first.field.values.tobytes(), json.dumps(first.breakdown.to_json_dict()),
+              json.dumps(first.trace))
+    serial = {name: minimize(starts[name], p, FAST_CFG).field.values.tobytes()
+              for name in names}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with landscape.ThreadPoolExecutor(max_workers=4) as pool:
+            futures = {name: pool.submit(minimize, starts[name], p, FAST_CFG)
+                       for name in names}
+            pooled = {name: fut.result(timeout=300).field.values.tobytes()
+                      for name, fut in futures.items()}
+    finally:
+        sys.setswitchinterval(interval)
+    assert (first.field.values.tobytes(), json.dumps(first.breakdown.to_json_dict()),
+            json.dumps(first.trace)) == before
+    assert pooled == serial
+    assert serial["branched_x2"] == before[0]
