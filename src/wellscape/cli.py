@@ -76,6 +76,28 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+_REQUIRED = object()
+
+
+def _scalar(section: dict, key: str, cast, default=_REQUIRED):
+    """cast(section[key]), or default when the key is missing; a missing key
+    without a default, or a value cast rejects, is a ConfigError."""
+    if key not in section and default is not _REQUIRED:
+        return default
+    raw = _require(section, key)
+    try:
+        return cast(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key!r} ({raw!r}): {exc}") from exc
+
+
+def _positive(value) -> float:
+    value = float(value)
+    if not value > 0.0:
+        raise ValueError("must be positive")
+    return value
+
+
 def _section(cfg: dict, key: str, default: dict | None = None) -> dict:
     """The JSON object under key; a missing key gives default, or is an error
     when there is none."""
@@ -88,18 +110,20 @@ def _section(cfg: dict, key: str, default: dict | None = None) -> dict:
 
 def _grid_from(cfg: dict):
     g = _section(cfg, "grid")
+    L, nx, ny = _scalar(g, "L", float), _scalar(g, "nx", int), _scalar(g, "ny", int)
     try:
-        return make_grid(float(g["L"]), int(g["nx"]), int(g["ny"]))
-    except (KeyError, ValueError, TypeError) as exc:
+        return make_grid(L, nx, ny)
+    except ValueError as exc:
         raise ConfigError(f"bad grid section: {exc}") from exc
 
 
 def _params_from(cfg: dict) -> EnergyParams:
     e = _section(cfg, "energy")
+    eps, delta = _scalar(e, "epsilon", float), _scalar(e, "delta", float, 0.0)
+    variant = _scalar(e, "variant", int, 1)
     try:
-        return EnergyParams(float(e["epsilon"]), float(e.get("delta", 0.0)),
-                            int(e.get("variant", 1)))
-    except (KeyError, ValueError, TypeError) as exc:
+        return EnergyParams(eps, delta, variant)
+    except ValueError as exc:
         raise ConfigError(f"bad energy section: {exc}") from exc
 
 
@@ -110,10 +134,11 @@ _MINCFG_TYPES = {"max_iters": int, "w_init": float, "w_factor": float,
 def _mincfg_from(cfg: dict) -> MinimizeConfig:
     """MinimizeConfig from the keys the config gives; the dataclass holds the defaults."""
     m = _section(cfg, "minimize", {})
+    settings = {key: _scalar(m, key, cast) for key, cast in _MINCFG_TYPES.items()
+                if key in m}
     try:
-        return MinimizeConfig(**{key: cast(m[key]) for key, cast in _MINCFG_TYPES.items()
-                                 if key in m})
-    except (TypeError, ValueError) as exc:
+        return MinimizeConfig(**settings)
+    except ValueError as exc:
         raise ConfigError(f"bad minimize section: {exc}") from exc
 
 
@@ -130,13 +155,13 @@ def _build_start(cfg: dict, grid, seed: int) -> ScalarField:
     if kind == "zero":
         return zero_field(grid)
     if kind == "branched":
-        eps = float(start.get("epsilon", _params_from(cfg).epsilon))
+        eps = _scalar(start, "epsilon", float, _params_from(cfg).epsilon)
         return cons.branched_seed(cons.BranchedSpec.from_epsilon(eps, grid.L), grid)
     if kind == "random":
         rng = np.random.default_rng(seed)
-        return random_admissible(grid, rng, amplitude=float(start.get("amplitude", 0.1)))
+        return random_admissible(grid, rng, amplitude=_scalar(start, "amplitude", float, 0.1))
     if kind == "file":
-        fld = _read_field_from(_require(start, "path"))
+        fld = _read_field_from(_scalar(start, "path", os.fspath))
         if fld.grid != grid:
             raise ConfigError(f"start field is on {fld.grid}, the config's grid is {grid}")
         return fld
@@ -150,23 +175,24 @@ def _cmd_construct(cfg, out_dir, seed):
     command = cfg["command"]
     grid = _grid_from(cfg)
     c = _section(cfg, "construction", {})
+    delta = _scalar(c, "delta", float, 0.0)
     if command == "construct-branched":
-        eps = float(_require(c, "epsilon"))
+        eps = _scalar(c, "epsilon", float)
         spec = cons.BranchedSpec.from_epsilon(eps, grid.L)
         fld = cons.branched_seed(spec, grid)
-        p = EnergyParams(eps, float(c.get("delta", 0.0)), int(c.get("variant", 3)))
+        p = EnergyParams(eps, delta, _scalar(c, "variant", int, 3))
     elif command == "construct-bump":
-        spec = cons.BumpSpec(float(_require(c, "a")), float(_require(c, "delta_x")),
-                             float(_require(c, "lambda")), grid.L)
+        spec = cons.BumpSpec(_scalar(c, "a", float), _scalar(c, "delta_x", float),
+                             _scalar(c, "lambda", float), grid.L)
         fld = cons.nucleation_bump(spec, grid)
-        p = EnergyParams(float(c.get("epsilon", 0.1)), float(c.get("delta", 0.0)),
-                         int(c.get("variant", 1)))
+        p = EnergyParams(_scalar(c, "epsilon", float, 0.1), delta,
+                         _scalar(c, "variant", int, 1))
     else:
-        spec = cons.PotentialSpec(int(_require(c, "j")), grid.L,
-                                  nR=int(c.get("nR", 4096)))
+        spec = cons.PotentialSpec(_scalar(c, "j", int), grid.L,
+                                  nR=_scalar(c, "nR", int, 4096))
         fld = cons.potential_seed(spec, grid)
-        p = EnergyParams(float(c.get("epsilon", 0.1)), float(c.get("delta", 0.0)),
-                         int(c.get("variant", 3)))
+        p = EnergyParams(_scalar(c, "epsilon", float, 0.1), delta,
+                         _scalar(c, "variant", int, 3))
     artifacts = [
         _write_field_artifact(out_dir, "field.wsf1", fld),
         _write_json(out_dir, "spec.json", spec.to_json_dict()),
@@ -177,7 +203,7 @@ def _cmd_construct(cfg, out_dir, seed):
 
 def _cmd_energy(cfg, out_dir, seed):
     inp = _section(cfg, "input")
-    fld = _read_field_from(_require(inp, "field"))
+    fld = _read_field_from(_scalar(inp, "field", os.fspath))
     p = _params_from(cfg)
     return [_write_json(out_dir, "breakdown.json", energy(fld, p).to_json_dict())]
 
@@ -202,22 +228,25 @@ def _cmd_minimize(cfg, out_dir, seed):
 def _eval_rows(result):
     for rec in result.evaluations:
         yield [repr(rec.delta), repr(rec.best_energy), repr(rec.reference),
-               rec.winner, rec.beats]
+               rec.winner, rec.beats, repr(rec.certificate)]
 
 
 def _cmd_critical_delta(cfg, out_dir, seed):
     grid = _grid_from(cfg)
     p = _params_from(cfg)
     res = critical_delta(p.epsilon, grid.L, p.variant, grid, _mincfg_from(cfg),
-                         tol_rel=float(cfg.get("tol_rel", 0.25)), seed=seed)
+                         tol_rel=_scalar(cfg, "tol_rel", _positive, 0.25), seed=seed)
     payload = {"epsilon": res.epsilon, "L": res.L, "variant": res.variant,
                "delta_lo": res.delta_lo, "delta_hi": res.delta_hi,
                "midpoint": res.midpoint,
+               "certificate_start": res.certificate_start,
+               "certificate_delta": res.certificate_delta,
+               "inversions": res.inversions,
                "grid": {"L": grid.L, "nx": grid.nx, "ny": grid.ny}}
 
     def dump_evals(fh):
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["delta", "best_energy", "reference", "winner", "beats"])
+        w.writerow(["delta", "best_energy", "reference", "winner", "beats", "certificate"])
         w.writerows(_eval_rows(res))
 
     return [_write_json(out_dir, "result.json", payload),
@@ -227,11 +256,11 @@ def _cmd_critical_delta(cfg, out_dir, seed):
 def _cmd_sweep_delta(cfg, out_dir, seed):
     grid = _grid_from(cfg)
     sweep = _section(cfg, "sweep")
-    eps_list = [float(e) for e in _require(sweep, "epsilons")]
-    variant = int(sweep.get("variant", 1))
+    eps_list = _scalar(sweep, "epsilons", lambda v: [float(e) for e in v])
+    variant = _scalar(sweep, "variant", int, 1)
     fit, results = scaling_sweep(eps_list, grid.L, variant, grid,
                                  _mincfg_from(cfg),
-                                 tol_rel=float(cfg.get("tol_rel", 0.25)),
+                                 tol_rel=_scalar(cfg, "tol_rel", _positive, 0.25),
                                  seed=seed)
 
     def dump_sweep(fh):
@@ -239,11 +268,10 @@ def _cmd_sweep_delta(cfg, out_dir, seed):
         w.writerow(["epsilon", "L", "variant", "delta_lo", "delta_hi",
                     "energy_best", "area_B_best"])
         for r in results:
-            final = next(rec for rec in reversed(r.evaluations)
-                         if rec.delta == r.delta_hi)  # endpoint where a start won
+            # the certifying field, which beats E(0) at delta_hi
+            final = energy(r.certificate_field, EnergyParams(r.epsilon, r.delta_hi, variant))
             w.writerow([repr(r.epsilon), repr(r.L), r.variant, repr(r.delta_lo),
-                        repr(r.delta_hi), repr(final.best_energy),
-                        repr(final.area_b_best)])
+                        repr(r.delta_hi), repr(final.total), repr(final.area_B)])
 
     payload = {"slope": fit.slope, "constant": fit.constant,
                "residual_rms": fit.residual_rms,
@@ -255,7 +283,7 @@ def _cmd_sweep_delta(cfg, out_dir, seed):
 def _cmd_verify(cfg, out_dir, seed):
     grid = _grid_from(cfg)
     p = _params_from(cfg)
-    n_random = int(cfg.get("n_random", 20))
+    n_random = _scalar(cfg, "n_random", int, 20)
     rng = np.random.default_rng(seed)
     fields = []
     try:
@@ -295,7 +323,7 @@ def _cmd_probe(cfg, out_dir, seed):
     grid = _grid_from(cfg)
     p = _params_from(cfg)
     probe = _section(cfg, "probe", {})
-    n = int(probe.get("n_samples", 1000))
+    n = _scalar(probe, "n_samples", int, 1000)
     cal = bnd.load_calibration()
     r_cal, _ = bnd.theorem2_bounds(p.epsilon, p.delta, grid.L,
                                    C=bnd.calibration_value("local_min_r_C", cal))
@@ -314,12 +342,13 @@ def _cmd_probe(cfg, out_dir, seed):
 
 def _cmd_obstacle(cfg, out_dir, seed):
     section = _section(cfg, "obstacle", {})
-    pairs = section.get("pairs", [[0.0, 1.0], [0.0, 0.5], [0.2, 0.9]])
-    n = int(section.get("n", 512))
+    pairs = _scalar(section, "pairs", lambda v: [(float(a), float(b)) for a, b in v],
+                    [(0.0, 1.0), (0.0, 0.5), (0.2, 0.9)])
+    n = _scalar(section, "n", int, 512)
     rows = []
     for y1, y2 in pairs:
-        sol = bnd.obstacle_min_1d(float(y1), float(y2))
-        qp_value, _, _ = bnd.obstacle_qp_oracle(float(y1), float(y2), n)
+        sol = bnd.obstacle_min_1d(y1, y2)
+        qp_value, _, _ = bnd.obstacle_qp_oracle(y1, y2, n)
         rows.append({"y1": y1, "y2": y2, "analytic": sol.value, "qp": qp_value,
                      "rel_err": abs(qp_value - sol.value) / sol.value})
     return [_write_json(out_dir, "obstacle.json", {"n": n, "results": rows})]
@@ -352,7 +381,7 @@ def run(config_path: str, out_dir: str = ".", seed: int | None = None) -> int:
         command = _require(cfg, "command")
         if command not in _COMMANDS:
             raise ConfigError(f"unknown command {command!r}")
-        run_seed = int(seed if seed is not None else cfg.get("seed", 0))
+        run_seed = seed if seed is not None else _scalar(cfg, "seed", int, 0)
     except (OSError, json.JSONDecodeError, ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +49,7 @@ STEP0 = 1e-3              # first trial step of each stage
 MAX_BACKTRACKS = 40       # step halvings per iteration
 ARMIJO = 1e-4             # sufficient-decrease constant
 DIVERGENCE_FACTOR = 1e3   # smoothed-energy cap over the start's sharp energy
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,49 @@ class MinimizeResult:
     trace: list[dict]
     backtrack_failures: int
     start_sharp: float
+    # least certificate(...) over the start and the stage ends, and its field
+    # (None while every one of them is +inf)
+    certificate: float = math.inf
+    certificate_field: Optional[ScalarField] = None
+
+
+def _tol_e(e0: float, epsilon: float) -> float:
+    # separates genuine descent from quadrature noise
+    return 1e-6 * max(e0, epsilon)
+
+
+def _beats(total: float, e0: float, epsilon: float) -> bool:
+    """The predicate's test: an energy below E(0) = e0 by more than tol_e."""
+    return total < e0 - _tol_e(e0, epsilon)
+
+
+def certificate(br: EnergyBreakdown, epsilon: float, L: float) -> float:
+    """The least delta from which on the field of breakdown br passes the
+    predicate's float test, up to that test's rounding.
+
+    For a fixed field, E_delta = Q + delta*(L - area_B) with Q = surface +
+    elastic, so the margin (E(0) - tol_e) - E_delta = delta*area_B - Q -
+    1e-6*max(delta*L, eps) rises with delta, and the field certifies
+    delta_c <= certificate.  Each branch of tol_e gives a closed form.  Q and
+    area_B are first moved by a bound on the test's rounding error,
+    8u(Q + 2 delta L) with u the unit roundoff, so that the test holds at
+    the returned value and at every larger delta, not just near the root;
+    the value is then stepped up an ulp at a time until the test holds.
+    +inf when the margin stops rising (area_B about 1e-6 L or less, in
+    particular area_B = 0).
+    """
+    q, area = br.surface + br.elastic, br.area_B
+    q_hi, area_lo = q * (1.0 + 8.0 * _UNIT_ROUNDOFF), area - 16.0 * _UNIT_ROUNDOFF * L
+    if not (area_lo - 1e-6 * L > 0.0 and math.isfinite(q)):
+        return math.inf
+    c = (q_hi + 1e-6 * epsilon) / area_lo      # tol_e = 1e-6 eps while delta*L < eps
+    if c * L >= epsilon:
+        c = q_hi / (area_lo - 1e-6 * L)        # tol_e = 1e-6 delta*L
+    for _ in range(64):
+        if _beats(q + c * (L - area), c * L, epsilon):   # energy()'s total at c
+            return c
+        c = math.nextafter(c, math.inf)
+    return math.inf
 
 
 def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
@@ -155,7 +199,8 @@ def minimize(start: ScalarField, p: EnergyParams,
     """Projected descent on the smoothed energy with continuation over smooth_w.
 
     Returns the sharp breakdown of the best iterate across stages (the start
-    counts), so the reported energy never exceeds the start's.
+    counts), so the reported energy never exceeds the start's, and the least
+    certificate among the same fields.
     """
     cfg = cfg or MinimizeConfig()
     report = validate_admissible(start)
@@ -164,21 +209,30 @@ def minimize(start: ScalarField, p: EnergyParams,
     grid = start.grid
     x = np.array(start.values)
     x[0, :] = 0.0  # pin the Dirichlet edge exactly
-    start_sharp = energy(ScalarField(grid, x), p).total
+    start_br = energy(ScalarField(grid, x), p)
+    start_sharp = start_br.total
     e_cap = DIVERGENCE_FACTOR * max(abs(start_sharp), 1e-30)
 
     trace: list[dict] = []
     failures = 0
     candidates = [(start_sharp, x)]
+    cert, cert_x = certificate(start_br, p.epsilon, grid.L), x
     for stage, w in enumerate(cfg.schedule(grid.hy)):
         pw = replace(p, smooth_w=w)
         x, nfail = _descend_stage(x, grid, pw, cfg, stage, trace, e_cap)
         failures += nfail
-        candidates.append((energy(ScalarField(grid, x), p).total, x))
+        br = energy(ScalarField(grid, x), p)
+        candidates.append((br.total, x))
+        c = certificate(br, p.epsilon, grid.L)
+        if c < cert:
+            cert, cert_x = c, x
 
     best_e, best_x = min(candidates, key=lambda c: c[0])
     best = ScalarField(grid, best_x)
-    return MinimizeResult(best, energy(best, p), trace, failures, start_sharp)
+    cert_field = None if cert == math.inf else \
+        best if cert_x is best_x else ScalarField(grid, cert_x)
+    return MinimizeResult(best, energy(best, p), trace, failures, start_sharp, cert,
+                          cert_field)
 
 
 # ---------------------------------------------------------------------------
@@ -230,27 +284,39 @@ class EvalRecord:
     best_energy: float
     reference: float   # E(0) = delta * L
     winner: str
-    beats: bool
+    beats: bool        # the descent outcome, whatever the certificates say
     area_b_best: float = 0.0
+    certificate: float = math.inf   # least certificate among the fields descended
+    certificate_start: str = ""     # the start whose descent gave it
 
 
 @dataclass
 class CriticalDeltaResult:
+    """delta_hi is the least certificate seen: certificate_field passes the
+    predicate's test there.  delta_lo is the largest delta below it at which
+    no descent beat E(0)."""
+
     epsilon: float
     L: float
     variant: int
     delta_lo: float
     delta_hi: float
     evaluations: list[EvalRecord]
+    certificate_field: Optional[ScalarField] = None
+    certificate_start: str = ""
+    certificate_delta: Optional[float] = None   # None: an undescended start
+    inversions: int = 0   # predicates false at a delta a certificate settled as true
 
     @property
     def midpoint(self) -> float:
         return math.sqrt(self.delta_lo * self.delta_hi)
 
 
-def _tol_e(e0: float, epsilon: float) -> float:
-    # separates genuine descent from quadrature noise
-    return 1e-6 * max(e0, epsilon)
+class _Certificate(NamedTuple):
+    value: float
+    start: str
+    delta: Optional[float]
+    field: Optional[ScalarField]
 
 
 def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
@@ -259,11 +325,23 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
                    bracket: Optional[tuple[float, float]] = None) -> CriticalDeltaResult:
     """Bisection on delta over "some multistart descent beats E(0) by tol_e".
 
-    The initial bracket comes from the calibrated theoretical band, widened
-    by factors of 10 until the predicate flips; bisection is geometric and
-    stops at hi/lo <= 1 + tol_rel.  A predicate descends the starts on
-    min(portfolio, cores) threads; its winner is the first lowest energy in
-    portfolio order, whatever that count.
+    The energy of a fixed field is affine in delta, so every field with
+    area_B > 0 passes the predicate from its certificate() on.  delta_hi is
+    the least certificate over the portfolio's starts and every stage end
+    that a predicate descends; it is certified by a named field and no later
+    descent can contradict it.  delta_lo is the largest delta below delta_hi
+    at which no descent beat E(0).
+
+    The first bracket comes from the calibrated theoretical band (or
+    `bracket`), with hi lowered to the starts' least certificate.  lo moves
+    down by factors of 10 until a predicate is false, and hi up by factors
+    of 10 only while no field certifies it; bisection is geometric, runs no
+    predicate at a delta a certificate settles, and stops at
+    hi/lo <= 1 + tol_rel.  A predicate false at a delta that a later
+    certificate reaches is counted in `inversions`, and lo falls back to the
+    largest false delta below the new hi.  A predicate descends the starts
+    on min(portfolio, cores) threads; its winner is the first lowest energy
+    in portfolio order, whatever that count.
     """
     from .bounds import critical_delta_bounds
 
@@ -273,49 +351,74 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
     starts = multistart_portfolio(epsilon, grid, seed=seed)
     evaluations: list[EvalRecord] = []
     n_workers = min(len(starts), os.cpu_count() or 1)
+    p0 = EnergyParams(epsilon, 0.0, variant)
+    best = min((_Certificate(certificate(energy(f, p0), epsilon, grid.L), name, None, f)
+                for name, f in starts), key=lambda c: c.value)
 
-    def predicate(delta: float) -> bool:
+    def predicate(delta: float) -> None:
+        """Run one predicate, record it and lower hi to the least certificate."""
+        nonlocal best, hi
         p = EnergyParams(epsilon, delta, variant)
         e0 = delta * grid.L
 
         def run(item):
             name, start_field = item
-            br = minimize(start_field, p, cfg).breakdown
-            return name, br.total, br.area_B
+            res = minimize(start_field, p, cfg)
+            # best holds still while the pool runs; a field that cannot lower
+            # it is dropped here instead of kept until every start is done
+            field = res.certificate_field if res.certificate < best.value else None
+            return name, res.breakdown.total, res.breakdown.area_B, res.certificate, field
 
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             outcomes = list(pool.map(run, starts))
-        winner, best, area = min(outcomes, key=lambda o: o[1])
-        beats = best < e0 - _tol_e(e0, epsilon)
-        evaluations.append(EvalRecord(delta, best, e0, winner, beats, area))
-        return beats
+        winner, total, area, _, _ = min(outcomes, key=lambda o: o[1])
+        cert_start, _, _, cert, cert_field = min(outcomes, key=lambda o: o[3])
+        beats = _beats(total, e0, epsilon)
+        evaluations.append(EvalRecord(delta, total, e0, winner, beats, area, cert,
+                                      cert_start))
+        if cert < best.value:
+            best = _Certificate(cert, cert_start, delta, cert_field)
+        hi = min(hi, best.value)
 
-    if bracket is not None:
-        lo, hi = bracket
-    else:
-        lo, hi = critical_delta_bounds(epsilon, L)
-        if hi <= lo:
-            hi = 2.0 * lo
+    def largest_false() -> Optional[float]:
+        return max((r.delta for r in evaluations if not r.beats and r.delta < hi),
+                   default=None)
+
+    def lower_end(probe: float) -> float:
+        """The largest delta below hi where the predicate was false; while
+        there is none, predicates at probe, probe/10, ... (those below hi)."""
+        top = probe
+        for _ in range(11):
+            if largest_false() is not None:
+                break
+            if probe < hi:
+                predicate(probe)
+            probe /= 10.0
+        lo = largest_false()
+        if lo is None:
+            raise BracketNotFound(f"predicate true over ten decades below {top:.6g}")
+        return lo
+
+    lo, hi = bracket if bracket is not None else critical_delta_bounds(epsilon, L)
+    if bracket is None and hi <= lo:
+        hi = 2.0 * lo
+    hi = min(hi, best.value)
+    lower_end(lo)   # a first false delta: at lo or decades below it
     for _ in range(11):
-        if not predicate(lo):
+        if best.value <= hi:
             break
-        lo /= 10.0
-    else:
-        raise BracketNotFound("predicate true over ten decades below the band")
-    for _ in range(11):
-        if predicate(hi):
-            break
-        hi *= 10.0
-    else:
+        predicate(hi)
+        hi = min(10.0 * hi, best.value)
+    if best.value > hi:
         raise BracketNotFound("predicate false over ten decades above the band")
 
+    lo = lower_end(hi / 10.0)
     while hi / lo > 1.0 + tol_rel:
-        mid = math.sqrt(lo * hi)
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-    return CriticalDeltaResult(epsilon, L, variant, lo, hi, evaluations)
+        predicate(math.sqrt(lo * hi))
+        lo = lower_end(hi / 10.0)
+    inversions = sum(1 for r in evaluations if not r.beats and r.delta >= hi)
+    return CriticalDeltaResult(epsilon, L, variant, lo, hi, evaluations, best.field,
+                               best.start, best.delta, inversions)
 
 
 # ---------------------------------------------------------------------------

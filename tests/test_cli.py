@@ -73,6 +73,24 @@ def test_reproducible_bytes(tmp_path):
     assert _digest(out_a) == _digest(out_b)
 
 
+def test_critical_delta_reproducible_bytes(tmp_path):
+    cfg = {"schema": 1, "command": "critical-delta", "seed": 3, "tol_rel": 0.5,
+           "grid": {"L": 1.0, "nx": 32, "ny": 32},
+           "energy": {"epsilon": 0.1, "variant": 1},
+           "minimize": {"max_iters": 20, "w_init": 0.2, "w_factor": 0.25,
+                        "w_floor": 0.08}}
+    code, out_a = _run(tmp_path, cfg, name="a.json", out="a")
+    assert code == 0
+    _, out_b = _run(tmp_path, cfg, name="b.json", out="b")
+    assert _digest(out_a) == _digest(out_b)
+    result = json.loads((out_a / "result.json").read_text())
+    assert {"certificate_start", "certificate_delta", "inversions"} <= set(result)
+    assert result["certificate_start"] and result["inversions"] == 0
+    lines = (out_a / "evaluations.csv").read_text().strip().split("\n")
+    assert lines[0] == "delta,best_energy,reference,winner,beats,certificate"
+    assert len(lines) > 1
+
+
 def test_minimize_artifacts(tmp_path):
     cfg = {"schema": 1, "command": "minimize", "seed": 1,
            "grid": {"L": 1.0, "nx": 48, "ny": 48},
@@ -211,6 +229,46 @@ def test_non_object_sections_are_config_errors(tmp_path, capsys, where):
     assert err.startswith("config error") and "JSON object" in err, err
     if where != "top level":
         assert repr(where) in err, err
+    assert not out_dir.exists()
+
+
+# (config, the key the error names): a scalar of the wrong type or out of
+# range, one for each command that reads one
+BAD_SCALARS = {
+    "tol_rel list": ({"command": "critical-delta", "grid": GRID16,
+                      "energy": {"epsilon": 0.05}, "tol_rel": [1]}, "tol_rel"),
+    "tol_rel zero": ({"command": "critical-delta", "grid": GRID16,
+                      "energy": {"epsilon": 0.05}, "tol_rel": 0}, "tol_rel"),
+    "sweep epsilons": ({"command": "sweep-delta", "grid": GRID16,
+                        "sweep": {"epsilons": 5}}, "epsilons"),
+    "probe n_samples": ({"command": "probe-local-min", "grid": GRID16,
+                         "energy": {"epsilon": 0.05, "delta": 0.5},
+                         "probe": {"n_samples": "many"}}, "n_samples"),
+    "seed": ({"command": "obstacle-1d", "seed": [1]}, "seed"),
+    "construct-branched": ({"command": "construct-branched", "grid": GRID16,
+                            "construction": {"epsilon": "small"}}, "epsilon"),
+    "construct-bump": ({"command": "construct-bump", "grid": GRID16,
+                        "construction": {"a": 0.08, "delta_x": 0.2, "lambda": [2]}},
+                       "lambda"),
+    "construct-potential": ({"command": "construct-potential", "grid": GRID16,
+                             "construction": {"j": "two"}}, "j"),
+    "energy": ({"command": "energy", "input": {"field": ["f.wsf1"]},
+                "energy": {"epsilon": 0.1}}, "field"),
+    "minimize": ({"command": "minimize", "grid": GRID16, "energy": {"epsilon": 0.1},
+                  "start": {"type": "random", "amplitude": "big"}}, "amplitude"),
+    "verify-inequalities": ({"command": "verify-inequalities", "grid": GRID16,
+                             "energy": {"epsilon": 0.02}, "n_random": [20]}, "n_random"),
+    "obstacle-1d": ({"command": "obstacle-1d", "obstacle": {"pairs": 5}}, "pairs"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(BAD_SCALARS))
+def test_bad_scalars_are_config_errors(tmp_path, capsys, where):
+    cfg, key = BAD_SCALARS[where]
+    code, out_dir = _run(tmp_path, {"schema": 1, **cfg})
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("config error") and repr(key) in err, err
     assert not out_dir.exists()
 
 

@@ -1,14 +1,15 @@
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wellscape import (BranchedSpec, Diverged, EnergyParams, MinimizeConfig,
-                       PortfolioShrunk, ScalarField, branched_seed,
+from wellscape import (BranchedSpec, Diverged, EnergyBreakdown, EnergyParams,
+                       MinimizeConfig, PortfolioShrunk, ScalarField, branched_seed,
                        critical_delta, energy, energy_gradient,
                        energy_smoothed, fit_power_law, local_minimality_probe,
                        make_grid, minimize, multistart_portfolio,
@@ -77,15 +78,26 @@ def test_minimize_deterministic(grid64):
     assert a.breakdown.total == b.breakdown.total
 
 
+def _passes(br, delta, epsilon, L):
+    """The predicate's float test on the sharp breakdown br at delta."""
+    e0 = delta * L
+    return br.total < e0 - 1e-6 * max(e0, epsilon)
+
+
 def test_critical_delta_coarse_bracket(grid64):
     res = critical_delta(0.05, 1.0, 1, grid64, FAST_CFG, tol_rel=0.5,
                          bracket=(0.05, 5.0), seed=0)
     assert res.delta_lo < res.delta_hi
     assert res.delta_hi / res.delta_lo <= 1.5 + 1e-9
     lo_recs = [r for r in res.evaluations if r.delta == res.delta_lo]
-    hi_recs = [r for r in res.evaluations if r.delta == res.delta_hi]
     assert lo_recs and not lo_recs[-1].beats
-    assert hi_recs and hi_recs[-1].beats
+    # delta_hi is certified: its field passes the predicate's test there
+    br = energy(res.certificate_field, EnergyParams(0.05, res.delta_hi, 1))
+    assert _passes(br, res.delta_hi, 0.05, grid64.L)
+    assert all(res.delta_hi <= r.delta for r in res.evaluations if r.beats)
+    # the starts certify a delta below the bracket's top, so no predicate
+    # ran where a certificate had already settled the outcome
+    assert all(r.delta < res.delta_hi for r in res.evaluations)
 
 
 def test_critical_delta_deterministic(grid64):
@@ -343,3 +355,93 @@ def test_minimize_result_survives_later_descents(grid64):
             json.dumps(first.trace)) == before
     assert pooled == serial
     assert serial["branched_x2"] == before[0]
+
+
+# surface, elastic, L and area_B / L wide enough that c*L falls on both sides
+# of epsilon, i.e. on both branches of tol_e (one example each)
+@settings(max_examples=300, deadline=None)
+@given(surface=st.floats(0.0, 1e3), elastic=st.floats(0.0, 1e3),
+       L=st.floats(0.1, 10.0), fraction=st.floats(1e-3, 1.0),
+       epsilon=st.floats(1e-4, 1.0), factor=st.floats(1.0, 100.0))
+@example(surface=1e-6, elastic=1e-6, L=1.0, fraction=1e-3, epsilon=0.5,
+         factor=1.0 + 2.0**-52)    # c*L < eps, where tol_e = 1e-6 eps
+@example(surface=2.0, elastic=3.0, L=2.0, fraction=0.25, epsilon=1e-4,
+         factor=1.0 + 2.0**-52)    # c*L >= eps, where tol_e = 1e-6 delta L
+def test_certificate_is_where_the_predicate_test_starts_to_hold(surface, elastic, L,
+                                                               fraction, epsilon, factor):
+    area = fraction * L
+    q = surface + elastic
+
+    def passes(delta):
+        e0 = delta * L
+        return q + delta * (L - area) < e0 - 1e-6 * max(e0, epsilon)
+
+    br = EnergyBreakdown(surface, elastic, 0.0, q, area, L - area)
+    c = landscape.certificate(br, epsilon, L)
+    assert 0.0 < c < math.inf
+    assert passes(c)
+    assert passes(c * factor)
+    assert not passes(c * (1.0 - 1e-9))
+    assert landscape.certificate(replace(br, area_B=0.0, area_A=L), epsilon, L) == math.inf
+
+
+def test_certificate_of_a_branched_field_at_64(grid64):
+    # energy() of the field at delta = c passes the predicate's test
+    eps = 0.05
+    seed = branched_seed(BranchedSpec.from_epsilon(eps, grid64.L), grid64)
+    c = landscape.certificate(energy(seed, EnergyParams(eps, 0.0, 1)), eps, grid64.L)
+    assert 0.0 < c < math.inf
+    assert _passes(energy(seed, EnergyParams(eps, c, 1)), c, eps, grid64.L)
+    assert not _passes(energy(seed, EnergyParams(eps, c * (1 - 1e-9), 1)),
+                       c * (1 - 1e-9), eps, grid64.L)
+    assert landscape.certificate(energy(zero_field(grid64), EnergyParams(eps, 0.3, 1)),
+                                 eps, grid64.L) == math.inf
+
+
+def test_minimize_keeps_the_least_certificate(grid64, monkeypatch):
+    # the least certificate over the start and the stage ends, and its field
+    p = EnergyParams(0.05, 0.3, 1)
+    start = dict(multistart_portfolio(0.05, grid64, seed=1))["branched_x2"]
+    with monkeypatch.context() as m:
+        outputs = _stage_outputs(m)
+        res = minimize(start, p, FAST_CFG)
+    pinned = start.values.copy()
+    pinned[0, :] = 0.0
+    certs = [landscape.certificate(energy(ScalarField(grid64, x), p), 0.05, grid64.L)
+             for x in [pinned, *outputs]]
+    assert res.certificate == min(certs) < math.inf
+    assert res.certificate_field.values.tobytes() == \
+        [pinned, *outputs][certs.index(min(certs))].tobytes()
+
+
+@pytest.mark.parametrize("cert, inversions, next_delta", [
+    (0.1, 2, math.sqrt(0.05 * 0.1)),   # lo falls back to the false delta 0.05
+    (0.01, 3, 0.001),                  # no false delta below: search down from hi
+])
+def test_critical_delta_counts_an_inversion(grid64, monkeypatch, cert, inversions,
+                                            next_delta):
+    # the third predicate (delta ~ 0.42, false) hands back a field that
+    # certifies `cert`, at or below earlier false deltas (0.05, 0.21, 0.42):
+    # each is counted, lo moves below the new hi, and the records keep the
+    # raw descent outcomes
+    def fake_minimize(start, p, cfg):
+        br = energy(start, p)
+        certified = 0.3 < p.delta < 0.5 and bool(start.values.any())
+        return landscape.MinimizeResult(start, br, [], 0, br.total,
+                                        cert if certified else math.inf,
+                                        start if certified else None)
+
+    monkeypatch.setattr(landscape, "minimize", fake_minimize)
+    res = critical_delta(0.05, 1.0, 1, grid64, FAST_CFG, tol_rel=0.5,
+                         bracket=(0.05, 5.0), seed=0)
+    deltas = [r.delta for r in res.evaluations]
+    assert deltas[0] == 0.05 and 0.3 < deltas[2] < 0.5
+    assert deltas[3] == pytest.approx(next_delta, rel=1e-12)
+    assert res.inversions == inversions
+    assert res.delta_hi == cert
+    assert (res.certificate_start, res.certificate_delta) == ("branched", deltas[2])
+    assert res.delta_lo < res.delta_hi <= 1.5 * res.delta_lo
+    assert not any(r.beats for r in res.evaluations)
+    assert [r.certificate for r in res.evaluations][:4] == [math.inf, math.inf, cert,
+                                                            math.inf]
+    assert res.evaluations[2].certificate_start == "branched"
