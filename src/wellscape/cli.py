@@ -30,7 +30,7 @@ from .energy import (EmptyB, EnergyParams, TauOne, _cell_center_uy,  # noqa: F40
 from .grid import ScalarField, make_grid, read_field, write_field, zero_field
 from .landscape import (BracketNotFound, Diverged, MinimizeConfig,
                         critical_delta, local_minimality_probe, minimize,
-                        random_admissible, scaling_sweep)
+                        random_admissible, scaling_sweep, sweep_epsilons)
 
 
 class ConfigError(ValueError):
@@ -256,7 +256,7 @@ def _cmd_critical_delta(cfg, out_dir, seed):
 def _cmd_sweep_delta(cfg, out_dir, seed):
     grid = _grid_from(cfg)
     sweep = _section(cfg, "sweep")
-    eps_list = _scalar(sweep, "epsilons", lambda v: [float(e) for e in v])
+    eps_list = _scalar(sweep, "epsilons", lambda v: sweep_epsilons([float(e) for e in v]))
     variant = _scalar(sweep, "variant", int, 1)
     fit, results = scaling_sweep(eps_list, grid.L, variant, grid,
                                  _mincfg_from(cfg),

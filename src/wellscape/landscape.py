@@ -132,17 +132,20 @@ def certificate(br: EnergyBreakdown, epsilon: float, L: float) -> float:
 
 def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
                    cfg: MinimizeConfig, stage: int, trace: list,
-                   e_cap: float) -> tuple[np.ndarray, int]:
+                   e_cap: float,
+                   ws: Optional[Workspace] = None) -> tuple[np.ndarray, int]:
     """BB two-point steps with Armijo backtracking; monotone in the smoothed energy.
 
     Works on raw arrays: each trial point gets one value pass, and the
     gradient at an accepted trial reuses the terms of that pass.  Every
-    array lives in one workspace made here: trial iterates rotate through
-    three of its buffers and gradients through two (the stage's start x is
-    only read), and the passes and the BB step write into the rest, so no
-    iteration allocates a field.
+    array lives in the workspace ws (a new one when None): trial iterates
+    rotate through three of its buffers and gradients through two, and the
+    passes and the BB step write into the rest, so no iteration allocates a
+    field.  The returned iterate is one of those buffers, which the next
+    stage on ws overwrites; x may be one too (the previous stage's end).
     """
-    ws = Workspace()
+    if ws is None:
+        ws = Workspace()
     xs = [ws.get(("x", k), x.shape) for k in range(3)]
     gs = [ws.get(("g", k), x.shape) for k in range(2)]
     a, b = ws.get("bb", x.shape), ws.get("bb2", x.shape)
@@ -215,24 +218,26 @@ def minimize(start: ScalarField, p: EnergyParams,
 
     trace: list[dict] = []
     failures = 0
-    candidates = [(start_sharp, x)]
+    ws = Workspace()   # shared by the stages, so their arrays are made once
+    best_br, best_x = start_br, x
     cert, cert_x = certificate(start_br, p.epsilon, grid.L), x
     for stage, w in enumerate(cfg.schedule(grid.hy)):
         pw = replace(p, smooth_w=w)
-        x, nfail = _descend_stage(x, grid, pw, cfg, stage, trace, e_cap)
+        x, nfail = _descend_stage(x, grid, pw, cfg, stage, trace, e_cap, ws)
         failures += nfail
         br = energy(ScalarField(grid, x), p)
-        candidates.append((br.total, x))
         c = certificate(br, p.epsilon, grid.L)
-        if c < cert:
-            cert, cert_x = c, x
+        if br.total < best_br.total or c < cert:
+            kept = x.copy()   # x is a workspace buffer the next stage overwrites
+            if br.total < best_br.total:
+                best_br, best_x = br, kept
+            if c < cert:
+                cert, cert_x = c, kept
 
-    best_e, best_x = min(candidates, key=lambda c: c[0])
     best = ScalarField(grid, best_x)
     cert_field = None if cert == math.inf else \
         best if cert_x is best_x else ScalarField(grid, cert_x)
-    return MinimizeResult(best, energy(best, p), trace, failures, start_sharp, cert,
-                          cert_field)
+    return MinimizeResult(best, best_br, trace, failures, start_sharp, cert, cert_field)
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +338,18 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
     at which no descent beat E(0).
 
     The first bracket comes from the calibrated theoretical band (or
-    `bracket`), with hi lowered to the starts' least certificate.  lo moves
-    down by factors of 10 until a predicate is false, and hi up by factors
-    of 10 only while no field certifies it; bisection is geometric, runs no
-    predicate at a delta a certificate settles, and stops at
-    hi/lo <= 1 + tol_rel.  A predicate false at a delta that a later
+    `bracket`), with hi lowered to the starts' least certificate.  When a
+    start certifies hi, the first predicate probes just below it: at
+    hi/(1 + tol_rel), stepped up until hi/delta <= 1 + tol_rel holds in
+    floats, the stop test below.  A false probe becomes lo and ends the
+    search, one predicate in all (its descents can only lower hi to a
+    certificate above it, or they would have beaten E(0) there); a true
+    one lowers hi to a certificate at or below it, and the search below
+    runs as without the probe.  With no certifying start there is no
+    probe.  lo moves down by factors of 10 until a predicate is false, and
+    hi up by factors of 10 only while no field certifies it; bisection is
+    geometric, runs no predicate at a delta a certificate settles, and
+    stops at hi/lo <= 1 + tol_rel.  A predicate false at a delta that a later
     certificate reaches is counted in `inversions`, and lo falls back to the
     largest false delta below the new hi.  A predicate descends the starts
     on min(portfolio, cores) threads; its winner is the first lowest energy
@@ -403,6 +415,14 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
     if bracket is None and hi <= lo:
         hi = 2.0 * lo
     hi = min(hi, best.value)
+    if best.value <= hi:
+        # a start certifies hi: probe about the least delta the stop test
+        # accepts as lo.  False, it is lo and no further predicate runs;
+        # true, hi drops to a certificate at or below it and the search goes on
+        probe = hi / (1.0 + tol_rel)
+        while hi / probe > 1.0 + tol_rel:
+            probe = math.nextafter(probe, math.inf)
+        predicate(probe)
     lower_end(lo)   # a first false delta: at lo or decades below it
     for _ in range(11):
         if best.value <= hi:
@@ -446,13 +466,22 @@ def fit_power_law(x: Sequence[float], y: Sequence[float]) -> ScalingFit:
                       float(np.sqrt(np.mean(resid**2))))
 
 
+def sweep_epsilons(eps_list: Sequence[float]) -> list[float]:
+    """eps_list sorted; a ValueError unless it holds >= 4 positive, finite
+    values spanning >= 1.3 decades, as a slope fit needs."""
+    eps = sorted(eps_list)
+    if not all(0.0 < e < math.inf for e in eps):
+        raise ValueError(f"epsilon values must be positive and finite, got {eps}")
+    if len(eps) < 4 or math.log10(eps[-1] / eps[0]) < 1.3:
+        raise ValueError("need >= 4 epsilon values spanning >= 1.3 decades")
+    return eps
+
+
 def scaling_sweep(eps_list: Sequence[float], L: float, variant: int, grid: Grid,
                   cfg: Optional[MinimizeConfig] = None, tol_rel: float = 0.25,
                   seed: int = 0) -> tuple[ScalingFit, list[CriticalDeltaResult]]:
     """Bisect the critical depth per epsilon and fit log delta_c vs log eps."""
-    eps = sorted(eps_list)
-    if len(eps) < 4 or math.log10(eps[-1] / eps[0]) < 1.3:
-        raise ValueError("need >= 4 epsilon values spanning >= 1.3 decades")
+    eps = sweep_epsilons(eps_list)
     results = [critical_delta(e, L, variant, grid, cfg, tol_rel, seed=seed)
                for e in eps]
     fit = fit_power_law(eps, [r.midpoint for r in results])

@@ -233,7 +233,8 @@ def test_non_object_sections_are_config_errors(tmp_path, capsys, where):
 
 
 # (config, the key the error names): a scalar of the wrong type or out of
-# range, one for each command that reads one
+# range, one for each command that reads one, and each way an epsilon list
+# cannot make a sweep
 BAD_SCALARS = {
     "tol_rel list": ({"command": "critical-delta", "grid": GRID16,
                       "energy": {"epsilon": 0.05}, "tol_rel": [1]}, "tol_rel"),
@@ -241,6 +242,12 @@ BAD_SCALARS = {
                       "energy": {"epsilon": 0.05}, "tol_rel": 0}, "tol_rel"),
     "sweep epsilons": ({"command": "sweep-delta", "grid": GRID16,
                         "sweep": {"epsilons": 5}}, "epsilons"),
+    "sweep too few": ({"command": "sweep-delta", "grid": GRID16,
+                       "sweep": {"epsilons": [0.001, 0.01, 0.1]}}, "epsilons"),
+    "sweep too narrow": ({"command": "sweep-delta", "grid": GRID16,
+                          "sweep": {"epsilons": [0.01, 0.02, 0.05, 0.19]}}, "epsilons"),
+    "sweep non-positive": ({"command": "sweep-delta", "grid": GRID16,
+                            "sweep": {"epsilons": [0.0, 0.01, 0.1, 1.0]}}, "epsilons"),
     "probe n_samples": ({"command": "probe-local-min", "grid": GRID16,
                          "energy": {"epsilon": 0.05, "delta": 0.5},
                          "probe": {"n_samples": "many"}}, "n_samples"),

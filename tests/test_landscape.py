@@ -224,8 +224,9 @@ def test_minimize_overflowing_start_diverges(grid64, rng):
             minimize(start, EnergyParams(0.05, 0.5, 1), FAST_CFG)
 
 
-def _descend_stage_ref(x, grid, p, cfg, stage, trace, e_cap):
-    """The descent loop with separate energy and gradient calls per iterate."""
+def _descend_stage_ref(x, grid, p, cfg, stage, trace, e_cap, ws=None):
+    """The descent loop with separate energy and gradient calls per iterate
+    and fresh arrays throughout (ws is ignored)."""
     failures = 0
     u = ScalarField(grid, x)
     e = energy_smoothed(u, p)
@@ -308,8 +309,9 @@ def _stage_outputs(monkeypatch):
 def test_best_before_the_last_stage_matches_two_pass_loop(grid64, monkeypatch, variant,
                                                           name, delta, winner):
     # the reported field is an array the descent no longer writes to: the
-    # start, or a stage's iterate from a workspace that later stages do not
-    # share; its bytes and breakdown are those of the two-pass loop
+    # start, or a copy of a stage's iterate taken before the next stage
+    # reuses its workspace; its bytes and breakdown are those of the
+    # two-pass loop
     start = dict(multistart_portfolio(0.05, grid64, seed=variant))[name]
     p = EnergyParams(0.05, delta, variant)
     with monkeypatch.context() as m:
@@ -420,28 +422,112 @@ def test_minimize_keeps_the_least_certificate(grid64, monkeypatch):
 ])
 def test_critical_delta_counts_an_inversion(grid64, monkeypatch, cert, inversions,
                                             next_delta):
-    # the third predicate (delta ~ 0.42, false) hands back a field that
-    # certifies `cert`, at or below earlier false deltas (0.05, 0.21, 0.42):
-    # each is counted, lo moves below the new hi, and the records keep the
-    # raw descent outcomes
+    # the starts certify 0.844, so the first predicate probes just below it
+    # (delta ~ 0.563, false) and hands back a field that certifies 0.3: one
+    # inversion, and the search goes on below the new hi; the third predicate
+    # (delta ~ 0.122, false) hands back a field that certifies `cert`, at or
+    # below earlier false deltas (0.563, 0.122 and, for 0.01, 0.05): each is
+    # counted, lo moves below the new hi, and the records keep the raw
+    # descent outcomes
+    windows = {(0.5, 0.6): 0.3, (0.1, 0.15): cert}
+
     def fake_minimize(start, p, cfg):
         br = energy(start, p)
-        certified = 0.3 < p.delta < 0.5 and bool(start.values.any())
-        return landscape.MinimizeResult(start, br, [], 0, br.total,
-                                        cert if certified else math.inf,
-                                        start if certified else None)
+        c = next((c for (a, b), c in windows.items() if a < p.delta < b), math.inf)
+        if not start.values.any():
+            c = math.inf
+        return landscape.MinimizeResult(start, br, [], 0, br.total, c,
+                                        None if c == math.inf else start)
 
     monkeypatch.setattr(landscape, "minimize", fake_minimize)
     res = critical_delta(0.05, 1.0, 1, grid64, FAST_CFG, tol_rel=0.5,
                          bracket=(0.05, 5.0), seed=0)
     deltas = [r.delta for r in res.evaluations]
-    assert deltas[0] == 0.05 and 0.3 < deltas[2] < 0.5
+    assert 0.5 < deltas[0] < 0.6 and deltas[1] == 0.05 and 0.1 < deltas[2] < 0.15
     assert deltas[3] == pytest.approx(next_delta, rel=1e-12)
     assert res.inversions == inversions
     assert res.delta_hi == cert
     assert (res.certificate_start, res.certificate_delta) == ("branched", deltas[2])
     assert res.delta_lo < res.delta_hi <= 1.5 * res.delta_lo
     assert not any(r.beats for r in res.evaluations)
-    assert [r.certificate for r in res.evaluations][:4] == [math.inf, math.inf, cert,
+    assert [r.certificate for r in res.evaluations][:4] == [0.3, math.inf, cert,
                                                             math.inf]
-    assert res.evaluations[2].certificate_start == "branched"
+    assert [res.evaluations[k].certificate_start for k in (0, 2)] == ["branched"] * 2
+
+
+def _monotone_minimize(delta_true, frac):
+    """A stand-in for minimize whose predicate is monotone: every nonzero
+    start beats E(0) exactly when delta > delta_true, and then certifies a
+    delta in (delta_true, delta]."""
+    def fake(start, p, cfg):
+        L = start.grid.L
+        e0 = p.delta * L
+        if p.delta > delta_true and start.values.any():
+            c = max(math.nextafter(delta_true, math.inf),
+                    delta_true + frac * (p.delta - delta_true))
+            total, field = e0 - 2.0 * landscape._tol_e(e0, p.epsilon), start
+        else:
+            c, total, field = math.inf, e0, None
+        br = EnergyBreakdown(0.0, 0.0, total, total, 0.0, L)
+        return landscape.MinimizeResult(start, br, [], 0, total, c, field)
+    return fake
+
+
+def _check_bracket(res, delta_true, tol_rel):
+    assert res.delta_lo <= delta_true <= res.delta_hi
+    assert res.delta_hi / res.delta_lo <= 1.0 + tol_rel
+    assert res.inversions == 0
+
+
+GRID64 = make_grid(1.0, 64, 64)
+# the least certificate of the portfolio's starts at eps = 0.05 on GRID64
+START_CERT = min(landscape.certificate(energy(f, EnergyParams(0.05, 0.0, 1)), 0.05, 1.0)
+                 for _, f in multistart_portfolio(0.05, GRID64, seed=0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=st.floats(1e-4, 1.0), frac=st.floats(0.0, 1.0), a=st.floats(1e-3, 0.9),
+       width=st.floats(1.1, 1e3), tol_rel=st.floats(0.05, 1.0))
+@example(f=1.0, frac=0.0, a=0.05, width=100.0, tol_rel=0.25)
+@example(f=1.0 / 1.25, frac=1.0, a=0.05, width=100.0, tol_rel=0.25)
+@example(f=0.5, frac=0.5, a=0.5, width=1.5, tol_rel=0.25)   # band below the starts
+def test_critical_delta_brackets_a_monotone_predicate(f, frac, a, width, tol_rel):
+    # delta_true = f * c, where c is the least start certificate; the bracket
+    # (a * c, a * width * c) lies below c or holds it
+    c = START_CERT
+    delta_true = f * c
+    bracket = (a * c, a * width * c)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(landscape, "minimize", _monotone_minimize(delta_true, frac))
+        res = critical_delta(0.05, 1.0, 1, GRID64, FAST_CFG, tol_rel=tol_rel,
+                             bracket=bracket, seed=0)
+    _check_bracket(res, delta_true, tol_rel)
+    first = res.evaluations[0].delta
+    if c <= bracket[1]:
+        # a start certifies hi: the first predicate probes just below it,
+        # and it settles the bracket whenever it is false
+        assert c / (1.0 + tol_rel) <= first and c / first <= 1.0 + tol_rel
+        if delta_true >= c / (1.0 + tol_rel) * (1.0 + 1e-12):
+            assert len(res.evaluations) == 1
+            assert (res.delta_lo, res.delta_hi) == (first, c)
+    else:
+        assert first == bracket[0]
+
+
+def test_critical_delta_without_a_certifying_start_begins_at_the_band():
+    # at eps = 0.01 on 64^2 the portfolio loses its branched starts, and the
+    # random start certifies only above the band: no probe, and the first
+    # predicate is at the band's low end, as without certificates
+    from wellscape.bounds import critical_delta_bounds
+
+    band = critical_delta_bounds(0.01, 1.0)
+    delta_true = 0.3 * band[0] + 0.7 * band[1]
+    with pytest.warns(PortfolioShrunk):
+        starts = multistart_portfolio(0.01, GRID64, seed=0)
+    assert min(landscape.certificate(energy(f, EnergyParams(0.01, 0.0, 1)), 0.01, 1.0)
+               for _, f in starts) > band[1]
+    with pytest.MonkeyPatch.context() as m, pytest.warns(PortfolioShrunk):
+        m.setattr(landscape, "minimize", _monotone_minimize(delta_true, 0.5))
+        res = critical_delta(0.01, 1.0, 1, GRID64, FAST_CFG, tol_rel=0.25, seed=0)
+    assert res.evaluations[0].delta == band[0]
+    _check_bracket(res, delta_true, 0.25)
