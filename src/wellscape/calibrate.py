@@ -24,7 +24,7 @@ from .bounds import killerinterp_sides
 from .energy import (EmptyB, EmptyPiM, EnergyParams, _cell_center_uy,
                      b_geometry, column_uyy_integrals, energy)
 from .grid import ScalarField, l2_norm, make_grid
-from .landscape import (MinimizeConfig, _tol_e, critical_delta, minimize,
+from .landscape import (MinimizeConfig, _beats, critical_delta, minimize,
                         multistart_portfolio, random_admissible)
 
 SAFETY = 3.0
@@ -80,7 +80,6 @@ def _local_min_constants() -> tuple[float, float]:
     grid = make_grid(L, 128, 128)
     p = EnergyParams(eps, delta, 1)
     e0 = delta * L
-    tol_e = _tol_e(e0, eps)
     candidates: list[ScalarField] = []
     seed = branched_seed(BranchedSpec.from_epsilon(eps, L), grid)
     for s in (0.25, 0.5, 1.0, 2.0, 4.0):
@@ -90,8 +89,7 @@ def _local_min_constants() -> tuple[float, float]:
     min_norm = math.inf
     min_area = math.inf
     for fld in candidates:
-        br = energy(fld, p)
-        if br.total < e0 - tol_e:
+        if _beats(energy(fld, p).total, e0, eps):
             min_norm = min(min_norm, l2_norm(fld))
             area = b_geometry(fld).area_b
             if area > 0:

@@ -132,20 +132,17 @@ def certificate(br: EnergyBreakdown, epsilon: float, L: float) -> float:
 
 def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
                    cfg: MinimizeConfig, stage: int, trace: list,
-                   e_cap: float,
-                   ws: Optional[Workspace] = None) -> tuple[np.ndarray, int]:
+                   e_cap: float, ws: Workspace) -> tuple[np.ndarray, int]:
     """BB two-point steps with Armijo backtracking; monotone in the smoothed energy.
 
     Works on raw arrays: each trial point gets one value pass, and the
     gradient at an accepted trial reuses the terms of that pass.  Every
-    array lives in the workspace ws (a new one when None): trial iterates
-    rotate through three of its buffers and gradients through two, and the
-    passes and the BB step write into the rest, so no iteration allocates a
-    field.  The returned iterate is one of those buffers, which the next
-    stage on ws overwrites; x may be one too (the previous stage's end).
+    array lives in the workspace ws: trial iterates rotate through three of
+    its buffers and gradients through two, and the passes and the BB step
+    write into the rest, so no iteration allocates a field.  The returned
+    iterate is one of those buffers, which the next stage on ws overwrites;
+    x may be one too (the previous stage's end).
     """
-    if ws is None:
-        ws = Workspace()
     xs = [ws.get(("x", k), x.shape) for k in range(3)]
     gs = [ws.get(("g", k), x.shape) for k in range(2)]
     a, b = ws.get("bb", x.shape), ws.get("bb2", x.shape)
@@ -212,31 +209,27 @@ def minimize(start: ScalarField, p: EnergyParams,
     grid = start.grid
     x = np.array(start.values)
     x[0, :] = 0.0  # pin the Dirichlet edge exactly
-    start_br = energy(ScalarField(grid, x), p)
-    start_sharp = start_br.total
+    best = ScalarField(grid, x)
+    best_br = energy(best, p)
+    start_sharp = best_br.total
     e_cap = DIVERGENCE_FACTOR * max(abs(start_sharp), 1e-30)
 
     trace: list[dict] = []
     failures = 0
     ws = Workspace()   # shared by the stages, so their arrays are made once
-    best_br, best_x = start_br, x
-    cert, cert_x = certificate(start_br, p.epsilon, grid.L), x
+    cert = certificate(best_br, p.epsilon, grid.L)
+    cert_field = best if cert < math.inf else None
     for stage, w in enumerate(cfg.schedule(grid.hy)):
         pw = replace(p, smooth_w=w)
         x, nfail = _descend_stage(x, grid, pw, cfg, stage, trace, e_cap, ws)
         failures += nfail
-        br = energy(ScalarField(grid, x), p)
+        end = ScalarField(grid, x)   # a copy: x is a buffer the next stage overwrites
+        br = energy(end, p)
         c = certificate(br, p.epsilon, grid.L)
-        if br.total < best_br.total or c < cert:
-            kept = x.copy()   # x is a workspace buffer the next stage overwrites
-            if br.total < best_br.total:
-                best_br, best_x = br, kept
-            if c < cert:
-                cert, cert_x = c, kept
-
-    best = ScalarField(grid, best_x)
-    cert_field = None if cert == math.inf else \
-        best if cert_x is best_x else ScalarField(grid, cert_x)
+        if br.total < best_br.total:
+            best, best_br = end, br
+        if c < cert:
+            cert, cert_field = c, end
     return MinimizeResult(best, best_br, trace, failures, start_sharp, cert, cert_field)
 
 
@@ -290,7 +283,6 @@ class EvalRecord:
     reference: float   # E(0) = delta * L
     winner: str
     beats: bool        # the descent outcome, whatever the certificates say
-    area_b_best: float = 0.0
     certificate: float = math.inf   # least certificate among the fields descended
     certificate_start: str = ""     # the start whose descent gave it
 
@@ -337,23 +329,30 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
     descent can contradict it.  delta_lo is the largest delta below delta_hi
     at which no descent beat E(0).
 
-    The first bracket comes from the calibrated theoretical band (or
-    `bracket`), with hi lowered to the starts' least certificate.  When a
-    start certifies hi, the first predicate probes just below it: at
+    The search keeps top, the top of the calibrated theoretical band (or of
+    `bracket`), and hi = min(top, least certificate).  When a start
+    certifies top, the first predicate probes just below hi: at
     hi/(1 + tol_rel), stepped up until hi/delta <= 1 + tol_rel holds in
-    floats, the stop test below.  A false probe becomes lo and ends the
-    search, one predicate in all (its descents can only lower hi to a
-    certificate above it, or they would have beaten E(0) there); a true
-    one lowers hi to a certificate at or below it, and the search below
-    runs as without the probe.  With no certifying start there is no
-    probe.  lo moves down by factors of 10 until a predicate is false, and
-    hi up by factors of 10 only while no field certifies it; bisection is
-    geometric, runs no predicate at a delta a certificate settles, and
-    stops at hi/lo <= 1 + tol_rel.  A predicate false at a delta that a later
-    certificate reaches is counted in `inversions`, and lo falls back to the
-    largest false delta below the new hi.  A predicate descends the starts
-    on min(portfolio, cores) threads; its winner is the first lowest energy
-    in portfolio order, whatever that count.
+    floats, the stop test below.  A false probe is lo and settles the
+    bracket, one predicate in all (its descents can only lower hi to a
+    certificate above it, or they would have beaten E(0) there); a true one
+    lowers hi to a certificate at or below it.  Then each pass takes lo,
+    the largest false delta below hi, and does one of four things:
+
+    - no lo: the next step of a downward search by factors of 10, which
+      starts at the band's low end on the first pass and at hi/10 on a
+      later one; a step at or above hi runs no predicate;
+    - no certificate at or below top: climb, a predicate at top, then top
+      times 10;
+    - hi/lo > 1 + tol_rel: a predicate at the geometric midpoint;
+    - otherwise stop.
+
+    A downward search and the climb each raise BracketNotFound after 11
+    steps.  No predicate runs at a delta a certificate settles.  A
+    predicate false at a delta that a later certificate reaches is counted
+    in `inversions`.  A predicate descends the starts on min(portfolio,
+    cores) threads; its winner is the first lowest energy in portfolio
+    order, whatever that count.
     """
     from .bounds import critical_delta_bounds
 
@@ -368,8 +367,8 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
                 for name, f in starts), key=lambda c: c.value)
 
     def predicate(delta: float) -> None:
-        """Run one predicate, record it and lower hi to the least certificate."""
-        nonlocal best, hi
+        """Run one predicate, record it and keep the least certificate."""
+        nonlocal best
         p = EnergyParams(epsilon, delta, variant)
         e0 = delta * grid.L
 
@@ -379,63 +378,51 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
             # best holds still while the pool runs; a field that cannot lower
             # it is dropped here instead of kept until every start is done
             field = res.certificate_field if res.certificate < best.value else None
-            return name, res.breakdown.total, res.breakdown.area_B, res.certificate, field
+            return name, res.breakdown.total, res.certificate, field
 
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             outcomes = list(pool.map(run, starts))
-        winner, total, area, _, _ = min(outcomes, key=lambda o: o[1])
-        cert_start, _, _, cert, cert_field = min(outcomes, key=lambda o: o[3])
-        beats = _beats(total, e0, epsilon)
-        evaluations.append(EvalRecord(delta, total, e0, winner, beats, area, cert,
-                                      cert_start))
+        winner, total, _, _ = min(outcomes, key=lambda o: o[1])
+        cert_start, _, cert, cert_field = min(outcomes, key=lambda o: o[2])
+        evaluations.append(EvalRecord(delta, total, e0, winner, _beats(total, e0, epsilon),
+                                      cert, cert_start))
         if cert < best.value:
             best = _Certificate(cert, cert_start, delta, cert_field)
-        hi = min(hi, best.value)
 
-    def largest_false() -> Optional[float]:
-        return max((r.delta for r in evaluations if not r.beats and r.delta < hi),
-                   default=None)
-
-    def lower_end(probe: float) -> float:
-        """The largest delta below hi where the predicate was false; while
-        there is none, predicates at probe, probe/10, ... (those below hi)."""
-        top = probe
-        for _ in range(11):
-            if largest_false() is not None:
-                break
-            if probe < hi:
-                predicate(probe)
-            probe /= 10.0
-        lo = largest_false()
-        if lo is None:
-            raise BracketNotFound(f"predicate true over ten decades below {top:.6g}")
-        return lo
-
-    lo, hi = bracket if bracket is not None else critical_delta_bounds(epsilon, L)
-    if bracket is None and hi <= lo:
-        hi = 2.0 * lo
-    hi = min(hi, best.value)
-    if best.value <= hi:
-        # a start certifies hi: probe about the least delta the stop test
-        # accepts as lo.  False, it is lo and no further predicate runs;
-        # true, hi drops to a certificate at or below it and the search goes on
+    down, top = bracket if bracket is not None else critical_delta_bounds(epsilon, L)
+    if bracket is None and top <= down:
+        top = 2.0 * down
+    if best.value <= top:
+        hi = best.value
         probe = hi / (1.0 + tol_rel)
         while hi / probe > 1.0 + tol_rel:
             probe = math.nextafter(probe, math.inf)
         predicate(probe)
-    lower_end(lo)   # a first false delta: at lo or decades below it
-    for _ in range(11):
-        if best.value <= hi:
+    down_from, downs, climbs = down, 0, 0
+    while True:
+        hi = min(top, best.value)
+        lo = max((r.delta for r in evaluations if not r.beats and r.delta < hi),
+                 default=None)
+        if lo is None:
+            if down is None:   # a new downward search
+                down_from = down = hi / 10.0
+                downs = 0
+            if downs == 11:
+                raise BracketNotFound(f"predicate true over ten decades below {down_from:.6g}")
+            if down < hi:
+                predicate(down)
+            down, downs = down / 10.0, downs + 1
+            continue
+        down = None   # a later downward search starts at hi/10
+        if best.value > top:
+            if climbs == 11:
+                raise BracketNotFound("predicate false over ten decades above the band")
+            predicate(top)
+            top, climbs = 10.0 * top, climbs + 1
+        elif hi / lo > 1.0 + tol_rel:
+            predicate(math.sqrt(lo * hi))
+        else:
             break
-        predicate(hi)
-        hi = min(10.0 * hi, best.value)
-    if best.value > hi:
-        raise BracketNotFound("predicate false over ten decades above the band")
-
-    lo = lower_end(hi / 10.0)
-    while hi / lo > 1.0 + tol_rel:
-        predicate(math.sqrt(lo * hi))
-        lo = lower_end(hi / 10.0)
     inversions = sum(1 for r in evaluations if not r.beats and r.delta >= hi)
     return CriticalDeltaResult(epsilon, L, variant, lo, hi, evaluations, best.field,
                                best.start, best.delta, inversions)

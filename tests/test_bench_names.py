@@ -1,0 +1,30 @@
+"""The names bench/bench.py patches or reads must exist in the package.
+
+Some of them look unused where they live (landscape's energy_gradient and
+energy_smoothed, cli's b_geometry); deleting one would break
+`bench.py --trace 1` without failing any other test.
+"""
+
+import dataclasses
+import importlib
+import importlib.util
+from pathlib import Path
+
+from wellscape.landscape import MinimizeConfig, MinimizeResult
+
+BENCH = Path(__file__).resolve().parent.parent / "bench" / "bench.py"
+
+
+def test_bench_patched_and_read_names_exist():
+    # bench.py holds only constants and definitions at module level
+    spec = importlib.util.spec_from_file_location("wellscape_bench", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    missing = [(module, attr) for module, attr, _ in bench.PATCHES
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
+    # _minimize_note reads cfg.gtol (through stage_stops), res.trace and
+    # res.backtrack_failures
+    assert isinstance(MinimizeConfig().gtol, float)
+    fields = {f.name for f in dataclasses.fields(MinimizeResult)}
+    assert {"trace", "backtrack_failures"} <= fields

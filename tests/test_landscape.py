@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 from dataclasses import replace
 
@@ -23,6 +24,9 @@ def test_minimize_zero_start_stays_zero(grid64):
     res = minimize(zero_field(grid64), EnergyParams(0.1, 0.0, 1), FAST_CFG)
     assert res.breakdown.total == 0.0
     assert np.abs(res.field.values).max() == 0.0
+    # no stage end certifies, so neither does the result
+    assert res.certificate == math.inf
+    assert res.certificate_field is None
 
 
 def test_minimize_below_the_quadratic_floor(grid64):
@@ -531,3 +535,220 @@ def test_critical_delta_without_a_certifying_start_begins_at_the_band():
         res = critical_delta(0.01, 1.0, 1, GRID64, FAST_CFG, tol_rel=0.25, seed=0)
     assert res.evaluations[0].delta == band[0]
     _check_bracket(res, delta_true, 0.25)
+
+
+def _critical_delta_ref(epsilon, L, variant, grid, cfg=None, tol_rel=0.25, seed=0,
+                        bracket=None):
+    """critical_delta as a bisection with a lower_end helper and a climb
+    loop that assign hi in place; it reaches minimize, the portfolio,
+    energy and certificate through the landscape module, as the search
+    does."""
+    from wellscape.bounds import critical_delta_bounds
+
+    if min(epsilon, L) <= 0 or tol_rel <= 0:
+        raise ValueError("epsilon, L, tol_rel must be positive")
+    cfg = cfg or MinimizeConfig()
+    starts = landscape.multistart_portfolio(epsilon, grid, seed=seed)
+    evaluations = []
+    n_workers = min(len(starts), landscape.os.cpu_count() or 1)
+    p0 = EnergyParams(epsilon, 0.0, variant)
+    best = min((landscape._Certificate(
+        landscape.certificate(landscape.energy(f, p0), epsilon, grid.L), name, None, f)
+        for name, f in starts), key=lambda c: c.value)
+
+    def predicate(delta):
+        nonlocal best, hi
+        p = EnergyParams(epsilon, delta, variant)
+        e0 = delta * grid.L
+
+        def run(item):
+            name, start_field = item
+            res = landscape.minimize(start_field, p, cfg)
+            field = res.certificate_field if res.certificate < best.value else None
+            return name, res.breakdown.total, res.certificate, field
+
+        with landscape.ThreadPoolExecutor(max_workers=n_workers) as pool:
+            outcomes = list(pool.map(run, starts))
+        winner, total, _, _ = min(outcomes, key=lambda o: o[1])
+        cert_start, _, cert, cert_field = min(outcomes, key=lambda o: o[2])
+        beats = landscape._beats(total, e0, epsilon)
+        evaluations.append(landscape.EvalRecord(delta, total, e0, winner, beats, cert,
+                                                cert_start))
+        if cert < best.value:
+            best = landscape._Certificate(cert, cert_start, delta, cert_field)
+        hi = min(hi, best.value)
+
+    def largest_false():
+        return max((r.delta for r in evaluations if not r.beats and r.delta < hi),
+                   default=None)
+
+    def lower_end(probe):
+        top = probe
+        for _ in range(11):
+            if largest_false() is not None:
+                break
+            if probe < hi:
+                predicate(probe)
+            probe /= 10.0
+        lo = largest_false()
+        if lo is None:
+            raise landscape.BracketNotFound(
+                f"predicate true over ten decades below {top:.6g}")
+        return lo
+
+    lo, hi = bracket if bracket is not None else critical_delta_bounds(epsilon, L)
+    if bracket is None and hi <= lo:
+        hi = 2.0 * lo
+    hi = min(hi, best.value)
+    if best.value <= hi:
+        probe = hi / (1.0 + tol_rel)
+        while hi / probe > 1.0 + tol_rel:
+            probe = math.nextafter(probe, math.inf)
+        predicate(probe)
+    lower_end(lo)
+    for _ in range(11):
+        if best.value <= hi:
+            break
+        predicate(hi)
+        hi = min(10.0 * hi, best.value)
+    if best.value > hi:
+        raise landscape.BracketNotFound("predicate false over ten decades above the band")
+
+    lo = lower_end(hi / 10.0)
+    while hi / lo > 1.0 + tol_rel:
+        predicate(math.sqrt(lo * hi))
+        lo = lower_end(hi / 10.0)
+    inversions = sum(1 for r in evaluations if not r.beats and r.delta >= hi)
+    return landscape.CriticalDeltaResult(epsilon, L, variant, lo, hi, evaluations,
+                                         best.field, best.start, best.delta, inversions)
+
+
+GRID8 = make_grid(1.0, 8, 8)
+
+
+def _fake_landscape(m, start_certs, kind, delta_true, p_cert, salt):
+    """Patch the portfolio, energy, certificate and minimize for a search on
+    GRID8.  Start k is k * x/L with certificate start_certs[k]; a descent's
+    outcome is a function of (salt, k, delta) alone, so it does not depend on
+    the order the pool runs the starts in.  A descent that beats E(0)
+    certifies delta or less, as its winning field does; one that does not
+    certifies above delta, or nothing.  Returns the list of the deltas
+    minimize is called at."""
+    xi = GRID8.x_nodes[:, None] / GRID8.L + np.zeros(GRID8.ny)
+    starts = [(f"s{k}", ScalarField(GRID8, k * xi)) for k in range(len(start_certs))]
+    index = {id(f): k for k, (_, f) in enumerate(starts)}
+    calls = []
+
+    def fake_minimize(start, p, cfg):
+        calls.append(p.delta)
+        k = index[id(start)]
+        rng = random.Random(f"{salt}:{k}:{p.delta!r}")
+        beats = {"monotone": p.delta > delta_true,
+                 "noisy": (p.delta > delta_true) != (rng.random() < 0.2),
+                 "random": rng.random() < 0.5, "true": True, "false": False}[kind]
+        if beats:   # the field that beats E(0) certifies delta or less
+            c = (delta_true + rng.random() * (p.delta - delta_true) if kind == "monotone"
+                 else p.delta * 10.0 ** rng.uniform(-1.0, 0.0))
+        elif rng.random() < p_cert:   # above delta_true too, when that is monotone
+            c = (delta_true if kind == "monotone" else p.delta) * 10.0 ** rng.uniform(0.0, 1.0)
+        else:
+            c = math.inf
+        e0 = p.delta * GRID8.L
+        tol = landscape._tol_e(e0, p.epsilon)
+        total = e0 - (2.0 + rng.random()) * tol if beats else e0 + rng.random() * tol
+        br = EnergyBreakdown(0.0, 0.0, total, total, 0.0, GRID8.L)
+        return landscape.MinimizeResult(start, br, [], 0, total, c,
+                                        None if c == math.inf else start)
+
+    m.setattr(landscape, "multistart_portfolio", lambda epsilon, grid, seed=0: starts)
+    m.setattr(landscape, "energy", lambda f, p: f)
+    m.setattr(landscape, "certificate", lambda f, epsilon, L: start_certs[index[id(f)]])
+    m.setattr(landscape, "minimize", fake_minimize)
+    return calls
+
+
+def _search_outcome(search, *args, **kwargs):
+    """The result's bracket, records and certificate, or the exception."""
+    try:
+        res = search(*args, **kwargs)
+    except Exception as exc:   # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    field = None if res.certificate_field is None else res.certificate_field.values.tobytes()
+    return (res.evaluations, res.delta_lo, res.delta_hi, res.certificate_start,
+            res.certificate_delta, res.inversions, field)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start_certs=st.lists(st.just(math.inf) | st.floats(1e-3, 1e2), min_size=1,
+                            max_size=5),
+       kind=st.sampled_from(["monotone", "noisy", "random", "true", "false"]),
+       delta_true=st.floats(1e-3, 1e2), p_cert=st.floats(0.0, 1.0),
+       salt=st.integers(0, 2**16), epsilon=st.sampled_from([0.01, 0.05, 0.2]),
+       bracket=st.none() | st.tuples(st.floats(1e-3, 10.0), st.floats(1.01, 1e3)),
+       tol_rel=st.floats(0.01, 2.0))
+@example(start_certs=[math.inf], kind="noisy", delta_true=0.16, p_cert=0.0, salt=0,
+         epsilon=0.2, bracket=None, tol_rel=0.25)   # an inversion, then a second search down
+def test_critical_delta_matches_the_bisection_reference(start_certs, kind, delta_true,
+                                                        p_cert, salt, epsilon, bracket,
+                                                        tol_rel):
+    # the one-loop search runs the predicates of the bisection it replaced,
+    # in the same order, and returns the same records, bracket and
+    # certificate, or raises the same error after the same predicates
+    if bracket is not None:
+        bracket = (bracket[0], bracket[0] * bracket[1])
+    args = (epsilon, 1.0, 1, GRID8, FAST_CFG)
+    kwargs = dict(tol_rel=tol_rel, seed=0, bracket=bracket)
+    outcomes = []
+    for search in (critical_delta, _critical_delta_ref):
+        with pytest.MonkeyPatch.context() as m:
+            calls = _fake_landscape(m, start_certs, kind, delta_true, p_cert, salt)
+            outcomes.append((_search_outcome(search, *args, **kwargs), calls))
+    assert outcomes[0] == outcomes[1]
+
+
+def _every_descent(beats, calls):
+    """A stand-in for minimize that appends each delta it runs at to calls:
+    every descent beats E(0) and certifies its own delta, or none does and
+    none certifies."""
+    def fake(start, p, cfg):
+        calls.append(p.delta)
+        e0 = p.delta * start.grid.L
+        total = e0 - 2.0 * landscape._tol_e(e0, p.epsilon) if beats else e0
+        c = p.delta if beats else math.inf
+        br = EnergyBreakdown(0.0, 0.0, total, total, 0.0, start.grid.L)
+        return landscape.MinimizeResult(start, br, [], 0, total, c,
+                                        start if beats else None)
+    return fake
+
+
+def test_critical_delta_true_everywhere_raises_below():
+    # the starts certify 0.844, the probe beats E(0) and certifies itself,
+    # and so does every predicate of the downward search from the bracket's
+    # low end: 11 of them, then BracketNotFound
+    calls = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(landscape, "minimize", _every_descent(True, calls))
+        with pytest.raises(landscape.BracketNotFound,
+                           match=r"^predicate true over ten decades below 0\.05$"):
+            critical_delta(0.05, 1.0, 1, GRID64, FAST_CFG, tol_rel=0.25,
+                           bracket=(0.05, 5.0), seed=0)
+    deltas = list(dict.fromkeys(calls))   # one entry per predicate
+    assert START_CERT / 1.25 <= deltas[0] < START_CERT
+    assert len(deltas) == 1 + 11
+    assert deltas[1] == 0.05
+    assert all(a / b == pytest.approx(10.0) for a, b in zip(deltas[1:], deltas[2:]))
+
+
+def test_critical_delta_false_everywhere_raises_above():
+    # no start certifies (the zero start alone) and no descent beats E(0)
+    # or certifies: the bracket's low end is lo, then 11 climbs from its top
+    calls = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(landscape, "multistart_portfolio",
+                  lambda epsilon, grid, seed=0: [("zero", zero_field(grid))])
+        m.setattr(landscape, "minimize", _every_descent(False, calls))
+        with pytest.raises(landscape.BracketNotFound,
+                           match=r"^predicate false over ten decades above the band$"):
+            critical_delta(0.05, 1.0, 1, GRID64, FAST_CFG, tol_rel=0.25,
+                           bracket=(0.05, 5.0), seed=0)
+    assert calls == [0.05] + [5.0 * 10.0**k for k in range(11)]
