@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
+import warnings
 
 import numpy as np
 
@@ -446,30 +447,76 @@ def validate_admissible(u: ScalarField) -> AdmissibilityReport:
 # ---------------------------------------------------------------------------
 # WSF1 text dump format
 
+# A table entry, a str of up to 24 characters plus its slot, costs about
+# 80 bytes: ten float64 values.
+_TABLE_COST = 10
+_BLOCK_ROWS = 16   # rows per write: bounds the index and string temporaries
+
+
+def _distinct_bits(values: np.ndarray) -> Optional[np.ndarray]:
+    """The sorted distinct uint64 bit patterns of values, so -0.0 and +0.0
+    stay apart; None when more than one value in _TABLE_COST is distinct."""
+    ordered = np.sort(values.view(np.uint64), axis=None)
+    first = np.empty(ordered.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if _TABLE_COST * np.count_nonzero(first) > ordered.size:
+        return None
+    return ordered[first]
+
+
 def write_field(path, u: ScalarField) -> None:
     """Write the WSF1 dump: header, then nx+1 lines of ny values (row-major in i).
 
     Values are printed with 17 significant digits so readers round-trip
-    bit-identically.
+    bit-identically.  A field with few distinct values, such as a
+    construction built from 1-D profiles, formats each distinct value once
+    and joins rows from that string table, block by block: the 17-digit
+    conversion is the cost of a dump.  Where more than one value in
+    _TABLE_COST is distinct, the table would outweigh the field itself and
+    spare few conversions, so np.savetxt formats every value.  Both paths
+    write the same bytes.  The sorted copy of the bit patterns, the size of
+    the field, is the largest transient; no whole file's text is held.
     """
     g = u.grid
+    distinct = _distinct_bits(u.values)
     with open(path, "w", newline="\n") as fh:
-        np.savetxt(fh, u.values, fmt="%.17g", comments="",
-                   header=f"WSF1 nx={g.nx} ny={g.ny} L={g.L:.17g}")
+        fh.write(f"WSF1 nx={g.nx} ny={g.ny} L={g.L:.17g}\n")
+        if distinct is None:
+            np.savetxt(fh, u.values, fmt="%.17g")
+            return
+        table = np.array(["%.17g" % v for v in distinct.view(np.float64).tolist()],
+                         dtype=object)
+        bits = u.values.view(np.uint64)
+        for i in range(0, g.nx + 1, _BLOCK_ROWS):
+            rows = table[np.searchsorted(distinct, bits[i:i + _BLOCK_ROWS])].tolist()
+            fh.write("".join([" ".join(row) + "\n" for row in rows]))
 
 
 def read_field(path) -> ScalarField:
-    """Read a WSF1 dump written by write_field."""
+    """Read a WSF1 dump written by write_field.
+
+    The header is checked, and the grid built, before any value is read.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         if not header or header[0] != "WSF1":
             raise ValueError(f"not a WSF1 file: {path}")
+        bad = [part for part in header[1:] if "=" not in part]
+        if bad:
+            raise ValueError(f"WSF1 header of {path} has a token without '=': {bad[0]!r}")
         meta = dict(part.split("=", 1) for part in header[1:])
         missing = [key for key in ("nx", "ny", "L") if key not in meta]
         if missing:
             raise ValueError(f"WSF1 header of {path} lacks {', '.join(missing)}")
-        nx, ny, L = int(meta["nx"]), int(meta["ny"]), float(meta["L"])
-        values = np.loadtxt(fh, dtype=float, ndmin=2)
-    if values.shape != (nx + 1, ny):
-        raise ValueError(f"WSF1 payload shape {values.shape} != {(nx + 1, ny)}")
-    return ScalarField(make_grid(L, nx, ny), values)
+        grid = make_grid(float(meta["L"]), int(meta["nx"]), int(meta["ny"]))
+        with warnings.catch_warnings():
+            # a header-only file is reported below, as a ValueError alone
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            values = np.loadtxt(fh, dtype=float, ndmin=2)
+    if values.size == 0:
+        raise ValueError(f"WSF1 file {path} has a header but no values")
+    if values.shape != (grid.nx + 1, grid.ny):
+        raise ValueError(f"WSF1 payload shape {values.shape} != {(grid.nx + 1, grid.ny)}")
+    return ScalarField(grid, values)

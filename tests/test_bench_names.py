@@ -8,8 +8,10 @@ energy_smoothed, cli's b_geometry); deleting one would break
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
+from wellscape import cli
 from wellscape.landscape import MinimizeConfig, MinimizeResult
 
 BENCH = Path(__file__).resolve().parent.parent / "bench" / "bench.py"
@@ -28,3 +30,10 @@ def test_bench_patched_and_read_names_exist():
     assert isinstance(MinimizeConfig().gtol, float)
     fields = {f.name for f in dataclasses.fields(MinimizeResult)}
     assert {"trace", "backtrack_failures"} <= fields
+
+
+def test_write_field_takes_the_path_first():
+    # bench.py wraps cli.write_field and takes the file size from args[0]
+    first = next(iter(inspect.signature(cli.write_field).parameters.values()))
+    assert first.name == "path"
+    assert first.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD

@@ -280,12 +280,16 @@ def test_bad_scalars_are_config_errors(tmp_path, capsys, where):
 
 
 def test_unreadable_field_is_config_error(tmp_path, capsys):
-    # a missing file, a file that is not WSF1 and a header without L, both
-    # as the energy command's input and as minimize's start
+    # a missing file, a file that is not WSF1, a header without L, a header
+    # token without '=' and a header with no values, both as the energy
+    # command's input and as minimize's start
     (tmp_path / "text.wsf1").write_text("hello\n")
     (tmp_path / "no_l.wsf1").write_text("WSF1 nx=8 ny=8\n" + "0 " * 8 + "\n")
+    (tmp_path / "junk.wsf1").write_text("WSF1 nx=8 ny=8 L=1 junk\n" + "0 " * 8 + "\n")
+    (tmp_path / "empty.wsf1").write_text("WSF1 nx=8 ny=8 L=1\n")
     for name, reason in (("missing.wsf1", "No such file"), ("text.wsf1", "not a WSF1"),
-                         ("no_l.wsf1", "lacks L")):
+                         ("no_l.wsf1", "lacks L"), ("junk.wsf1", "without '=': 'junk'"),
+                         ("empty.wsf1", "has a header but no values")):
         path = str(tmp_path / name)
         for cfg in ({"schema": 1, "command": "energy", "input": {"field": path},
                      "energy": {"epsilon": 0.1}},

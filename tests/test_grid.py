@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,13 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wellscape import (InvalidGrid, ScalarField, d_x, d_xx, d_xy, d_y, d_yy,
+from wellscape import (BranchedSpec, InvalidGrid, PotentialSpec, ScalarField,
+                       branched_seed, d_x, d_xx, d_xy, d_y, d_yy,
                        field_from_function, integrate, l2_norm, make_grid,
-                       read_field, shift_y, validate_admissible, write_field,
-                       zero_field)
+                       potential_seed, random_admissible, read_field, shift_y,
+                       validate_admissible, write_field, zero_field)
 from wellscape.energy import SURFACE_STENCILS
 import wellscape
-from wellscape.grid import Workspace, adjoint, apply
+from wellscape.grid import _TABLE_COST, Workspace, _distinct_bits, adjoint, apply
 
 # every (x, y) operator pair the energies apply: the surface stencils, the
 # elastic u_x, the cell-center u_y of the well term and the cell averaging
@@ -344,20 +347,91 @@ EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
                1e-300, -1e-300, 1e300, -1e300, 1.0 / 3.0, 0.1]
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), nx=st.integers(8, 41), ny=st.integers(8, 41),
-       L=st.floats(1e-3, 1e3))
-def test_write_field_matches_loop_writer(tmp_path_factory, data, nx, ny, L):
-    # same file bytes as the loop writer on odd grids, 17-digit widths,
-    # signed zeros, subnormals and +-1e300; the file reads back bit-identically
-    elements = st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False,
-                                                        allow_infinity=False)
-    vals = data.draw(arrays(np.float64, (nx + 1, ny), elements=elements))
-    u = ScalarField(make_grid(L, nx, ny), vals)
-    out = tmp_path_factory.mktemp("wsf1")
+def _assert_writes_like_loop_writer(out, u):
     write_field(out / "new.wsf1", u)
     _write_field_ref(out / "ref.wsf1", u)
     assert (out / "new.wsf1").read_bytes() == (out / "ref.wsf1").read_bytes()
     back = read_field(out / "new.wsf1")
     assert back.grid == u.grid
     assert back.values.tobytes() == u.values.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), nx=st.integers(8, 41), ny=st.integers(8, 41),
+       L=st.floats(1e-3, 1e3), pooled=st.booleans())
+def test_write_field_matches_loop_writer(tmp_path_factory, data, nx, ny, L, pooled):
+    # same file bytes as the loop writer on odd grids, 17-digit widths,
+    # signed zeros, subnormals and +-1e300; the file reads back bit-identically.
+    # A pooled field draws from at most 8 values, both zeros and a subnormal
+    # among them, so it takes the distinct-value path.
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    elements = st.sampled_from(EDGE_VALUES) | finite
+    if pooled:
+        room = min(8, (nx + 1) * ny // _TABLE_COST) - 3
+        pool = [-0.0, 0.0, data.draw(st.sampled_from([5e-324, -5e-324, 1e-310]))]
+        pool += data.draw(st.lists(elements, max_size=room))
+        elements = st.sampled_from(pool)
+    vals = data.draw(arrays(np.float64, (nx + 1, ny), elements=elements))
+    if pooled:
+        assert _distinct_bits(vals) is not None
+    _assert_writes_like_loop_writer(tmp_path_factory.mktemp("wsf1"),
+                                    ScalarField(make_grid(L, nx, ny), vals))
+
+
+@pytest.mark.parametrize("extra, table", [(0, True), (1, False)])
+def test_write_field_either_side_of_the_path_threshold(tmp_path, rng, extra, table):
+    # 200 values, 20 distinct take the table path and 21 the savetxt path
+    nx, ny = 19, 10
+    n_distinct = (nx + 1) * ny // _TABLE_COST + extra
+    pool = np.array([-0.0, 0.0, 5e-324] + [k / 3.0 for k in range(1, n_distinct - 2)])
+    picks = rng.permutation(np.arange((nx + 1) * ny) % n_distinct)
+    vals = pool[picks].reshape(nx + 1, ny)
+    assert (_distinct_bits(vals) is not None) == table
+    _assert_writes_like_loop_writer(tmp_path, ScalarField(make_grid(1.0, nx, ny), vals))
+
+
+def test_write_field_branched_seed_matches_loop_writer(tmp_path):
+    # 5 % of the branched seed's values are distinct: the table path
+    g = make_grid(1.0, 256, 256)
+    u = branched_seed(BranchedSpec.from_epsilon(1e-3, 1.0), g)
+    assert _distinct_bits(u.values) is not None
+    _assert_writes_like_loop_writer(tmp_path, u)
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: branched_seed(BranchedSpec.from_epsilon(1e-3, g.L), g),
+    lambda g: potential_seed(PotentialSpec(4, 1.0, nR=2048), g),
+    lambda g: random_admissible(g, np.random.default_rng(5)),
+], ids=["branched", "potential", "random"])
+def test_write_field_peak_memory(tmp_path, make):
+    # the sorted bit patterns, the field's size, are the writer's largest
+    # transient: no whole file's text and no string per value is held
+    u = make(make_grid(1.0, 512, 512))
+    tracemalloc.start()
+    try:
+        write_field(tmp_path / "f.wsf1", u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * u.values.nbytes, peak / u.values.nbytes
+
+
+def test_read_field_checks_the_header_before_the_payload(tmp_path):
+    # the payload is not numbers: reading it would raise another ValueError
+    path = tmp_path / "neg.wsf1"
+    path.write_text("WSF1 nx=-8 ny=8 L=1\n" + "x " * 8 + "\n")
+    with pytest.raises(InvalidGrid, match="need nx, ny >= 8"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("WSF1 nx=8 ny=8 L=1 junk\n" + "0 " * 8 + "\n", "token without '=': 'junk'"),
+    ("WSF1 nx=8 ny=8 L=1\n", "has a header but no values"),
+])
+def test_read_field_malformed_files(tmp_path, text, message):
+    path = tmp_path / "bad.wsf1"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            read_field(path)
