@@ -42,7 +42,8 @@ class PortfolioShrunk(UserWarning):
 
 
 class BracketNotFound(RuntimeError):
-    """No predicate sign change within ten decades of well-depth."""
+    """No predicate sign change within ten decades of well-depth, or a
+    bracket too near 0 for its geometric midpoint to be a float inside it."""
 
 
 STEP0 = 1e-3              # first trial step of each stage
@@ -348,11 +349,13 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
     - otherwise stop.
 
     A downward search and the climb each raise BracketNotFound after 11
-    steps.  No predicate runs at a delta a certificate settles.  A
-    predicate false at a delta that a later certificate reaches is counted
-    in `inversions`.  A predicate descends the starts on min(portfolio,
-    cores) threads; its winner is the first lowest energy in portfolio
-    order, whatever that count.
+    steps, and so does a midpoint step once lo * hi underflows: a predicate
+    that keeps certifying below lo drives the bracket towards 0, and
+    sqrt(lo * hi) is then no float inside it.  No predicate runs at a delta
+    a certificate settles.  A predicate false at a delta that a later
+    certificate reaches is counted in `inversions`.  A predicate descends
+    the starts on min(portfolio, cores) threads; its winner is the first
+    lowest energy in portfolio order, whatever that count.
     """
     from .bounds import critical_delta_bounds
 
@@ -420,7 +423,11 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
             predicate(top)
             top, climbs = 10.0 * top, climbs + 1
         elif hi / lo > 1.0 + tol_rel:
-            predicate(math.sqrt(lo * hi))
+            mid = math.sqrt(lo * hi)
+            if not lo < mid < hi:   # lo * hi underflowed
+                raise BracketNotFound(f"[{lo:.6g}, {hi:.6g}] too near 0 to bisect: "
+                                      "lo * hi underflows")
+            predicate(mid)
         else:
             break
     inversions = sum(1 for r in evaluations if not r.beats and r.delta >= hi)

@@ -616,7 +616,11 @@ def _critical_delta_ref(epsilon, L, variant, grid, cfg=None, tol_rel=0.25, seed=
 
     lo = lower_end(hi / 10.0)
     while hi / lo > 1.0 + tol_rel:
-        predicate(math.sqrt(lo * hi))
+        mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:
+            raise landscape.BracketNotFound(f"[{lo:.6g}, {hi:.6g}] too near 0 to bisect: "
+                                            "lo * hi underflows")
+        predicate(mid)
         lo = lower_end(hi / 10.0)
     inversions = sum(1 for r in evaluations if not r.beats and r.delta >= hi)
     return landscape.CriticalDeltaResult(epsilon, L, variant, lo, hi, evaluations,
@@ -688,6 +692,9 @@ def _search_outcome(search, *args, **kwargs):
        tol_rel=st.floats(0.01, 2.0))
 @example(start_certs=[math.inf], kind="noisy", delta_true=0.16, p_cert=0.0, salt=0,
          epsilon=0.2, bracket=None, tol_rel=0.25)   # an inversion, then a second search down
+@example(start_certs=[93.24390190842549, 1.05, 93.24390190842549, 1.05, math.inf],
+         kind="noisy", delta_true=93.24390190842549, p_cert=0.0, salt=0, epsilon=0.01,
+         bracket=None, tol_rel=0.01)   # true below lo, again and again, until lo * hi underflows
 def test_critical_delta_matches_the_bisection_reference(start_certs, kind, delta_true,
                                                         p_cert, salt, epsilon, bracket,
                                                         tol_rel):
