@@ -27,6 +27,7 @@ from . import constructions as cons
 # b_geometry is not called here, but bench/ wraps it under this name
 from .energy import (EmptyB, EnergyParams, TauOne, _cell_center_uy,  # noqa: F401
                      b_geometry, energy)
+# bench/ wraps write_field under this name too: call it as a global, at write time
 from .grid import ScalarField, make_grid, read_field, write_field, zero_field
 from .landscape import (BracketNotFound, Diverged, MinimizeConfig,
                         critical_delta, local_minimality_probe, minimize,
@@ -38,36 +39,32 @@ class ConfigError(ValueError):
 
 
 def _atomic_write(out_dir: str, name: str, writer) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            writer(fh)
-        os.replace(tmp, os.path.join(out_dir, name))
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return name
-
-
-def _write_json(out_dir: str, name: str, payload) -> str:
-    return _atomic_write(out_dir, name,
-                         lambda fh: json.dump(payload, fh, indent=2, sort_keys=True))
-
-
-def _write_field_artifact(out_dir: str, name: str, field: ScalarField) -> str:
+    """Write out_dir/name through a temp file and a rename: writer(path)
+    fills the temp file, and a writer that raises leaves no file behind."""
     os.makedirs(out_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
     os.close(fd)
     try:
-        write_field(tmp, field)
+        writer(tmp)
         os.replace(tmp, os.path.join(out_dir, name))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
     return name
+
+
+def _write_text(out_dir: str, name: str, dump) -> str:
+    """A text artifact: dump(fh) writes it to the open file."""
+    def writer(path):
+        with open(path, "w", newline="\n") as fh:
+            dump(fh)
+    return _atomic_write(out_dir, name, writer)
+
+
+def _write_json(out_dir: str, name: str, payload) -> str:
+    return _write_text(out_dir, name,
+                       lambda fh: json.dump(payload, fh, indent=2, sort_keys=True))
 
 
 def _require(cfg: dict, key: str):
@@ -194,7 +191,7 @@ def _cmd_construct(cfg, out_dir, seed):
         p = EnergyParams(_scalar(c, "epsilon", float, 0.1), delta,
                          _scalar(c, "variant", int, 3))
     artifacts = [
-        _write_field_artifact(out_dir, "field.wsf1", fld),
+        _atomic_write(out_dir, "field.wsf1", lambda path: write_field(path, fld)),
         _write_json(out_dir, "spec.json", spec.to_json_dict()),
         _write_json(out_dir, "breakdown.json", energy(fld, p).to_json_dict()),
     ]
@@ -219,9 +216,9 @@ def _cmd_minimize(cfg, out_dir, seed):
             fh.write(json.dumps(rec) + "\n")
 
     return [
-        _write_field_artifact(out_dir, "final.wsf1", res.field),
+        _atomic_write(out_dir, "final.wsf1", lambda path: write_field(path, res.field)),
         _write_json(out_dir, "breakdown.json", res.breakdown.to_json_dict()),
-        _atomic_write(out_dir, "trace.jsonl", dump_trace),
+        _write_text(out_dir, "trace.jsonl", dump_trace),
     ]
 
 
@@ -250,7 +247,7 @@ def _cmd_critical_delta(cfg, out_dir, seed):
         w.writerows(_eval_rows(res))
 
     return [_write_json(out_dir, "result.json", payload),
-            _atomic_write(out_dir, "evaluations.csv", dump_evals)]
+            _write_text(out_dir, "evaluations.csv", dump_evals)]
 
 
 def _cmd_sweep_delta(cfg, out_dir, seed):
@@ -276,7 +273,7 @@ def _cmd_sweep_delta(cfg, out_dir, seed):
     payload = {"slope": fit.slope, "constant": fit.constant,
                "residual_rms": fit.residual_rms,
                "samples": [list(s) for s in fit.samples]}
-    return [_atomic_write(out_dir, "sweep.csv", dump_sweep),
+    return [_write_text(out_dir, "sweep.csv", dump_sweep),
             _write_json(out_dir, "scaling.json", payload)]
 
 
@@ -310,8 +307,8 @@ def _cmd_verify(cfg, out_dir, seed):
         with suppress(EmptyB):
             reports.append(replace(bnd.killerinterp_check(fld, 1e30), context=name))
 
-    artifacts = [_atomic_write(out_dir, "reports.csv",
-                               lambda fh: bnd.reports_to_csv(reports, fh))]
+    artifacts = [_write_text(out_dir, "reports.csv",
+                             lambda fh: bnd.reports_to_csv(reports, fh))]
     failed = [f"{r.check} ({r.context})" for r in reports if not r.holds]
     if failed:
         raise bnd.InequalityViolated(
@@ -382,6 +379,8 @@ def run(config_path: str, out_dir: str = ".", seed: int | None = None) -> int:
         if command not in _COMMANDS:
             raise ConfigError(f"unknown command {command!r}")
         run_seed = seed if seed is not None else _scalar(cfg, "seed", int, 0)
+        if run_seed < 0:
+            raise ConfigError(f"bad 'seed' ({run_seed}): must be non-negative")
     except (OSError, json.JSONDecodeError, ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

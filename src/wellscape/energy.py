@@ -233,10 +233,7 @@ def _quadratic_sums(values: np.ndarray, grid: Grid, epsilon: float, variant: int
     The fields are apply(values, x, y) per SURFACE_STENCILS row, then u_x.
     Without a workspace each is dropped once integrated (at 1024^2 a
     variant-3 field set would be 34 MB) and the list comes back empty; with
-    one they stay in it, C-ordered, for the gradient pass.  Each square is
-    laid out as apply() lays out its field by default (F order for a y-only
-    row), because the quadrature's row sums, and so their last bits, depend
-    on the layout.
+    one they stay in it for the gradient pass.
     """
     rows = [(x, y) for x, y, _ in SURFACE_STENCILS[variant]] + [("Dx", None)]
     shape = (grid.nx + 1, grid.ny)
@@ -248,12 +245,6 @@ def _quadratic_sums(values: np.ndarray, grid: Grid, epsilon: float, variant: int
             f = apply(grid, values, x, y, out=ws.get(("field", k), shape), ws=ws)
             fields.append(f)
             square = np.square(f, out=ws.get("square", shape))
-            if x is None:
-                # to F order, as apply() lays out a y-only field; a plain
-                # copy transposes faster than np.square into F order does
-                square_f = ws.get("square F", shape, "F")
-                np.copyto(square_f, square)
-                square = square_f
         integrals.append(integrate(square, grid))
     *surface, elastic = integrals
     weights = [w for _, _, w in SURFACE_STENCILS[variant]]

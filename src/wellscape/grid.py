@@ -15,14 +15,14 @@ Each operator is a stencil table, built once per grid: the terms of its
 interior rows as (offset, coefficient) pairs, and its other rows (the
 y-wrap, the one-sided x rows) listed explicitly.  apply() and adjoint()
 evaluate a table with slices of whole rows, and write into a caller's array
-when given one.  They reproduce the sparse products the operators used to
-be, bit for bit: the coefficients are the same floats, every output sums
-its terms in the matrix's column order, and a sum comes out +0.0 wherever a
-sparse product, which starts each sum from +0.0, gives +0.0.  The result
-also keeps the sparse product's memory layout, C order after an x-operator
-and F order after a y-operator alone, because a later reduction (the row
-sums of integrate(), the total of a BB step) adds in memory order, so its
-last bits depend on the layout.
+when given one.  Their results are C-ordered arrays, and every nonzero
+output has the bits of the sparse product the operator used to be: the
+coefficients are the same floats, and every output sums its terms in the
+matrix's column order.  A zero output may come out -0.0 where that
+product, which starts each sum from +0.0, gave +0.0.  No nonzero sum,
+product or operator output depends on the sign of a zero, and the energies
+square, take the absolute value of, or accumulate from +0.0 what they get,
+so none of their results sees it.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ def field_from_function(grid: Grid,
 class Workspace:
     """Scratch arrays that one computation reuses from call to call.
 
-    get() hands out the array kept under a key and makes a new one only when
-    the key is new or its shape, dtype or memory order changed.  A workspace
+    get() hands out the C-ordered array kept under a key and makes a new one
+    only when the key is new or its shape or dtype changed.  A workspace
     serves one thread: the predicate pool descends two starts at once, so
     each descent makes its own, and nothing caches one per grid.
     """
@@ -126,11 +126,10 @@ class Workspace:
     def __init__(self):
         self._arrays: dict = {}
 
-    def get(self, key, shape: tuple, order: str = "C", dtype=float) -> np.ndarray:
+    def get(self, key, shape: tuple, dtype=float) -> np.ndarray:
         a = self._arrays.get(key)
-        if a is None or a.shape != shape or a.dtype != dtype or \
-                not a.flags[order + "_CONTIGUOUS"]:
-            a = self._arrays[key] = np.empty(shape, dtype, order)
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self._arrays[key] = np.empty(shape, dtype)
         return a
 
 
@@ -247,21 +246,14 @@ def _stencils(grid: Grid) -> dict:
 
 
 def _evaluate(st: _Stencil, src: np.ndarray, dst: np.ndarray, axis: int,
-              tmp: np.ndarray, exact: bool) -> None:
-    """dst = D along `axis` of src; src, dst and tmp share one memory order.
+              tmp: np.ndarray) -> None:
+    """dst = D along `axis` of src; src, dst and tmp are C-ordered.
 
     Along the slow axis each output row is a slice of whole input rows; along
     the contiguous axis (y-operators only, which are square) the interior is
     one flat run whose row seams land on the edge columns, rewritten after.
-    Each output sums its terms in CSR column order.  A plain sum is -0.0
-    only where every term it adds is -0.0, and there CSR, which starts from
-    +0.0, gives +0.0; with `exact` the closing dst += 0.0 maps exactly those
-    sums.  Without it the result differs from CSR's only in the sign of some
-    zeros, which the next operator of a chain cannot see: a sum started from
-    +0.0 comes out the same whatever the sign of a zero term.
+    Each output sums its terms in CSR column order.
     """
-    if not src.flags.c_contiguous:
-        src, dst, tmp, axis = src.T, dst.T, tmp.T, 1 - axis
     step = src.shape[1] if axis == 0 else 1
     sf, df, tf = src.reshape(-1), dst.reshape(-1), tmp.reshape(-1)
     b, e = st.lo * step, df.size - (st.n_out - st.hi) * step
@@ -279,7 +271,7 @@ def _evaluate(st: _Stencil, src: np.ndarray, dst: np.ndarray, axis: int,
             f, o = args
             f(out, tf[b + o * step:e + o * step], out=out)
     if st.edges:
-        # edge rows are whole input rows, or columns when y is contiguous, done
+        # edge rows are whole input rows, or columns for a y-operator, done
         # one line at a time: numpy keeps the GIL for loops of at most 500
         # values, so at 256^2 the predicate pool's two threads do not hand it
         # over at each of these short products
@@ -290,36 +282,30 @@ def _evaluate(st: _Stencil, src: np.ndarray, dst: np.ndarray, axis: int,
             np.multiply(sv[col], a, out=acc)
             for col, a in more:
                 acc += np.multiply(sv[col], a, out=scratch)
-    if exact:
-        df += 0.0
 
 
 def _chain(values: np.ndarray, ops: list, out: Optional[np.ndarray],
-           ws: Optional[Workspace], default_order: str) -> np.ndarray:
-    """Apply (stencil, axis) pairs in turn.  The last result goes to `out`, or
-    to a new array in `default_order`; scratch comes from `ws`, else from
-    one temporary per operator."""
+           ws: Optional[Workspace]) -> np.ndarray:
+    """Apply (stencil, axis) pairs in turn to values, copied to C order first
+    if it is not.  The last result goes to `out`, or to a new C-ordered array;
+    scratch comes from `ws`, else from one temporary per operator."""
+    values = np.ascontiguousarray(values)
     for k, (st, axis) in enumerate(ops):
-        if not values.flags.c_contiguous and (axis == 0 or not values.flags.f_contiguous):
-            values = np.ascontiguousarray(values)  # x-operators run on whole C rows
-        order = "C" if values.flags.c_contiguous else "F"
         shape = (st.n_out, values.shape[1]) if axis == 0 else (values.shape[0], st.n_out)
         last = k == len(ops) - 1
-        if last and out is not None and out.flags[order + "_CONTIGUOUS"]:
+        if last and out is not None and out.flags.c_contiguous:
             dst = out
-        elif ws is None or (last and out is None and order == default_order):
-            dst = np.empty(shape, order=order)
+        elif ws is None or (last and out is None):
+            dst = np.empty(shape)
         else:
-            dst = ws.get(("dst", k, order), shape, order)
-        tmp = (np.empty(values.shape, order=order) if ws is None else
-               ws.get(("tmp", values.shape, order), values.shape, order))
-        _evaluate(st, values, dst, axis, tmp, exact=last)
+            dst = ws.get(("dst", k), shape)
+        tmp = np.empty(values.shape) if ws is None else ws.get(("tmp", values.shape), values.shape)
+        _evaluate(st, values, dst, axis, tmp)
         del tmp
         values = dst
-    if out is None:
-        return np.asarray(values, order=default_order)
-    if values is not out:
-        np.copyto(out, values)
+    if out is None or values is out:
+        return values
+    np.copyto(out, values)
     return out
 
 
@@ -329,26 +315,18 @@ def apply(grid: Grid, values: np.ndarray, x: Optional[str] = None,
     """X @ values @ Y^T for the named x- and y-operators (None: identity), y first.
 
     Names: Dx, Dxx, Axc (nodes -> cells) in x; Dy, Dyy, Fy, Ayc (cell circle) in y.
-    Every output is the sum of its terms in the column order of the CSR
-    matrix, started from +0.0: the bits of the sparse product.  Without
-    `out` the result is a new array laid out as that product was, C order
-    when an x-operator is applied (X @ v) and F order after a y-operator
-    alone ((Y @ v^T)^T), since later sums in memory order depend on it.
-    With `out` (C or F order, the caller's choice) the result is written
-    there.  Scratch arrays come from `ws`; without one, each operator
-    allocates one temporary.
-
-    A y-operator runs along whole rows of an F-ordered input; on a C-ordered
-    one, where y is the contiguous axis, its interior is one flat run over
-    the array.  An x-operator runs on whole rows of a C-ordered input (an
-    F-ordered one is copied first).
+    Every nonzero output has the bits of the CSR product: its terms summed
+    in the matrix's column order.  The result is a new C-ordered array, or
+    `out` (C or F order, the caller's choice) when one is given.  An input
+    that is not C-ordered is copied to C order first.  Scratch arrays come
+    from `ws`; without one, each operator allocates one temporary.
     """
     tables = _stencils(grid)
     ops = ([(tables[y][0], 1)] if y is not None else []) + \
         ([(tables[x][0], 0)] if x is not None else [])
     if not ops:
         return values
-    return _chain(values, ops, out, ws, "C" if x is not None else "F")
+    return _chain(values, ops, out, ws)
 
 
 def adjoint(grid: Grid, values: np.ndarray, x: Optional[str] = None,
@@ -356,15 +334,14 @@ def adjoint(grid: Grid, values: np.ndarray, x: Optional[str] = None,
             ws: Optional[Workspace] = None) -> np.ndarray:
     """X^T @ values @ Y, the adjoint of apply(); the x-operator acts first.
 
-    Summed, laid out and written as apply() does; by default the result is
-    in F order when a y-operator acts last.
+    Summed, laid out and written as apply() does.
     """
     tables = _stencils(grid)
     ops = ([(tables[x][1], 0)] if x is not None else []) + \
         ([(tables[y][1], 1)] if y is not None else [])
     if not ops:
         return values
-    return _chain(values, ops, out, ws, "F" if y is not None else "C")
+    return _chain(values, ops, out, ws)
 
 
 def d_y(u: ScalarField) -> ScalarField:

@@ -1,5 +1,7 @@
 import io
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from wellscape import (BandEmpty, BranchedSpec, BumpSpec, DegenerateInterval,
                        obstacle_min_1d, poincare_check, potential_seed,
                        pq_region, proportional_band, reports_to_csv,
                        theorem2_bounds, wopper_check, zero_field)
-from wellscape import PotentialSpec
+from wellscape import PotentialSpec, calibrate
 from wellscape.bounds import killerinterp_sides, obstacle_qp_oracle
 from wellscape.energy import b_geometry, column_uyy_integrals
 from wellscape.grid import d_yy, integrate
@@ -187,6 +189,14 @@ def test_killerinterp_branched_and_potential():
     assert killerinterp_check(seed, 1e30).holds
     pot = potential_seed(PotentialSpec(4, 1.0, nR=2048), g)
     assert killerinterp_check(pot, 1e30).holds
+
+
+def test_calibrate_reproduces_the_packaged_file():
+    # the committed constants are what python -m wellscape.calibrate writes
+    packaged = resources.files("wellscape").joinpath("calibration.json").read_text()
+    values = calibrate.calibrate()
+    assert values == json.loads(packaged)
+    assert json.dumps(values, indent=2, sort_keys=True) == packaged
 
 
 def test_killerinterp_calibration_and_check_agree():

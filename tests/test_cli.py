@@ -172,6 +172,25 @@ def test_no_orphan_artifacts(tmp_path):
     assert sorted(os.listdir(out_dir)) == sorted(manifest["artifacts"] + ["manifest.json"])
 
 
+def test_failing_writer_leaves_no_temp_file(tmp_path, monkeypatch):
+    # a field writer that fails halfway, and a JSON payload json.dump cannot
+    # finish: each raises out of the write, and no .name.* temp file stays
+    def half_written(path, field):
+        with open(path, "w") as fh:
+            fh.write("WSF1 nx=8")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_field", half_written)
+    cfg = {"schema": 1, "command": "construct-branched",
+           "grid": {"L": 1.0, "nx": 32, "ny": 32}, "construction": {"epsilon": 0.1}}
+    with pytest.raises(OSError, match="disk full"):
+        _run(tmp_path, cfg)
+    assert os.listdir(tmp_path / "out") == []
+    with pytest.raises(TypeError):
+        cli._write_json(str(tmp_path / "out"), "spec.json", {"a": 1, "b": object()})
+    assert os.listdir(tmp_path / "out") == []
+
+
 def test_calibration_env_override(tmp_path, monkeypatch):
     from wellscape import bounds
     alt = tmp_path / "alt.json"
@@ -276,6 +295,19 @@ def test_bad_scalars_are_config_errors(tmp_path, capsys, where):
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("config error") and repr(key) in err, err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("cfg_seed, seed", [(-3, None), (0, -5)])
+def test_negative_seed_is_config_error(tmp_path, capsys, cfg_seed, seed):
+    # "seed" in the config, and the --seed override
+    cfg = {"schema": 1, "command": "verify-inequalities", "seed": cfg_seed,
+           "grid": GRID16, "energy": {"epsilon": 0.1}, "n_random": 1}
+    code, out_dir = _run(tmp_path, cfg, seed=seed)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    bad = cfg_seed if seed is None else seed
+    assert err == f"config error: bad 'seed' ({bad}): must be non-negative\n"
     assert not out_dir.exists()
 
 

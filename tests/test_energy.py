@@ -14,8 +14,8 @@ from wellscape import (BranchedSpec, EmptyB, EnergyParams, NotAdmissible,
 from wellscape.energy import (SURFACE_STENCILS, TIE_TOL, _cell_center_uy,
                               _column_lengths, column_uyy_integrals,
                               surface_and_elastic)
-from wellscape.grid import _x_weights, adjoint, apply, d_yy
-from wellscape.landscape import random_admissible
+from wellscape.grid import ScalarField, _x_weights, adjoint, apply, d_yy
+from wellscape.landscape import certificate, random_admissible
 
 
 def test_well_potential_values():
@@ -310,3 +310,37 @@ def test_fused_smoothed_kernel_matches_two_pass(shape, variant, w, delta, eps, k
         value_ref, grad_ref = _energy_smoothed_ref(u, p), _energy_gradient_ref(u, p)
     assert value.hex() == value_ref.hex()
     assert grad.tobytes() == grad_ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(4, 15).map(lambda k: 2 * k + 1),
+       ny=st.integers(4, 15).map(lambda k: 2 * k + 1), L=st.floats(0.25, 4.0),
+       variant=st.sampled_from([1, 2, 3]), eps=st.floats(0.005, 0.3),
+       delta=st.floats(0.0, 3.0), w=st.floats(0.01, 0.5),
+       amplitude=st.floats(0.005, 0.5), zero_frac=st.floats(0.05, 0.95),
+       seed=st.integers(0, 2**32 - 1))
+def test_zero_signs_are_invisible(nx, ny, L, variant, eps, delta, w, amplitude,
+                                  zero_frac, seed):
+    # apply() and adjoint() may give -0.0 where the sparse products gave
+    # +0.0; a field and its twin with -0.0 at each of its zeros (row 0 and a
+    # random subset) must give the same bits in everything computed from them
+    g = make_grid(L, nx, ny)
+    rng = np.random.default_rng(seed)
+    plus = amplitude * rng.normal(size=(nx + 1, ny))
+    zero = rng.random(plus.shape) < zero_frac
+    zero[0] = True
+    plus[zero] = 0.0
+    minus = plus.copy()
+    minus[zero] = -0.0
+    sharp = EnergyParams(eps, delta, variant)
+    smooth = EnergyParams(eps, delta, variant, smooth_w=w)
+
+    def results(values):
+        u = ScalarField(g, values)
+        br = energy(u, sharp)
+        geom = b_geometry(u)
+        return repr([br.to_json_dict(), energy_smoothed(u, sharp),
+                     energy_smoothed(u, smooth), energy_gradient(u, smooth).values.tolist(),
+                     geom.area_b, geom.tau, certificate(br, eps, L)])
+
+    assert results(minus) == results(plus)
