@@ -15,8 +15,8 @@ import csv
 import hashlib
 import json
 import os
+import secrets
 import sys
-import tempfile
 from contextlib import suppress
 from dataclasses import replace
 
@@ -40,10 +40,12 @@ class ConfigError(ValueError):
 
 def _atomic_write(out_dir: str, name: str, writer) -> str:
     """Write out_dir/name through a temp file and a rename: writer(path)
-    fills the temp file, and a writer that raises leaves no file behind."""
+    fills the temp file, and a writer that raises leaves no file behind.
+    The temp file is made under a fresh name with mode 0666 less the umask,
+    as open() would make the artifact itself."""
     os.makedirs(out_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
-    os.close(fd)
+    tmp = os.path.join(out_dir, f".{name}.{secrets.token_hex(8)}")
+    os.close(os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666))
     try:
         writer(tmp)
         os.replace(tmp, os.path.join(out_dir, name))
@@ -84,12 +86,27 @@ def _scalar(section: dict, key: str, cast, default=_REQUIRED):
     raw = _require(section, key)
     try:
         return cast(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {key!r} ({raw!r}): {exc}") from exc
 
 
+def _int(value) -> int:
+    """A JSON integer; a bool, a string or a number with a fraction is not."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise TypeError("must be an integer")
+    return int(value)
+
+
+def _float(value) -> float:
+    """A JSON number; a bool or a string is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("must be a number")
+    return float(value)
+
+
 def _positive(value) -> float:
-    value = float(value)
+    value = _float(value)
     if not value > 0.0:
         raise ValueError("must be positive")
     return value
@@ -107,7 +124,7 @@ def _section(cfg: dict, key: str, default: dict | None = None) -> dict:
 
 def _grid_from(cfg: dict):
     g = _section(cfg, "grid")
-    L, nx, ny = _scalar(g, "L", float), _scalar(g, "nx", int), _scalar(g, "ny", int)
+    L, nx, ny = _scalar(g, "L", _float), _scalar(g, "nx", _int), _scalar(g, "ny", _int)
     try:
         return make_grid(L, nx, ny)
     except ValueError as exc:
@@ -116,16 +133,16 @@ def _grid_from(cfg: dict):
 
 def _params_from(cfg: dict) -> EnergyParams:
     e = _section(cfg, "energy")
-    eps, delta = _scalar(e, "epsilon", float), _scalar(e, "delta", float, 0.0)
-    variant = _scalar(e, "variant", int, 1)
+    eps, delta = _scalar(e, "epsilon", _float), _scalar(e, "delta", _float, 0.0)
+    variant = _scalar(e, "variant", _int, 1)
     try:
         return EnergyParams(eps, delta, variant)
     except ValueError as exc:
         raise ConfigError(f"bad energy section: {exc}") from exc
 
 
-_MINCFG_TYPES = {"max_iters": int, "w_init": float, "w_factor": float,
-                 "w_floor": float, "gtol": float}
+_MINCFG_TYPES = {"max_iters": _int, "w_init": _float, "w_factor": _float,
+                 "w_floor": _float, "gtol": _float}
 
 
 def _mincfg_from(cfg: dict) -> MinimizeConfig:
@@ -152,11 +169,11 @@ def _build_start(cfg: dict, grid, seed: int) -> ScalarField:
     if kind == "zero":
         return zero_field(grid)
     if kind == "branched":
-        eps = _scalar(start, "epsilon", float, _params_from(cfg).epsilon)
+        eps = _scalar(start, "epsilon", _float, _params_from(cfg).epsilon)
         return cons.branched_seed(cons.BranchedSpec.from_epsilon(eps, grid.L), grid)
     if kind == "random":
         rng = np.random.default_rng(seed)
-        return random_admissible(grid, rng, amplitude=_scalar(start, "amplitude", float, 0.1))
+        return random_admissible(grid, rng, amplitude=_scalar(start, "amplitude", _float, 0.1))
     if kind == "file":
         fld = _read_field_from(_scalar(start, "path", os.fspath))
         if fld.grid != grid:
@@ -172,24 +189,24 @@ def _cmd_construct(cfg, out_dir, seed):
     command = cfg["command"]
     grid = _grid_from(cfg)
     c = _section(cfg, "construction", {})
-    delta = _scalar(c, "delta", float, 0.0)
+    delta = _scalar(c, "delta", _float, 0.0)
     if command == "construct-branched":
-        eps = _scalar(c, "epsilon", float)
+        eps = _scalar(c, "epsilon", _float)
         spec = cons.BranchedSpec.from_epsilon(eps, grid.L)
         fld = cons.branched_seed(spec, grid)
-        p = EnergyParams(eps, delta, _scalar(c, "variant", int, 3))
+        p = EnergyParams(eps, delta, _scalar(c, "variant", _int, 3))
     elif command == "construct-bump":
-        spec = cons.BumpSpec(_scalar(c, "a", float), _scalar(c, "delta_x", float),
-                             _scalar(c, "lambda", float), grid.L)
+        spec = cons.BumpSpec(_scalar(c, "a", _float), _scalar(c, "delta_x", _float),
+                             _scalar(c, "lambda", _float), grid.L)
         fld = cons.nucleation_bump(spec, grid)
-        p = EnergyParams(_scalar(c, "epsilon", float, 0.1), delta,
-                         _scalar(c, "variant", int, 1))
+        p = EnergyParams(_scalar(c, "epsilon", _float, 0.1), delta,
+                         _scalar(c, "variant", _int, 1))
     else:
-        spec = cons.PotentialSpec(_scalar(c, "j", int), grid.L,
-                                  nR=_scalar(c, "nR", int, 4096))
+        spec = cons.PotentialSpec(_scalar(c, "j", _int), grid.L,
+                                  nR=_scalar(c, "nR", _int, 4096))
         fld = cons.potential_seed(spec, grid)
-        p = EnergyParams(_scalar(c, "epsilon", float, 0.1), delta,
-                         _scalar(c, "variant", int, 3))
+        p = EnergyParams(_scalar(c, "epsilon", _float, 0.1), delta,
+                         _scalar(c, "variant", _int, 3))
     artifacts = [
         _atomic_write(out_dir, "field.wsf1", lambda path: write_field(path, fld)),
         _write_json(out_dir, "spec.json", spec.to_json_dict()),
@@ -253,8 +270,8 @@ def _cmd_critical_delta(cfg, out_dir, seed):
 def _cmd_sweep_delta(cfg, out_dir, seed):
     grid = _grid_from(cfg)
     sweep = _section(cfg, "sweep")
-    eps_list = _scalar(sweep, "epsilons", lambda v: sweep_epsilons([float(e) for e in v]))
-    variant = _scalar(sweep, "variant", int, 1)
+    eps_list = _scalar(sweep, "epsilons", lambda v: sweep_epsilons([_float(e) for e in v]))
+    variant = _scalar(sweep, "variant", _int, 1)
     fit, results = scaling_sweep(eps_list, grid.L, variant, grid,
                                  _mincfg_from(cfg),
                                  tol_rel=_scalar(cfg, "tol_rel", _positive, 0.25),
@@ -280,7 +297,7 @@ def _cmd_sweep_delta(cfg, out_dir, seed):
 def _cmd_verify(cfg, out_dir, seed):
     grid = _grid_from(cfg)
     p = _params_from(cfg)
-    n_random = _scalar(cfg, "n_random", int, 20)
+    n_random = _scalar(cfg, "n_random", _int, 20)
     rng = np.random.default_rng(seed)
     fields = []
     try:
@@ -320,7 +337,7 @@ def _cmd_probe(cfg, out_dir, seed):
     grid = _grid_from(cfg)
     p = _params_from(cfg)
     probe = _section(cfg, "probe", {})
-    n = _scalar(probe, "n_samples", int, 1000)
+    n = _scalar(probe, "n_samples", _int, 1000)
     cal = bnd.load_calibration()
     r_cal, _ = bnd.theorem2_bounds(p.epsilon, p.delta, grid.L,
                                    C=bnd.calibration_value("local_min_r_C", cal))
@@ -339,9 +356,9 @@ def _cmd_probe(cfg, out_dir, seed):
 
 def _cmd_obstacle(cfg, out_dir, seed):
     section = _section(cfg, "obstacle", {})
-    pairs = _scalar(section, "pairs", lambda v: [(float(a), float(b)) for a, b in v],
+    pairs = _scalar(section, "pairs", lambda v: [(_float(a), _float(b)) for a, b in v],
                     [(0.0, 1.0), (0.0, 0.5), (0.2, 0.9)])
-    n = _scalar(section, "n", int, 512)
+    n = _scalar(section, "n", _int, 512)
     rows = []
     for y1, y2 in pairs:
         sol = bnd.obstacle_min_1d(y1, y2)
@@ -378,7 +395,7 @@ def run(config_path: str, out_dir: str = ".", seed: int | None = None) -> int:
         command = _require(cfg, "command")
         if command not in _COMMANDS:
             raise ConfigError(f"unknown command {command!r}")
-        run_seed = seed if seed is not None else _scalar(cfg, "seed", int, 0)
+        run_seed = seed if seed is not None else _scalar(cfg, "seed", _int, 0)
         if run_seed < 0:
             raise ConfigError(f"bad 'seed' ({run_seed}): must be non-negative")
     except (OSError, json.JSONDecodeError, ConfigError, ValueError) as exc:

@@ -366,8 +366,7 @@ def energy_smoothed(u: ScalarField, p: EnergyParams) -> float:
     With smooth_w = 0 this is exactly the sharp total.
     """
     if p.smooth_w == 0.0:
-        surface, elastic = surface_and_elastic(u, p.epsilon, p.variant)
-        return surface + elastic + p.delta * (u.grid.L - _b_cells(u)[2])
+        return energy(u, p).total
     return _smoothed_terms(u.values, u.grid, p)[0]
 
 

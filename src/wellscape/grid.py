@@ -11,24 +11,22 @@ is cell-centered: the integral is the sum over cells of the bilinear
 cell-center value times hx*hy, which is exact for cellwise-bilinear
 integrands and makes boolean cell masks partition the area of Omega exactly.
 
-Each operator is a stencil table, built once per grid: the terms of its
-interior rows as (offset, coefficient) pairs, and its other rows (the
-y-wrap, the one-sided x rows) listed explicitly.  apply() and adjoint()
+Each operator is a stencil table, built once per grid: its interior rows
+are an integer combination of shifted input rows (coefficients +-1 or -2)
+times one float scale, and its other rows (the y-wrap, the one-sided x
+rows) are listed explicitly as float coefficients.  apply() and adjoint()
 evaluate a table with slices of whole rows, and write into a caller's array
-when given one.  Their results are C-ordered arrays, and every nonzero
-output has the bits of the sparse product the operator used to be: the
-coefficients are the same floats, and every output sums its terms in the
-matrix's column order.  A zero output may come out -0.0 where that
-product, which starts each sum from +0.0, gave +0.0.  No nonzero sum,
-product or operator output depends on the sign of a zero, and the energies
-square, take the absolute value of, or accumulate from +0.0 what they get,
-so none of their results sees it.
+when given one; their results are C-ordered arrays.  An interior output is
+its unit terms summed, then scaled once, so it differs from the matrix
+product D @ u by at most a few roundoffs of |D| @ |u| (Higham, Accuracy and
+Stability of Numerical Algorithms, 2002, ch. 4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+import math
 from typing import Callable, NamedTuple, Optional
 import warnings
 
@@ -136,25 +134,25 @@ class Workspace:
 class _Stencil(NamedTuple):
     """One operator D with n_out rows as slice arithmetic along its axis.
 
-    Output rows lo..hi-1 share one row of terms, the interior: (offset,
-    coefficient) pairs in the order of the CSR columns, output row r reading
-    input row r + offset.  `steps` evaluates them (see _interior_steps) with
-    `shared`, the coefficient magnitude most of them have, applied once to
-    the whole input.  Every other output row is listed in `edges` as (row,
-    ((column, coefficient), ...)), columns ascending.
+    Output rows lo..hi-1 share one interior row: `scale` times the sum of
+    the input rows r + offset over `units`, (offset, np.add or np.subtract)
+    pairs whose first is np.add, a coefficient of -2 being two units.  Every
+    other output row is listed in `edges` as (row, ((column, coefficient),
+    ...)), columns ascending.
     """
 
     n_out: int
     lo: int
     hi: int
-    shared: float
-    steps: tuple
+    scale: float
+    units: tuple
     edges: tuple
 
 
 def _stencil(rows: list) -> _Stencil:
     """The table of explicit rows [((column, coefficient), ...), ...]; the
-    longest run of rows with equal terms becomes the interior."""
+    longest run of rows with equal terms becomes the interior, whose scale is
+    its least coefficient magnitude, signed as its first coefficient."""
     shapes = [tuple((col - r, a) for col, a in row) for r, row in enumerate(rows)]
     lo = hi = start = 0
     for r in range(1, len(rows) + 1):
@@ -162,39 +160,20 @@ def _stencil(rows: list) -> _Stencil:
             if r - start > hi - lo:
                 lo, hi = start, r
             start = r
+    terms = shapes[lo]
+    scale = math.copysign(min(abs(a) for _, a in terms), terms[0][1])
+    units = []
+    for o, a in terms:
+        k = a / scale
+        if k != int(k) or k * scale != a:
+            raise ValueError(f"interior coefficient {a} is no integer multiple of {scale}")
+        units += [(o, np.add if k > 0 else np.subtract)] * int(abs(k))
     edges = tuple((r, row) for r, row in enumerate(rows) if not lo <= r < hi)
-    return _Stencil(len(rows), lo, hi, *_interior_steps(shapes[lo]), edges)
-
-
-def _interior_steps(terms: tuple) -> tuple[float, tuple]:
-    """(c, steps) that sum the interior terms in CSR column order.
-
-    tmp = c * src serves every term with coefficient +c or -c (-(c x) is
-    (-c) x exactly); a term with another coefficient is multiplied straight
-    into the output, so it must be one of the first two, whose sum does not
-    depend on their order.  Steps: ("own", offset, coefficient), ("tmp",),
-    ("pair", ufunc, offset, offset) and ("add", ufunc, offset).
-    """
-    mags = [abs(a) for _, a in terms]
-    c = max(mags, key=mags.count)
-    own = [k for k, m in enumerate(mags) if m != c]
-    reads = [(o, a > 0) for o, a in terms]
-    if len(terms) >= 2 and own in ([0], [1]):
-        first = [("own", *terms[own[0]]), ("tmp",)]
-        del reads[own[0]]
-    elif len(terms) >= 2 and not own and (reads[0][1] or reads[1][1]):
-        (o0, p0), (o1, p1) = reads[:2]
-        first = [("tmp",), ("pair", np.add if p0 == p1 else np.subtract,
-                            *((o0, o1) if p0 else (o1, o0)))]
-        del reads[:2]
-    else:
-        raise ValueError(f"no slice evaluation for the stencil {terms}")
-    return c, tuple(first + [("add", np.add if positive else np.subtract, o)
-                             for o, positive in reads])
+    return _Stencil(len(rows), lo, hi, scale, tuple(units), edges)
 
 
 def _transposed(rows: list, n_in: int) -> list:
-    """Rows of D^T; each lists the rows of D in ascending order, as CSR does."""
+    """Rows of D^T; each lists the rows of D in ascending order."""
     cols = [[] for _ in range(n_in)]
     for r, row in enumerate(rows):
         for col, a in row:
@@ -206,8 +185,8 @@ def _transposed(rows: list, n_in: int) -> list:
 def _stencils(grid: Grid) -> dict:
     """Operator name -> (stencil of D, stencil of D^T).
 
-    The coefficients are the floats c / h and c / h**2 that the sparse
-    matrices held, so every product is bit for bit the one a CSR product forms.
+    Each interior coefficient is exactly +-1 or -2 times its scale (+-0.5 / h,
+    1 / h, 1 / h**2 or 0.5): scaling by a power of two commutes with rounding.
     """
     nx, ny = grid.nx, grid.ny
     hx, hy = grid.hx, grid.hy
@@ -245,31 +224,24 @@ def _stencils(grid: Grid) -> dict:
     return {name: (_stencil(r), _stencil(_transposed(r, n))) for name, (r, n) in rows.items()}
 
 
-def _evaluate(st: _Stencil, src: np.ndarray, dst: np.ndarray, axis: int,
-              tmp: np.ndarray) -> None:
-    """dst = D along `axis` of src; src, dst and tmp are C-ordered.
+def _evaluate(st: _Stencil, src: np.ndarray, dst: np.ndarray, axis: int) -> None:
+    """dst = D along `axis` of src; src and dst are C-ordered.
 
     Along the slow axis each output row is a slice of whole input rows; along
     the contiguous axis (y-operators only, which are square) the interior is
     one flat run whose row seams land on the edge columns, rewritten after.
-    Each output sums its terms in CSR column order.
+    The interior adds or subtracts its unit input slices straight into dst,
+    then multiplies by the scale once.
     """
     step = src.shape[1] if axis == 0 else 1
-    sf, df, tf = src.reshape(-1), dst.reshape(-1), tmp.reshape(-1)
+    sf, df = src.reshape(-1), dst.reshape(-1)
     b, e = st.lo * step, df.size - (st.n_out - st.hi) * step
     out = df[b:e]
-    for kind, *args in st.steps:
-        if kind == "tmp":
-            np.multiply(sf, st.shared, out=tf)
-        elif kind == "own":
-            o, a = args
-            np.multiply(sf[b + o * step:e + o * step], a, out=out)
-        elif kind == "pair":
-            f, o0, o1 = args
-            f(tf[b + o0 * step:e + o0 * step], tf[b + o1 * step:e + o1 * step], out=out)
-        else:
-            f, o = args
-            f(out, tf[b + o * step:e + o * step], out=out)
+    (o0, _), (o1, f), *rest = st.units
+    f(sf[b + o0 * step:e + o0 * step], sf[b + o1 * step:e + o1 * step], out=out)
+    for o, f in rest:
+        f(out, sf[b + o * step:e + o * step], out=out)
+    np.multiply(out, st.scale, out=out)
     if st.edges:
         # edge rows are whole input rows, or columns for a y-operator, done
         # one line at a time: numpy keeps the GIL for loops of at most 500
@@ -288,7 +260,7 @@ def _chain(values: np.ndarray, ops: list, out: Optional[np.ndarray],
            ws: Optional[Workspace]) -> np.ndarray:
     """Apply (stencil, axis) pairs in turn to values, copied to C order first
     if it is not.  The last result goes to `out`, or to a new C-ordered array;
-    scratch comes from `ws`, else from one temporary per operator."""
+    the intermediate ones to `ws`, else to new arrays."""
     values = np.ascontiguousarray(values)
     for k, (st, axis) in enumerate(ops):
         shape = (st.n_out, values.shape[1]) if axis == 0 else (values.shape[0], st.n_out)
@@ -299,9 +271,7 @@ def _chain(values: np.ndarray, ops: list, out: Optional[np.ndarray],
             dst = np.empty(shape)
         else:
             dst = ws.get(("dst", k), shape)
-        tmp = np.empty(values.shape) if ws is None else ws.get(("tmp", values.shape), values.shape)
-        _evaluate(st, values, dst, axis, tmp)
-        del tmp
+        _evaluate(st, values, dst, axis)
         values = dst
     if out is None or values is out:
         return values
@@ -315,11 +285,10 @@ def apply(grid: Grid, values: np.ndarray, x: Optional[str] = None,
     """X @ values @ Y^T for the named x- and y-operators (None: identity), y first.
 
     Names: Dx, Dxx, Axc (nodes -> cells) in x; Dy, Dyy, Fy, Ayc (cell circle) in y.
-    Every nonzero output has the bits of the CSR product: its terms summed
-    in the matrix's column order.  The result is a new C-ordered array, or
-    `out` (C or F order, the caller's choice) when one is given.  An input
-    that is not C-ordered is copied to C order first.  Scratch arrays come
-    from `ws`; without one, each operator allocates one temporary.
+    The result is a new C-ordered array, or `out` (C or F order, the
+    caller's choice) when one is given, with the same bits either way.  An
+    input that is not C-ordered is copied to C order first.  The other
+    arrays the operators write come from `ws`, else are new.
     """
     tables = _stencils(grid)
     ops = ([(tables[y][0], 1)] if y is not None else []) + \
@@ -334,7 +303,7 @@ def adjoint(grid: Grid, values: np.ndarray, x: Optional[str] = None,
             ws: Optional[Workspace] = None) -> np.ndarray:
     """X^T @ values @ Y, the adjoint of apply(); the x-operator acts first.
 
-    Summed, laid out and written as apply() does.
+    Evaluated, laid out and written as apply() does.
     """
     tables = _stencils(grid)
     ops = ([(tables[x][1], 0)] if x is not None else []) + \

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -191,6 +192,21 @@ def test_failing_writer_leaves_no_temp_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path / "out") == []
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifacts_follow_the_umask(tmp_path, umask, mode):
+    cfg = {"schema": 1, "command": "construct-branched",
+           "grid": {"L": 1.0, "nx": 32, "ny": 32}, "construction": {"epsilon": 0.1}}
+    old = os.umask(umask)
+    try:
+        code, out_dir = _run(tmp_path, cfg)
+    finally:
+        os.umask(old)
+    assert code == 0
+    modes = {name: stat.S_IMODE(os.stat(out_dir / name).st_mode)
+             for name in os.listdir(out_dir)}
+    assert len(modes) == 4 and set(modes.values()) == {mode}, modes
+
+
 def test_calibration_env_override(tmp_path, monkeypatch):
     from wellscape import bounds
     alt = tmp_path / "alt.json"
@@ -271,6 +287,18 @@ BAD_SCALARS = {
                          "energy": {"epsilon": 0.05, "delta": 0.5},
                          "probe": {"n_samples": "many"}}, "n_samples"),
     "seed": ({"command": "obstacle-1d", "seed": [1]}, "seed"),
+    "seed 3.7": ({"command": "obstacle-1d", "seed": 3.7}, "seed"),
+    "seed true": ({"command": "obstacle-1d", "seed": True}, "seed"),
+    "nx 16.9": ({"command": "construct-branched", "grid": {"L": 1.0, "nx": 16.9, "ny": 16},
+                 "construction": {"epsilon": 0.1}}, "nx"),
+    "variant true": ({"command": "minimize", "grid": GRID16,
+                      "energy": {"epsilon": 0.1, "variant": True},
+                      "start": {"type": "zero"}}, "variant"),
+    "tol_rel true": ({"command": "critical-delta", "grid": GRID16,
+                      "energy": {"epsilon": 0.05}, "tol_rel": True}, "tol_rel"),
+    "delta string": ({"command": "minimize", "grid": GRID16,
+                      "energy": {"epsilon": 0.1, "delta": "0.3"},
+                      "start": {"type": "zero"}}, "delta"),
     "construct-branched": ({"command": "construct-branched", "grid": GRID16,
                             "construction": {"epsilon": "small"}}, "epsilon"),
     "construct-bump": ({"command": "construct-bump", "grid": GRID16,

@@ -193,6 +193,15 @@ def test_smoothed_matches_sharp_outside_band(grid64):
     assert energy_smoothed(u, p) == pytest.approx(energy(u, p).total, abs=1e-14)
 
 
+@pytest.mark.parametrize("variant", [1, 2, 3])
+def test_smoothed_at_zero_width_is_the_sharp_total(grid64, rng, variant):
+    p = EnergyParams(0.1, 0.8, variant)   # smooth_w = 0
+    fields = [zero_field(grid64), random_admissible(grid64, rng, amplitude=2.0),
+              branched_seed(BranchedSpec.from_epsilon(0.1, 1.0), grid64)]
+    for u in fields:
+        assert energy_smoothed(u, p) == energy(u, p).total
+
+
 def test_smoothed_sharp_gap_bounded(grid64, rng):
     p = EnergyParams(0.1, 0.9, 1, smooth_w=0.2)
     for _ in range(5):
@@ -321,8 +330,7 @@ def test_fused_smoothed_kernel_matches_two_pass(shape, variant, w, delta, eps, k
        seed=st.integers(0, 2**32 - 1))
 def test_zero_signs_are_invisible(nx, ny, L, variant, eps, delta, w, amplitude,
                                   zero_frac, seed):
-    # apply() and adjoint() may give -0.0 where the sparse products gave
-    # +0.0; a field and its twin with -0.0 at each of its zeros (row 0 and a
+    # a field and its twin with -0.0 at each of its zeros (row 0 and a
     # random subset) must give the same bits in everything computed from them
     g = make_grid(L, nx, ny)
     rng = np.random.default_rng(seed)
