@@ -99,10 +99,14 @@ def _int(value) -> int:
 
 
 def _float(value) -> float:
-    """A JSON number; a bool or a string is not."""
+    """A finite JSON number; a bool, a string, Infinity, NaN or a literal
+    that overflows to inf (1e999) is not."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError("must be a number")
-    return float(value)
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _positive(value) -> float:

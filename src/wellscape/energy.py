@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .grid import (Grid, ScalarField, Workspace, adjoint, apply, integrate,
+from .grid import (Grid, ScalarField, Workspace, adjoint, apply, integrate_square,
                    validate_admissible)
 
 # |u_y| >= 1 is tested with this slack so that exact ties survive roundoff
@@ -230,22 +230,21 @@ def _quadratic_sums(values: np.ndarray, grid: Grid, epsilon: float, variant: int
                     ws: Optional[Workspace] = None) -> tuple[float, float, list]:
     """(eps^2 * S_variant, integral of u_x^2, fields) of the nodal values.
 
-    The fields are apply(values, x, y) per SURFACE_STENCILS row, then u_x.
-    Without a workspace each is dropped once integrated (at 1024^2 a
-    variant-3 field set would be 34 MB) and the list comes back empty; with
-    one they stay in it for the gradient pass.
+    The fields are apply(values, x, y) per SURFACE_STENCILS row, then u_x,
+    each integrated by integrate_square.  Without a workspace each is dropped
+    once integrated (at 1024^2 a variant-3 field set would be 34 MB) and the
+    list comes back empty; with one they stay in it for the gradient pass.
     """
     rows = [(x, y) for x, y, _ in SURFACE_STENCILS[variant]] + [("Dx", None)]
     shape = (grid.nx + 1, grid.ny)
     fields, integrals = [], []
     for k, (x, y) in enumerate(rows):
         if ws is None:
-            square = apply(grid, values, x, y) ** 2
+            f = apply(grid, values, x, y)
         else:
             f = apply(grid, values, x, y, out=ws.get(("field", k), shape), ws=ws)
             fields.append(f)
-            square = np.square(f, out=ws.get("square", shape))
-        integrals.append(integrate(square, grid))
+        integrals.append(integrate_square(f, grid))
     *surface, elastic = integrals
     weights = [w for _, _, w in SURFACE_STENCILS[variant]]
     return epsilon**2 * sum(w * i for w, i in zip(weights, surface)), elastic, fields
@@ -287,7 +286,8 @@ def _smoothed_terms(values: np.ndarray, grid: Grid, p: EnergyParams,
     """Value pass of the smoothed energy (smooth_w > 0): every forward apply once.
 
     The indicator chi_(-1,1)(|u_y|) becomes the C^1 smoothstep
-    1 - t^2 (3 - 2t): 1 below |u_y| = 1 - w, 0 above 1, cubic between.
+    1 - t^2 (3 - 2t): 1 below |u_y| = 1 - w, 0 above 1, cubic between; the
+    well term sums it over the n cells as n - sum t^2 (3 - 2t).
     Every array, the returned terms included, lives in `ws` (a new one when
     none is given) until the next pass that uses it.
     """
@@ -301,12 +301,10 @@ def _smoothed_terms(values: np.ndarray, grid: Grid, p: EnergyParams,
     t -= 1.0 - w
     t /= w
     np.clip(t, 0.0, 1.0, out=t)
-    s = np.multiply(t, t, out=ws.get("s", cells))
-    c = np.multiply(t, 2.0, out=ws.get("c", cells))
-    np.subtract(3.0, c, out=c)
-    s *= c
-    np.subtract(1.0, s, out=s)
-    value = surface + elastic + p.delta * grid.hx * grid.hy * float(s.sum())
+    c = np.multiply(t, -2.0, out=ws.get("well", cells))
+    c += 3.0
+    inside = t.size - float(np.einsum("ij,ij,ij->", t, t, c))
+    value = surface + elastic + p.delta * grid.hx * grid.hy * inside
     return value, _SmoothedTerms(fields, dx, uy, t)
 
 
@@ -320,9 +318,10 @@ def _smoothed_gradient(terms: _SmoothedTerms, grid: Grid, p: EnergyParams,
     i = 0 and nx, 1 between, where x * 1.0 is x, so only the two end rows are
     scaled); the well term contributes the adjoint of the cell-center u_y
     applied to the smoothstep slope -6 t (1 - t) / w times sign(u_y), which
-    vanishes where t is clipped.  Rows at i = 0 are zeroed (the Dirichlet
-    edge stays pinned during descent).  The gradient goes to `out` (a new
-    array when none is given); scratch comes from `ws`.
+    vanishes where t is clipped, with -6 / w folded into its scalar factor.
+    Rows at i = 0 are zeroed (the Dirichlet edge stays pinned during
+    descent).  The gradient goes to `out` (a new array when none is given);
+    scratch comes from `ws`.
     """
     ws = Workspace() if ws is None else ws
     shape = (grid.nx + 1, grid.ny)
@@ -343,17 +342,16 @@ def _smoothed_gradient(terms: _SmoothedTerms, grid: Grid, p: EnergyParams,
         term *= coef
         grad += term
 
-    # slope * sign(u_y) is formed as -copysign(6 t (1 - t) / w, u_y): the
+    # slope * sign(u_y) is formed as -(6 / w) copysign(t (1 - t), u_y): the
     # same numbers wherever it is nonzero, as the slope is <= 0 and nonzero
-    # only where |u_y| > 1 - w; the minus sign moves onto the coefficient
+    # only where |u_y| > 1 - w.  The factor saturates at the largest float,
+    # so that where 6 / w overflows the cells outside the band still give 0
     t = terms.t
-    well = np.subtract(1.0, t, out=ws.get("s", t.shape))  # the value pass is done with s
-    t *= 6.0
+    well = np.subtract(1.0, t, out=ws.get("well", t.shape))  # the value pass is done with it
     well *= t
-    well /= p.smooth_w
     np.copysign(well, terms.uy, out=well)
     adjoint(grid, well, *CELL_UY, out=term, ws=ws)
-    term *= -(p.delta * scale)
+    term *= max(-6.0 * p.delta * scale / p.smooth_w, -np.finfo(float).max)
     grad += term
 
     grad[0, :] = 0.0

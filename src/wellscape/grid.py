@@ -359,6 +359,16 @@ def integrate(f: ScalarField | np.ndarray, grid: Grid | None = None) -> float:
     return float(grid.hx * grid.hy * (w @ values.sum(axis=1)))
 
 
+def integrate_square(f: np.ndarray, grid: Grid) -> float:
+    """integrate(f * f, grid), reading f once and writing no field.
+
+    The row sums of f * f come from einsum, which never calls BLAS, so the
+    bits do not depend on the number of BLAS threads.
+    """
+    rows = np.einsum("ij,ij->i", f, f)
+    return float(grid.hx * grid.hy * (_x_weights(grid) @ rows))
+
+
 def l2_norm(u: ScalarField) -> float:
     """sqrt of integrate(u^2)."""
     return float(np.sqrt(max(integrate(u.values**2, u.grid), 0.0)))

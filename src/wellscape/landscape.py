@@ -140,9 +140,11 @@ def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
     gradient at an accepted trial reuses the terms of that pass.  Every
     array lives in the workspace ws: trial iterates rotate through three of
     its buffers and gradients through two, and the passes and the BB step
-    write into the rest, so no iteration allocates a field.  The returned
-    iterate is one of those buffers, which the next stage on ws overwrites;
-    x may be one too (the previous stage's end).
+    write into the rest, so no iteration allocates a field.  The BB step's
+    inner products are einsum reductions, which write no product field and
+    never call BLAS, so the iterates do not depend on BLAS threads.  The
+    returned iterate is one of those buffers, which the next stage on ws
+    overwrites; x may be one too (the previous stage's end).
     """
     xs = [ws.get(("x", k), x.shape) for k in range(3)]
     gs = [ws.get(("g", k), x.shape) for k in range(2)]
@@ -164,14 +166,13 @@ def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
             break
         if prev_x is not None:
             yv = np.subtract(g, prev_g, out=a)
-            denom = float(np.multiply(yv, yv, out=b).sum())
+            denom = float(np.einsum("ij,ij->", yv, yv))
             if denom > 0:
-                sy = np.subtract(x, prev_x, out=b)
-                sy *= yv
-                t = abs(float(sy.sum())) / denom
+                sv = np.subtract(x, prev_x, out=b)
+                t = abs(float(np.einsum("ij,ij->", sv, yv))) / denom
             t = min(max(t, 1e-18), 1e8)
         accepted = False
-        gg = float(np.multiply(g, g, out=a).sum())
+        gg = float(np.einsum("ij,ij->", g, g))
         x_new = next(buf for buf in xs if buf is not x and buf is not prev_x)
         for _ in range(MAX_BACKTRACKS):
             np.multiply(g, t, out=x_new)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import stat
@@ -275,6 +276,11 @@ BAD_SCALARS = {
                       "energy": {"epsilon": 0.05}, "tol_rel": [1]}, "tol_rel"),
     "tol_rel zero": ({"command": "critical-delta", "grid": GRID16,
                       "energy": {"epsilon": 0.05}, "tol_rel": 0}, "tol_rel"),
+    # written as Infinity, which json.load reads as inf, as it does 1e999
+    "tol_rel inf": ({"command": "critical-delta", "grid": GRID16,
+                     "energy": {"epsilon": 0.05}, "tol_rel": math.inf}, "tol_rel"),
+    "epsilon inf": ({"command": "critical-delta", "grid": GRID16,
+                     "energy": {"epsilon": math.inf}}, "epsilon"),
     "sweep epsilons": ({"command": "sweep-delta", "grid": GRID16,
                         "sweep": {"epsilons": 5}}, "epsilons"),
     "sweep too few": ({"command": "sweep-delta", "grid": GRID16,

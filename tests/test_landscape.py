@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from dataclasses import replace
 
@@ -27,6 +29,45 @@ def test_minimize_zero_start_stays_zero(grid64):
     # no stage end certifies, so neither does the result
     assert res.certificate == math.inf
     assert res.certificate_field is None
+    # each stage stops at once on a zero gradient, whose norm is +0.0 in the
+    # trace, with and without a well term (a -0.0 would print as such)
+    for delta in (0.0, 0.5):
+        trace = minimize(zero_field(grid64), EnergyParams(0.1, delta, 1), FAST_CFG).trace
+        assert [json.dumps(rec["grad_norm"]) for rec in trace] == ["0.0"] * 3
+
+
+_THREADS_SCRIPT = """
+import hashlib, json
+import numpy as np
+from wellscape import EnergyParams, MinimizeConfig, make_grid, minimize, random_admissible
+g = make_grid(1.0, 256, 256)
+start = random_admissible(g, np.random.default_rng(11), amplitude=1.0)
+cfg = MinimizeConfig(max_iters=4, w_init=0.2, w_factor=0.25, w_floor=0.04)
+res = minimize(start, EnergyParams(0.01, 0.15, 1), cfg)
+print(json.dumps([res.field.values.tobytes() != start.values.tobytes(),
+                  hashlib.sha256(res.field.values.tobytes()).hexdigest(), res.trace]))
+"""
+
+
+def test_descent_bits_do_not_depend_on_blas_threads():
+    # a 256^2 descent (three stages of four iterations) gives the same field
+    # bytes and trace under one BLAS thread and under two: no whole-field
+    # reduction goes through BLAS, whose dot products of this length split
+    # across threads and round differently (at 64^2 they are too short to)
+    src = os.path.dirname(os.path.dirname(landscape.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                                if p]))
+        run = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], capture_output=True,
+                             text=True, env=env, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    moved, _, trace = json.loads(outputs[0])
+    assert moved and len(trace) == 12
+    assert outputs[0] == outputs[1]
 
 
 def test_minimize_below_the_quadratic_floor(grid64):
@@ -230,7 +271,8 @@ def test_minimize_overflowing_start_diverges(grid64, rng):
 
 def _descend_stage_ref(x, grid, p, cfg, stage, trace, e_cap, ws=None):
     """The descent loop with separate energy and gradient calls per iterate
-    and fresh arrays throughout (ws is ignored)."""
+    and fresh arrays throughout (ws is ignored); its inner products are the
+    einsum reductions of _descend_stage."""
     failures = 0
     u = ScalarField(grid, x)
     e = energy_smoothed(u, p)
@@ -249,12 +291,12 @@ def _descend_stage_ref(x, grid, p, cfg, stage, trace, e_cap, ws=None):
         if prev_x is not None:
             s = x - prev_x
             yv = g - prev_g
-            denom = float((yv * yv).sum())
+            denom = float(np.einsum("ij,ij->", yv, yv))
             if denom > 0:
-                t = abs(float((s * yv).sum())) / denom
+                t = abs(float(np.einsum("ij,ij->", s, yv))) / denom
             t = min(max(t, 1e-18), 1e8)
         accepted = False
-        gg = float((g * g).sum())
+        gg = float(np.einsum("ij,ij->", g, g))
         for _ in range(landscape.MAX_BACKTRACKS):
             x_new = x - t * g
             e_new = energy_smoothed(ScalarField(grid, x_new), p)
