@@ -23,7 +23,7 @@ import numpy as np
 
 from .energy import (EmptyB, EmptyPiM, TauOne, TruncatedBSet, b_geometry,
                      surface_and_elastic, truncate_b)
-from .grid import ScalarField, apply, integrate, l2_norm
+from .grid import ScalarField, apply, integrate_square, l2_norm
 
 POINCARE_CONSTANT = math.pi**2 / 4.0  # sharp 1D Dirichlet-Neumann constant
 
@@ -168,7 +168,7 @@ def lemma1_check(u: ScalarField) -> BoundReport:
         raise EmptyB("lemma1_check requires area(B) > 0")
     if geom.tau is None or geom.tau >= 1.0 - 1e-9:
         raise TauOne(f"tau = {geom.tau}: occupied columns fully inside B")
-    lhs = integrate(apply(u.grid, u.values, y="Dyy") ** 2, u.grid) / geom.area_b
+    lhs = integrate_square(apply(u.grid, u.values, y="Dyy"), u.grid) / geom.area_b
     rhs = 4.0 / (geom.tau * (1.0 - geom.tau))
     holds = lhs >= rhs * grid_tolerance(u)
     ctx = f"tau={geom.tau:.6g},area_B={geom.area_b:.6g}"
@@ -205,8 +205,8 @@ def estimate_interp_constant(family: Iterable[np.ndarray],
 def poincare_check(u: ScalarField) -> BoundReport:
     """int u_x^2 >= (pi^2/4) / L^2 * int u^2 for fields vanishing at x = 0."""
     g = u.grid
-    lhs = integrate(apply(g, u.values, "Dx") ** 2, g)
-    rhs = POINCARE_CONSTANT / g.L**2 * integrate(u.values**2, g)
+    lhs = integrate_square(apply(g, u.values, "Dx"), g)
+    rhs = POINCARE_CONSTANT / g.L**2 * integrate_square(u.values, g)
     holds = lhs >= rhs * grid_tolerance(u)
     return BoundReport("poincare", f"L={g.L:g}", lhs, rhs, lhs - rhs, holds)
 
@@ -228,8 +228,7 @@ def killerinterp_sides(u: ScalarField, M: float) -> tuple[float, float, Truncate
     trunc = truncate_b(u, M)  # EmptyB when area(B) = 0
     if trunc.pi_m_columns.size == 0 or trunc.area_b_m <= 0.0:
         raise EmptyPiM("truncation removed every column")
-    lhs = l2_norm(u) * math.sqrt(max(integrate(
-        apply(u.grid, u.values, "Dx") ** 2, u.grid), 0.0))
+    lhs = l2_norm(u) * math.sqrt(integrate_square(apply(u.grid, u.values, "Dx"), u.grid))
     base = (trunc.area_b_m / trunc.len_pi_m) ** 2 / M
     return lhs, base, trunc
 

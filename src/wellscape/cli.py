@@ -126,23 +126,25 @@ def _section(cfg: dict, key: str, default: dict | None = None) -> dict:
     return section
 
 
+def _built(what: str, build, *args, **kwargs):
+    """build(*args, **kwargs) for a constructor that raises ValueError only
+    for inputs out of its range; that error is a ConfigError about what."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
 def _grid_from(cfg: dict):
     g = _section(cfg, "grid")
     L, nx, ny = _scalar(g, "L", _float), _scalar(g, "nx", _int), _scalar(g, "ny", _int)
-    try:
-        return make_grid(L, nx, ny)
-    except ValueError as exc:
-        raise ConfigError(f"bad grid section: {exc}") from exc
+    return _built("grid section", make_grid, L, nx, ny)
 
 
 def _params_from(cfg: dict) -> EnergyParams:
     e = _section(cfg, "energy")
     eps, delta = _scalar(e, "epsilon", _float), _scalar(e, "delta", _float, 0.0)
-    variant = _scalar(e, "variant", _int, 1)
-    try:
-        return EnergyParams(eps, delta, variant)
-    except ValueError as exc:
-        raise ConfigError(f"bad energy section: {exc}") from exc
+    return _built("energy section", EnergyParams, eps, delta, _scalar(e, "variant", _int, 1))
 
 
 _MINCFG_TYPES = {"max_iters": _int, "w_init": _float, "w_factor": _float,
@@ -154,10 +156,7 @@ def _mincfg_from(cfg: dict) -> MinimizeConfig:
     m = _section(cfg, "minimize", {})
     settings = {key: _scalar(m, key, cast) for key, cast in _MINCFG_TYPES.items()
                 if key in m}
-    try:
-        return MinimizeConfig(**settings)
-    except ValueError as exc:
-        raise ConfigError(f"bad minimize section: {exc}") from exc
+    return _built("minimize section", MinimizeConfig, **settings)
 
 
 def _read_field_from(path) -> ScalarField:
@@ -174,7 +173,8 @@ def _build_start(cfg: dict, grid, seed: int) -> ScalarField:
         return zero_field(grid)
     if kind == "branched":
         eps = _scalar(start, "epsilon", _float, _params_from(cfg).epsilon)
-        return cons.branched_seed(cons.BranchedSpec.from_epsilon(eps, grid.L), grid)
+        spec = _built("start section", cons.BranchedSpec.from_epsilon, eps, grid.L)
+        return cons.branched_seed(spec, grid)
     if kind == "random":
         rng = np.random.default_rng(seed)
         return random_admissible(grid, rng, amplitude=_scalar(start, "amplitude", _float, 0.1))
@@ -195,28 +195,26 @@ def _cmd_construct(cfg, out_dir, seed):
     c = _section(cfg, "construction", {})
     delta = _scalar(c, "delta", _float, 0.0)
     if command == "construct-branched":
-        eps = _scalar(c, "epsilon", _float)
-        spec = cons.BranchedSpec.from_epsilon(eps, grid.L)
-        fld = cons.branched_seed(spec, grid)
-        p = EnergyParams(eps, delta, _scalar(c, "variant", _int, 3))
+        eps, variant = _scalar(c, "epsilon", _float), 3
+        spec = _built("construction", cons.BranchedSpec.from_epsilon, eps, grid.L)
+        build = cons.branched_seed
     elif command == "construct-bump":
-        spec = cons.BumpSpec(_scalar(c, "a", _float), _scalar(c, "delta_x", _float),
-                             _scalar(c, "lambda", _float), grid.L)
-        fld = cons.nucleation_bump(spec, grid)
-        p = EnergyParams(_scalar(c, "epsilon", _float, 0.1), delta,
-                         _scalar(c, "variant", _int, 1))
+        eps, variant = _scalar(c, "epsilon", _float, 0.1), 1
+        spec = _built("construction", cons.BumpSpec, _scalar(c, "a", _float),
+                      _scalar(c, "delta_x", _float), _scalar(c, "lambda", _float), grid.L)
+        build = cons.nucleation_bump
     else:
-        spec = cons.PotentialSpec(_scalar(c, "j", _int), grid.L,
-                                  nR=_scalar(c, "nR", _int, 4096))
-        fld = cons.potential_seed(spec, grid)
-        p = EnergyParams(_scalar(c, "epsilon", _float, 0.1), delta,
-                         _scalar(c, "variant", _int, 3))
-    artifacts = [
+        eps, variant = _scalar(c, "epsilon", _float, 0.1), 3
+        spec = _built("construction", cons.PotentialSpec, _scalar(c, "j", _int), grid.L,
+                      nR=_scalar(c, "nR", _int, 4096))
+        build = cons.potential_seed
+    p = _built("construction", EnergyParams, eps, delta, _scalar(c, "variant", _int, variant))
+    fld = build(spec, grid)
+    return [
         _atomic_write(out_dir, "field.wsf1", lambda path: write_field(path, fld)),
         _write_json(out_dir, "spec.json", spec.to_json_dict()),
         _write_json(out_dir, "breakdown.json", energy(fld, p).to_json_dict()),
     ]
-    return artifacts
 
 
 def _cmd_energy(cfg, out_dir, seed):
@@ -343,8 +341,8 @@ def _cmd_probe(cfg, out_dir, seed):
     probe = _section(cfg, "probe", {})
     n = _scalar(probe, "n_samples", _int, 1000)
     cal = bnd.load_calibration()
-    r_cal, _ = bnd.theorem2_bounds(p.epsilon, p.delta, grid.L,
-                                   C=bnd.calibration_value("local_min_r_C", cal))
+    r_cal, _ = _built("energy section", bnd.theorem2_bounds, p.epsilon, p.delta, grid.L,
+                      C=bnd.calibration_value("local_min_r_C", cal))
     _, s_cal = bnd.theorem2_bounds(p.epsilon, p.delta, grid.L,
                                    C=bnd.calibration_value("local_min_s_C", cal))
     rep_n = local_minimality_probe(p, grid, n, norm_cap=0.99 * r_cal, seed=seed)
@@ -363,9 +361,11 @@ def _cmd_obstacle(cfg, out_dir, seed):
     pairs = _scalar(section, "pairs", lambda v: [(_float(a), _float(b)) for a, b in v],
                     [(0.0, 1.0), (0.0, 0.5), (0.2, 0.9)])
     n = _scalar(section, "n", _int, 512)
+    if n < 2:
+        raise ConfigError(f"bad 'n' ({n}): the QP needs n >= 2")
     rows = []
     for y1, y2 in pairs:
-        sol = bnd.obstacle_min_1d(y1, y2)
+        sol = _built("obstacle section", bnd.obstacle_min_1d, y1, y2)
         qp_value, _, _ = bnd.obstacle_qp_oracle(y1, y2, n)
         rows.append({"y1": y1, "y2": y2, "analytic": sol.value, "qp": qp_value,
                      "rel_err": abs(qp_value - sol.value) / sol.value})

@@ -30,8 +30,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .grid import (Grid, ScalarField, Workspace, adjoint, apply, integrate_square,
-                   validate_admissible)
+from .grid import (Grid, ScalarField, Workspace, _square_row_sums, adjoint, apply,
+                   integrate_square, validate_admissible)
 
 # |u_y| >= 1 is tested with this slack so that exact ties survive roundoff
 # (the branched seed's entire B-set sits at |u_y| = 1 exactly).
@@ -199,11 +199,11 @@ def b_geometry(u: ScalarField) -> BSetGeometry:
 def column_uyy_integrals(u: ScalarField) -> np.ndarray:
     """Per cell column, the quadrature of u_yy^2 dy along the column.
 
-    Cell-centered like integrate(), so hx * sum equals integrate(u_yy^2).
+    Cell-centered like integrate(): hy/2 times the sum of u_yy^2 over the
+    column's two node rows, so hx * sum is integrate_square(u_yy).
     """
-    g = u.grid
-    cells = apply(g, apply(g, apply(g, u.values, y="Dyy") ** 2, "Axc"), y="Ayc")
-    return g.hy * cells.sum(axis=1)
+    r = _square_row_sums(apply(u.grid, u.values, y="Dyy"))
+    return 0.5 * u.grid.hy * (r[:-1] + r[1:])
 
 
 def truncate_b(u: ScalarField, M: float) -> TruncatedBSet:

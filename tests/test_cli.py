@@ -332,6 +332,34 @@ def test_bad_scalars_are_config_errors(tmp_path, capsys, where):
     assert not out_dir.exists()
 
 
+GRID32 = {"L": 1.0, "nx": 32, "ny": 32}
+# well-typed values out of the range of what a command builds from them; n is
+# kept small, since the obstacle QP's KKT matrix is dense, (n + 4)^2 floats
+OUT_OF_RANGE = {
+    "branched epsilon -1": {"command": "construct-branched", "grid": GRID32,
+                            "construction": {"epsilon": -1}},
+    "bump lambda 0.5": {"command": "construct-bump", "grid": GRID32,
+                        "construction": {"a": 0.08, "delta_x": 0.2, "lambda": 0.5}},
+    "potential j 0": {"command": "construct-potential", "grid": GRID32,
+                      "construction": {"j": 0}},
+    "probe without delta": {"command": "probe-local-min", "grid": GRID32,
+                            "energy": {"epsilon": 0.05}},
+    "obstacle y2 < y1": {"command": "obstacle-1d", "obstacle": {"pairs": [[0.5, 0.2]]}},
+    "obstacle n 0": {"command": "obstacle-1d", "obstacle": {"n": 0}},
+    "obstacle n 1": {"command": "obstacle-1d", "obstacle": {"n": 1}},
+    "obstacle n -3": {"command": "obstacle-1d", "obstacle": {"n": -3}},
+}
+
+
+@pytest.mark.parametrize("where", sorted(OUT_OF_RANGE))
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, where):
+    code, out_dir = _run(tmp_path, {"schema": 1, **OUT_OF_RANGE[where]})
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("config error:"), err
+    assert not (out_dir / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("cfg_seed, seed", [(-3, None), (0, -5)])
 def test_negative_seed_is_config_error(tmp_path, capsys, cfg_seed, seed):
     # "seed" in the config, and the --seed override

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from wellscape import (BranchedSpec, EmptyB, EnergyParams, NotAdmissible,
@@ -14,7 +15,8 @@ from wellscape import (BranchedSpec, EmptyB, EnergyParams, NotAdmissible,
 from wellscape.energy import (SURFACE_STENCILS, TIE_TOL, _cell_center_uy,
                               _column_lengths, _quadratic_sums, column_uyy_integrals,
                               surface_and_elastic)
-from wellscape.grid import ScalarField, Workspace, _x_weights, adjoint, apply, d_yy
+from wellscape.grid import (ScalarField, Workspace, _x_weights, adjoint, apply, d_yy,
+                            integrate_square)
 from wellscape.landscape import certificate, random_admissible
 
 
@@ -386,6 +388,51 @@ def test_sharp_and_descent_paths_share_one_quadrature(nx, ny, L, variant, eps,
     tol = 2.0 * _gamma((nx + 1) * ny + 4)
     assert abs(surface - ref_surface) <= tol * ref_surface
     assert abs(elastic - ref_elastic) <= tol * ref_elastic
+
+
+# magnitudes from 1e-3 to 1e3 and both zeros: squares from 1e-6 to 1e6 and
+# +0.0, none of them subnormal, so the relative bounds below hold
+ENTRIES = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(4, 20).map(lambda k: 2 * k + 1),
+       ny=st.integers(4, 20).map(lambda k: 2 * k + 1),
+       L=st.floats(0.25, 4.0).filter(lambda L: L != 1.0), data=st.data())
+def test_integrate_square_is_integrate_of_the_square(nx, ny, L, data):
+    # the einsum row sums and integrate's sums add the same non-negative
+    # squares in other orders: within 2 gamma_(n+4), n the number of nodes
+    g = make_grid(L, nx, ny)
+    f = data.draw(arrays(np.float64, (nx + 1, ny), elements=ENTRIES))
+    ref = integrate(f * f, g)
+    assert abs(integrate_square(f, g) - ref) <= 2.0 * _gamma((nx + 1) * ny + 4) * ref
+
+
+def _column_uyy_integrals_ref(u):
+    """The three-apply form: u_yy^2 averaged to the cell centres by Axc and
+    Ayc, then summed down each cell column."""
+    g = u.grid
+    cells = apply(g, apply(g, apply(g, u.values, y="Dyy") ** 2, "Axc"), y="Ayc")
+    return g.hy * cells.sum(axis=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(nx=st.integers(4, 20).map(lambda k: 2 * k + 1),
+       ny=st.integers(4, 20).map(lambda k: 2 * k + 1),
+       L=st.floats(0.25, 4.0).filter(lambda L: L != 1.0),
+       amplitude=st.floats(0.05, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_column_uyy_integrals_are_the_trapezoid_rule(nx, ny, L, amplitude, seed):
+    # each column adds the same non-negative squares as the cell-averaging
+    # reference, and hx * the column sum is integrate_square(u_yy): each
+    # within 2 gamma of its reference (non-negative terms, so relative)
+    g = make_grid(L, nx, ny)
+    u = random_admissible(g, np.random.default_rng(seed), amplitude=amplitude)
+    cols = column_uyy_integrals(u)
+    ref = _column_uyy_integrals_ref(u)
+    assert cols.shape == (nx,)
+    assert np.all(np.abs(cols - ref) <= 2.0 * _gamma(ny + 8) * ref)
+    whole = integrate_square(apply(g, u.values, y="Dyy"), g)
+    assert abs(g.hx * cols.sum() - whole) <= 2.0 * _gamma((nx + 1) * ny + 4) * whole
 
 
 @settings(max_examples=60, deadline=None)

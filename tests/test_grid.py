@@ -22,8 +22,8 @@ import wellscape
 from wellscape.grid import _TABLE_COST, Workspace, _distinct_bits, adjoint, apply
 
 # every (x, y) operator pair the energies apply: the surface stencils, the
-# elastic u_x, the cell-center u_y of the well term and the cell averaging
-# of column_uyy_integrals
+# elastic u_x and the cell-center u_y of the well term; and Axc, Ayc, the
+# |Fy| of test_energy's bound on the fused smoothed kernel
 OPERATOR_PAIRS = sorted({(x, y) for rows in SURFACE_STENCILS.values() for x, y, _ in rows}
                         | {("Dx", None), ("Axc", "Fy"), ("Axc", "Ayc")}, key=str)
 
