@@ -3,9 +3,9 @@
 Every checker returns a BoundReport (lhs, rhs, holds, slack).  Proven-true
 inequalities are verified with the relative tolerance factor
 1 - 10*max(hx, hy), which absorbs discretization error.  Unnamed constants
-from the theory are calibration parameters: estimated once by a documented
-sweep (see calibrate.py), frozen into a JSON file, and read-only here.  The
-env var WELLSCAPE_CALIBRATION overrides the packaged file.
+of the inequalities are calibration parameters: estimated once by a
+documented sweep (see calibrate.py), frozen into a JSON file, and read-only
+here.  The env var WELLSCAPE_CALIBRATION overrides the packaged file.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class InequalityViolated(RuntimeError):
 # ---------------------------------------------------------------------------
 # calibration
 
-def _calibration_path() -> Optional[str]:
-    return os.environ.get("WELLSCAPE_CALIBRATION")
-
-
 @lru_cache(maxsize=8)
 def _load_calibration_file(path: Optional[str]) -> dict:
     if path is not None:
@@ -58,11 +54,11 @@ def _load_calibration_file(path: Optional[str]) -> dict:
 
 def load_calibration() -> dict:
     """Calibration constants (checker name -> value)."""
-    return _load_calibration_file(_calibration_path())
+    return _load_calibration_file(os.environ.get("WELLSCAPE_CALIBRATION"))
 
 
-def calibration_value(name: str, calibration: Optional[dict] = None) -> float:
-    cal = calibration if calibration is not None else load_calibration()
+def calibration_value(name: str) -> float:
+    cal = load_calibration()
     if name not in cal:
         raise KeyError(f"calibration constant {name!r} missing")
     return float(cal[name])
@@ -233,11 +229,10 @@ def killerinterp_sides(u: ScalarField, M: float) -> tuple[float, float, Truncate
     return lhs, base, trunc
 
 
-def killerinterp_check(u: ScalarField, M: float,
-                       calibration: Optional[dict] = None) -> BoundReport:
+def killerinterp_check(u: ScalarField, M: float) -> BoundReport:
     """||u||_2 ||u_x||_2 >= (C/M) (area(B_M)/len(Pi_M))^2, calibrated C."""
     lhs, base, trunc = killerinterp_sides(u, M)
-    C = calibration_value("killerinterp_C", calibration)
+    C = calibration_value("killerinterp_C")
     rhs = C * base
     holds = lhs >= rhs * grid_tolerance(u)
     raw = lhs / base if base > 0 else math.inf
@@ -308,11 +303,19 @@ def pq_region(epsilon: float, delta: float, L: float) -> PqRegion:
                     g_slope < upper_slope)
 
 
-def critical_delta_bounds(epsilon: float, L: float,
-                          calibration: Optional[dict] = None) -> tuple[float, float]:
-    """Calibrated band for the critical well-depth: (max(16 eps^2, c eps/L), C eps/L)."""
+_BAND_LOWER_C = 4.413225327179394
+_BAND_UPPER_C = 49.35138849834494
+
+
+def critical_delta_bounds(epsilon: float, L: float) -> tuple[float, float]:
+    """The band (max(16 eps^2, c eps/L), C eps/L) where critical_delta's search starts.
+
+    c and C are calibrate's eps = 0.02, 128^2 bracket at 1260031 over and
+    times 3, frozen so that no change to descent moves them.  They are no
+    inequality constants: they only choose the first delta of a downward
+    search, the climb's start and the probe gate.  ROADMAP item 2 deletes them.
+    """
     if epsilon <= 0 or L <= 0:
         raise ValueError("epsilon and L must be positive")
-    c_lo = calibration_value("critical_delta_lower_c", calibration)
-    c_hi = calibration_value("critical_delta_upper_C", calibration)
-    return max(16.0 * epsilon**2, c_lo * epsilon / L), c_hi * epsilon / L
+    return (max(16.0 * epsilon**2, _BAND_LOWER_C * epsilon / L),
+            _BAND_UPPER_C * epsilon / L)

@@ -1,14 +1,16 @@
-"""One-off calibration sweep for the unnamed constants of the bound checkers.
+"""One-off calibration sweep for the unnamed constants of the inequalities.
 
 The theory proves each inequality with *some* dimensionless constant and
-never fixes a value.  This script estimates empirical values over a fixed,
-seeded family of fields (constructions plus random admissible samples),
-applies a safety factor of 3 toward the conservative side, and writes the
-frozen JSON that bounds.py reads.  Rerun with
+never fixes a value.  This script estimates the interpolation constant
+killerinterp_C and the Theorem 2 radii constants local_min_r_C and
+local_min_s_C over a fixed, seeded family of fields, applies a safety factor
+of 3 toward the conservative side, and writes the frozen JSON that bounds.py
+reads.  Rerun with
 
     python -m wellscape.calibrate [out.json]
 
 and commit the output; checks are regression tests against these values.
+The delta_c search band is no inequality constant: bounds freezes it.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .bounds import killerinterp_sides
 from .energy import (EmptyB, EmptyPiM, EnergyParams, _cell_center_uy,
                      b_geometry, column_uyy_integrals, energy)
 from .grid import ScalarField, l2_norm, make_grid
-from .landscape import (MinimizeConfig, _beats, critical_delta, minimize,
-                        multistart_portfolio, random_admissible)
+from .landscape import (MinimizeConfig, _beats, minimize, multistart_portfolio,
+                        random_admissible)
 
 SAFETY = 3.0
 SWEEP_CONFIG = MinimizeConfig(max_iters=60, w_init=0.2, w_factor=0.25, w_floor=0.02)
@@ -64,14 +66,6 @@ def _killerinterp_sweep() -> float:
     return best / SAFETY
 
 
-def _critical_delta_constants() -> tuple[float, float]:
-    grid = make_grid(1.0, 128, 128)
-    eps = 0.02
-    res = critical_delta(eps, 1.0, 1, grid, SWEEP_CONFIG, tol_rel=0.25,
-                         bracket=(0.5 * eps, 50.0 * eps), seed=0)
-    return res.delta_lo / eps / SAFETY, res.delta_hi / eps * SAFETY
-
-
 def _local_min_constants() -> tuple[float, float]:
     # delta = 30 eps/L sits above the measured critical depth, so genuine
     # energy-lowering states exist and their norms/areas floor the sweep
@@ -103,13 +97,10 @@ def _local_min_constants() -> tuple[float, float]:
 
 def calibrate() -> dict:
     ki = _killerinterp_sweep()
-    c_lo, c_hi = _critical_delta_constants()
     r_c, s_c = _local_min_constants()
     return {
         "_meta": "empirical constants, safety factor 3; regenerate with python -m wellscape.calibrate",
         "killerinterp_C": ki,
-        "critical_delta_lower_c": c_lo,
-        "critical_delta_upper_C": c_hi,
         "local_min_r_C": r_c,
         "local_min_s_C": s_c,
     }

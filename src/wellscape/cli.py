@@ -109,6 +109,13 @@ def _float(value) -> float:
     return value
 
 
+def _count(value) -> int:
+    """A non-negative JSON integer."""
+    if _int(value) < 0:
+        raise ValueError("must be non-negative")
+    return int(value)
+
+
 def _positive(value) -> float:
     value = _float(value)
     if not value > 0.0:
@@ -273,7 +280,8 @@ def _cmd_sweep_delta(cfg, out_dir, seed):
     grid = _grid_from(cfg)
     sweep = _section(cfg, "sweep")
     eps_list = _scalar(sweep, "epsilons", lambda v: sweep_epsilons([_float(e) for e in v]))
-    variant = _scalar(sweep, "variant", _int, 1)
+    variant = _built("sweep section", EnergyParams, eps_list[0], 0.0,
+                     _scalar(sweep, "variant", _int, 1)).variant
     fit, results = scaling_sweep(eps_list, grid.L, variant, grid,
                                  _mincfg_from(cfg),
                                  tol_rel=_scalar(cfg, "tol_rel", _positive, 0.25),
@@ -299,7 +307,7 @@ def _cmd_sweep_delta(cfg, out_dir, seed):
 def _cmd_verify(cfg, out_dir, seed):
     grid = _grid_from(cfg)
     p = _params_from(cfg)
-    n_random = _scalar(cfg, "n_random", _int, 20)
+    n_random = _scalar(cfg, "n_random", _count, 20)
     rng = np.random.default_rng(seed)
     fields = []
     try:
@@ -339,12 +347,11 @@ def _cmd_probe(cfg, out_dir, seed):
     grid = _grid_from(cfg)
     p = _params_from(cfg)
     probe = _section(cfg, "probe", {})
-    n = _scalar(probe, "n_samples", _int, 1000)
-    cal = bnd.load_calibration()
+    n = _scalar(probe, "n_samples", _count, 1000)
     r_cal, _ = _built("energy section", bnd.theorem2_bounds, p.epsilon, p.delta, grid.L,
-                      C=bnd.calibration_value("local_min_r_C", cal))
+                      C=bnd.calibration_value("local_min_r_C"))
     _, s_cal = bnd.theorem2_bounds(p.epsilon, p.delta, grid.L,
-                                   C=bnd.calibration_value("local_min_s_C", cal))
+                                   C=bnd.calibration_value("local_min_s_C"))
     rep_n = local_minimality_probe(p, grid, n, norm_cap=0.99 * r_cal, seed=seed)
     rep_a = local_minimality_probe(p, grid, n, area_cap=s_cal, seed=seed + 1)
     payload = {
@@ -399,9 +406,7 @@ def run(config_path: str, out_dir: str = ".", seed: int | None = None) -> int:
         command = _require(cfg, "command")
         if command not in _COMMANDS:
             raise ConfigError(f"unknown command {command!r}")
-        run_seed = seed if seed is not None else _scalar(cfg, "seed", _int, 0)
-        if run_seed < 0:
-            raise ConfigError(f"bad 'seed' ({run_seed}): must be non-negative")
+        run_seed = _scalar(cfg if seed is None else {"seed": seed}, "seed", _count, 0)
     except (OSError, json.JSONDecodeError, ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -195,6 +195,8 @@ class PotentialSpec:
             raise ValueError(f"sequence index must be >= 1, got {self.j}")
         if self.L <= 0:
             raise ValueError(f"L must be positive, got {self.L}")
+        if self.nR < 1:
+            raise ValueError(f"the radial solver needs nR >= 1 panels, got {self.nR}")
 
     @property
     def k(self) -> float:

@@ -116,9 +116,7 @@ class BSetGeometry:
 
 @dataclass(frozen=True)
 class TruncatedBSet:
-    M: float
     pi_m_columns: np.ndarray
-    b_m_mask: np.ndarray
     area_b_m: float
     len_pi_m: float
 
@@ -215,12 +213,10 @@ def truncate_b(u: ScalarField, M: float) -> TruncatedBSet:
         raise EmptyB("truncate_b requires area(B) > 0")
     col_ints = column_uyy_integrals(u)
     keep = geom.pi_columns[col_ints[geom.pi_columns] < M]
-    b_m = np.zeros_like(geom.b_mask)
-    b_m[keep, :] = geom.b_mask[keep, :]
     kept_lengths = np.zeros_like(geom.column_lengths)
     kept_lengths[keep] = geom.column_lengths[keep]
     area_m = float(u.grid.hx * kept_lengths.sum())
-    return TruncatedBSet(float(M), keep, b_m, area_m, u.grid.hx * keep.size)
+    return TruncatedBSet(keep, area_m, u.grid.hx * keep.size)
 
 
 # ---------------------------------------------------------------------------

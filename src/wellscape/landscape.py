@@ -21,6 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .bounds import critical_delta_bounds
 from .constructions import BranchedSpec, ResolutionTooCoarse, branched_seed
 # energy_gradient and energy_smoothed are not called here; bench/ wraps them
 # under these names, so they stay importable from this module
@@ -64,6 +65,8 @@ class MinimizeConfig:
     gtol: float = 1e-9
 
     def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if not 0.0 < self.w_factor < 1.0:
             raise ValueError(f"w_factor must lie in (0, 1), got {self.w_factor}")
 
@@ -85,7 +88,6 @@ class MinimizeResult:
     breakdown: EnergyBreakdown
     trace: list[dict]
     backtrack_failures: int
-    start_sharp: float
     # least certificate(...) over the start and the stage ends, and its field
     # (None while every one of them is +inf)
     certificate: float = math.inf
@@ -213,8 +215,7 @@ def minimize(start: ScalarField, p: EnergyParams,
     x[0, :] = 0.0  # pin the Dirichlet edge exactly
     best = ScalarField(grid, x)
     best_br = energy(best, p)
-    start_sharp = best_br.total
-    e_cap = DIVERGENCE_FACTOR * max(abs(start_sharp), 1e-30)
+    e_cap = DIVERGENCE_FACTOR * max(abs(best_br.total), 1e-30)
 
     trace: list[dict] = []
     failures = 0
@@ -232,7 +233,7 @@ def minimize(start: ScalarField, p: EnergyParams,
             best, best_br = end, br
         if c < cert:
             cert, cert_field = c, end
-    return MinimizeResult(best, best_br, trace, failures, start_sharp, cert, cert_field)
+    return MinimizeResult(best, best_br, trace, failures, cert, cert_field)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +332,7 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
     descent can contradict it.  delta_lo is the largest delta below delta_hi
     at which no descent beat E(0).
 
-    The search keeps top, the top of the calibrated theoretical band (or of
+    The search keeps top, the top of critical_delta_bounds' band (or of
     `bracket`), and hi = min(top, least certificate).  When a start
     certifies top, the first predicate probes just below hi: at
     hi/(1 + tol_rel), stepped up until hi/delta <= 1 + tol_rel holds in
@@ -358,8 +359,6 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
     the starts on min(portfolio, cores) threads; its winner is the first
     lowest energy in portfolio order, whatever that count.
     """
-    from .bounds import critical_delta_bounds
-
     if min(epsilon, L) <= 0 or tol_rel <= 0:
         raise ValueError("epsilon, L, tol_rel must be positive")
     cfg = cfg or MinimizeConfig()

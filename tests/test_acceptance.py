@@ -13,8 +13,7 @@ from wellscape import (BranchedSpec, BumpSpec, EnergyParams, MinimizeConfig,
                        PotentialSpec, b_geometry, branched_seed,
                        convolution_oracle, critical_delta, energy,
                        energy_gradient, energy_smoothed, fit_power_law,
-                       lemma1_check, load_calibration,
-                       local_minimality_probe, make_grid, minimize,
+                       lemma1_check, local_minimality_probe, make_grid, minimize,
                        multistart_portfolio, nucleation_bump, potential_seed,
                        pq_region, radial_poisson, radial_profile,
                        random_admissible, theorem2_bounds)
@@ -196,9 +195,8 @@ def test_criterion_7_local_minimality_probes():
     grid = make_grid(L, 128, 128)
     p = EnergyParams(eps, delta, 1)
     assert pq_region(eps, delta, L).nonempty
-    cal = load_calibration()
-    r_cal, _ = theorem2_bounds(eps, delta, L, C=calibration_value("local_min_r_C", cal))
-    _, s_cal = theorem2_bounds(eps, delta, L, C=calibration_value("local_min_s_C", cal))
+    r_cal, _ = theorem2_bounds(eps, delta, L, C=calibration_value("local_min_r_C"))
+    _, s_cal = theorem2_bounds(eps, delta, L, C=calibration_value("local_min_s_C"))
     rep_norm = local_minimality_probe(p, grid, n, norm_cap=0.99 * r_cal, seed=7)
     assert rep_norm.eligible == n
     assert rep_norm.violations == 0

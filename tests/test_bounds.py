@@ -10,12 +10,12 @@ from wellscape import (BandEmpty, BranchedSpec, BumpSpec, DegenerateInterval,
                        EmptyB, branched_seed,
                        critical_delta_bounds, estimate_interp_constant,
                        field_from_function, killerinterp_check, lemma1_check,
-                       load_calibration, make_grid, nucleation_bump,
+                       make_grid, nucleation_bump,
                        obstacle_min_1d, poincare_check, potential_seed,
                        pq_region, proportional_band, reports_to_csv,
                        theorem2_bounds, wopper_check, zero_field)
 from wellscape import PotentialSpec, calibrate
-from wellscape.bounds import killerinterp_sides, obstacle_qp_oracle
+from wellscape.bounds import calibration_value, killerinterp_sides, obstacle_qp_oracle
 from wellscape.energy import b_geometry, column_uyy_integrals
 from wellscape.grid import d_yy, integrate
 from wellscape.landscape import random_admissible
@@ -201,15 +201,15 @@ def test_calibrate_reproduces_the_packaged_file():
 
 def test_killerinterp_calibration_and_check_agree():
     # calibrate's sweep sets killerinterp_C from killerinterp_sides' lhs / base;
-    # the checker reads the same two sides: at C = 1 its rhs is that base
+    # the checker reads the same two sides: its rhs is C times that base
     g = make_grid(1.0, 128, 128)
     seed = branched_seed(BranchedSpec.from_epsilon(0.02, 1.0), g)
     geom = b_geometry(seed)
     M = 2.0 * float(np.median(column_uyy_integrals(seed)[geom.pi_columns])) + 1e-12
     lhs, base, trunc = killerinterp_sides(seed, M)
     assert 0 < trunc.area_b_m <= geom.area_b
-    rep = killerinterp_check(seed, M, {"killerinterp_C": 1.0})
-    assert (rep.lhs, rep.rhs) == (lhs, base)
+    rep = killerinterp_check(seed, M)
+    assert (rep.lhs, rep.rhs) == (lhs, calibration_value("killerinterp_C") * base)
     assert f"raw_C={lhs / base:.6g}" in rep.context
 
 
@@ -269,13 +269,13 @@ def test_pq_region_intersection_consistency():
 
 
 def test_critical_delta_bounds_regimes():
-    cal = load_calibration()
-    lower, upper = critical_delta_bounds(1e-4, 1.0, cal)
-    assert lower == pytest.approx(cal["critical_delta_lower_c"] * 1e-4)
-    lower2, _ = critical_delta_bounds(0.1, 0.01, cal)
-    candidates = max(16 * 0.1**2, cal["critical_delta_lower_c"] * 0.1 / 0.01)
-    assert lower2 == pytest.approx(candidates)
-    assert upper == pytest.approx(cal["critical_delta_upper_C"] * 1e-4)
+    # the frozen band, to the last bit: it picks the order of the predicates
+    # of every search whose starts certify nothing inside it
+    assert critical_delta_bounds(1e-4, 1.0) == (0.00044132253271793944, 0.004935138849834494)
+    assert critical_delta_bounds(0.1, 0.01) == (44.13225327179395, 493.51388498344943)
+    assert critical_delta_bounds(0.01, 1.0) == (0.044132253271793945, 0.4935138849834494)
+    # 16 eps^2 takes over the low end once eps/L is large
+    assert critical_delta_bounds(1.0, 1.0) == (16.0, 49.35138849834494)
 
 
 def test_reports_csv_layout():

@@ -348,6 +348,19 @@ OUT_OF_RANGE = {
     "obstacle n 0": {"command": "obstacle-1d", "obstacle": {"n": 0}},
     "obstacle n 1": {"command": "obstacle-1d", "obstacle": {"n": 1}},
     "obstacle n -3": {"command": "obstacle-1d", "obstacle": {"n": -3}},
+    "potential nR 0": {"command": "construct-potential", "grid": GRID32,
+                       "construction": {"j": 1, "nR": 0}},
+    "potential nR -5": {"command": "construct-potential", "grid": GRID32,
+                        "construction": {"j": 1, "nR": -5}},
+    "verify n_random -1": {"command": "verify-inequalities", "grid": GRID32,
+                           "energy": {"epsilon": 0.1}, "n_random": -1},
+    "probe n_samples -1": {"command": "probe-local-min", "grid": GRID32,
+                           "energy": {"epsilon": 0.05, "delta": 0.5},
+                           "probe": {"n_samples": -1}},
+    "minimize max_iters -1": {"command": "minimize", "grid": GRID32,
+                              "energy": {"epsilon": 0.1}, "minimize": {"max_iters": -1}},
+    "sweep variant 4": {"command": "sweep-delta", "grid": GRID32,
+                        "sweep": {"epsilons": [0.01, 0.03, 0.1, 0.3], "variant": 4}},
 }
 
 

@@ -109,7 +109,6 @@ def test_truncate_b_no_truncation(grid64):
     assert geom.area_b > 0
     trunc = truncate_b(u, 1e30)
     assert np.array_equal(trunc.pi_m_columns, geom.pi_columns)
-    assert np.array_equal(trunc.b_m_mask, geom.b_mask)
     assert trunc.area_b_m == pytest.approx(geom.area_b)
 
 

@@ -103,7 +103,7 @@ def test_minimize_monotone_stages_and_pinned_edge(grid64, rng):
     for energies in by_stage.values():
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
     assert np.abs(res.field.values[0, :]).max() == 0.0
-    assert res.breakdown.total <= res.start_sharp + 1e-12
+    assert res.breakdown.total <= energy(start, p).total + 1e-12
 
 
 def test_minimize_never_worse_than_start(grid64, rng):
@@ -482,7 +482,7 @@ def test_critical_delta_counts_an_inversion(grid64, monkeypatch, cert, inversion
         c = next((c for (a, b), c in windows.items() if a < p.delta < b), math.inf)
         if not start.values.any():
             c = math.inf
-        return landscape.MinimizeResult(start, br, [], 0, br.total, c,
+        return landscape.MinimizeResult(start, br, [], 0, c,
                                         None if c == math.inf else start)
 
     monkeypatch.setattr(landscape, "minimize", fake_minimize)
@@ -515,7 +515,7 @@ def _monotone_minimize(delta_true, frac):
         else:
             c, total, field = math.inf, e0, None
         br = EnergyBreakdown(0.0, 0.0, total, total, 0.0, L)
-        return landscape.MinimizeResult(start, br, [], 0, total, c, field)
+        return landscape.MinimizeResult(start, br, [], 0, c, field)
     return fake
 
 
@@ -703,7 +703,7 @@ def _fake_landscape(m, start_certs, kind, delta_true, p_cert, salt):
         tol = landscape._tol_e(e0, p.epsilon)
         total = e0 - (2.0 + rng.random()) * tol if beats else e0 + rng.random() * tol
         br = EnergyBreakdown(0.0, 0.0, total, total, 0.0, GRID8.L)
-        return landscape.MinimizeResult(start, br, [], 0, total, c,
+        return landscape.MinimizeResult(start, br, [], 0, c,
                                         None if c == math.inf else start)
 
     m.setattr(landscape, "multistart_portfolio", lambda epsilon, grid, seed=0: starts)
@@ -765,7 +765,7 @@ def _every_descent(beats, calls):
         total = e0 - 2.0 * landscape._tol_e(e0, p.epsilon) if beats else e0
         c = p.delta if beats else math.inf
         br = EnergyBreakdown(0.0, 0.0, total, total, 0.0, start.grid.L)
-        return landscape.MinimizeResult(start, br, [], 0, total, c,
+        return landscape.MinimizeResult(start, br, [], 0, c,
                                         start if beats else None)
     return fake
 
