@@ -3,7 +3,7 @@
 
 Bisects the depth at which some multistart descent first beats austenite,
 then fits the log-log slope against eps.  Demo settings (128^2 grid, loose
-tolerance) keep this to about a minute; the acceptance suite runs the full
+tolerance) keep this to a few seconds; the acceptance suite runs the full
 256^2 protocol.
 """
 

@@ -1,11 +1,11 @@
 """Numerical laboratory for well-depth microstructure energies on [0,L]x[0,1]."""
 
 from .bounds import (BandEmpty, BoundReport, DegenerateInterval, PqRegion,
-                     critical_delta_bounds, estimate_interp_constant,
-                     killerinterp_check, lemma1_check, load_calibration,
-                     obstacle_min_1d, obstacle_qp_oracle, poincare_check,
-                     pq_region, proportional_band, reports_to_csv,
-                     theorem2_bounds, wopper_check)
+                     estimate_interp_constant, killerinterp_check,
+                     lemma1_check, load_calibration, obstacle_min_1d,
+                     obstacle_qp_oracle, poincare_check, pq_region,
+                     proportional_band, reports_to_csv, theorem2_bounds,
+                     wopper_check)
 from .constructions import (BranchedSpec, BumpSpec, PotentialSpec,
                             ResolutionTooCoarse, UnsupportedProfile,
                             branched_seed, convolution_oracle, nucleation_bump,

@@ -10,7 +10,7 @@ reads.  Rerun with
     python -m wellscape.calibrate [out.json]
 
 and commit the output; checks are regression tests against these values.
-The delta_c search band is no inequality constant: bounds freezes it.
+The delta_c search band is no inequality constant: landscape freezes it.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 
 from .constructions import BranchedSpec, PotentialSpec, branched_seed, potential_seed
 from .bounds import killerinterp_sides
-from .energy import (EmptyB, EmptyPiM, EnergyParams, _cell_center_uy,
-                     b_geometry, column_uyy_integrals, energy)
+from .energy import (EmptyB, EmptyPiM, EnergyParams, b_geometry,
+                     column_uyy_integrals, energy, scale_to_uy_peak)
 from .grid import ScalarField, l2_norm, make_grid
 from .landscape import (MinimizeConfig, _beats, minimize, multistart_portfolio,
                         random_admissible)
@@ -43,11 +43,8 @@ def _killerinterp_sweep() -> float:
         fields.append(potential_seed(PotentialSpec(j, 1.0), grid))
     rng = np.random.default_rng(7)
     grid = make_grid(1.0, 128, 128)
-    for _ in range(12):
-        w = random_admissible(grid, rng)
-        top = float(np.abs(_cell_center_uy(w)).max())
-        if top > 0:
-            fields.append(w.with_values(w.values * (1.5 / top)))
+    # a field whose u_y vanishes has area(B) = 0 and is skipped below
+    fields += [scale_to_uy_peak(random_admissible(grid, rng), 1.5) for _ in range(12)]
 
     best = math.inf
     for fld in fields:

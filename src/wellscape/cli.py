@@ -25,8 +25,8 @@ import numpy as np
 from . import bounds as bnd
 from . import constructions as cons
 # b_geometry is not called here, but bench/ wraps it under this name
-from .energy import (EmptyB, EnergyParams, TauOne, _cell_center_uy,  # noqa: F401
-                     b_geometry, energy)
+from .energy import (EmptyB, EnergyParams, TauOne, b_geometry,  # noqa: F401
+                     energy, scale_to_uy_peak)
 # bench/ wraps write_field under this name too: call it as a global, at write time
 from .grid import ScalarField, make_grid, read_field, write_field, zero_field
 from .landscape import (BracketNotFound, Diverged, MinimizeConfig,
@@ -316,11 +316,7 @@ def _cmd_verify(cfg, out_dir, seed):
     except cons.ResolutionTooCoarse:
         pass
     for i in range(n_random):
-        w = random_admissible(grid, rng)
-        uy_max = float(np.abs(_cell_center_uy(w)).max())
-        if uy_max > 0:
-            w = w.with_values(w.values * (1.5 / uy_max))
-        fields.append((f"random{i}", w))
+        fields.append((f"random{i}", scale_to_uy_peak(random_admissible(grid, rng), 1.5)))
 
     # a field outside a checker's domain gets no row from that checker
     reports = []

@@ -134,6 +134,13 @@ def _cell_center_uy(u: ScalarField) -> np.ndarray:
     return apply(u.grid, u.values, *CELL_UY)
 
 
+def scale_to_uy_peak(u: ScalarField, peak: float) -> ScalarField:
+    """u times peak / max |u_y| at cell centers, or u itself where u_y
+    vanishes at every cell center."""
+    top = float(np.abs(_cell_center_uy(u)).max())
+    return u.with_values(u.values * (peak / top)) if top > 0 else u
+
+
 def _b_cells(u: ScalarField) -> tuple[np.ndarray, np.ndarray, float]:
     """|u_y| at cell centers, the B-cell mask and its area (mask sum * hx * hy)."""
     q = np.abs(_cell_center_uy(u))
@@ -170,13 +177,10 @@ def _column_lengths(mask: np.ndarray, q: np.ndarray, hy: float) -> np.ndarray:
     n = np.flatnonzero(edges == -1) + 1 - starts
     plateau = np.maximum.reduceat(qmax, starts) <= 1.0 + TIE_TOL
     contrib = (n + plateau) * hy
-    # cumsum adds each column's runs left to right like the scalar loop did;
-    # np.add.reduceat may sum pairwise, which can change the last bit
-    col_of = starts // ny
-    rank = np.arange(starts.size) - np.searchsorted(col_of, col_of)
-    table = np.zeros((cols.size, int(rank.max()) + 1))
-    table[col_of, rank] = contrib
-    lengths[cols] = np.minimum(np.cumsum(table, axis=1)[:, -1], 1.0)
+    # bincount adds each column's runs left to right like the scalar loop
+    # did; np.add.reduceat may sum pairwise, which can change the last bit
+    sums = np.bincount(starts // ny, weights=contrib, minlength=cols.size)
+    lengths[cols] = np.minimum(sums, 1.0)
     return lengths
 
 

@@ -387,14 +387,12 @@ class AdmissibilityReport:
 
 
 def validate_admissible(u: ScalarField) -> AdmissibilityReport:
-    """Check the essential conditions: left-edge Dirichlet and finiteness.
+    """Check the essential condition: left-edge Dirichlet.
 
-    Periodicity in y is structural (a single stored row per period) and
-    always passes.
+    Finiteness is checked when the ScalarField is made, and periodicity in
+    y is structural (a single stored row per period): both always pass.
     """
     violations = []
-    if not np.all(np.isfinite(u.values)):
-        violations.append("non-finite values")
     max_edge = float(np.max(np.abs(u.values[0, :])))
     if max_edge > TOL_BC:
         violations.append(f"Dirichlet violation at x=0: max |u(0,.)| = {max_edge:.3e}")

@@ -21,13 +21,12 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bounds import critical_delta_bounds
 from .constructions import BranchedSpec, ResolutionTooCoarse, branched_seed
 # energy_gradient and energy_smoothed are not called here; bench/ wraps them
 # under these names, so they stay importable from this module
 from .energy import (EnergyBreakdown, EnergyParams, NotAdmissible,  # noqa: F401
-                     _cell_center_uy, _smoothed_gradient, _smoothed_terms,
-                     b_geometry, energy, energy_gradient, energy_smoothed)
+                     _smoothed_gradient, _smoothed_terms, b_geometry, energy,
+                     energy_gradient, energy_smoothed, scale_to_uy_peak)
 from .grid import (Grid, ScalarField, Workspace, l2_norm, validate_admissible,
                    zero_field)
 
@@ -312,6 +311,24 @@ class CriticalDeltaResult:
         return math.sqrt(self.delta_lo * self.delta_hi)
 
 
+_BAND_LOWER_C = 4.413225327179394
+_BAND_UPPER_C = 49.35138849834494
+
+
+def _search_band(epsilon: float, L: float) -> tuple[float, float]:
+    """(down, top) = (max(16 eps^2, c eps/L), C eps/L), where the search starts;
+    top is 2 down where C eps/L <= down, so the band is never empty.
+
+    c and C are calibrate's eps = 0.02, 128^2 bracket over and times 3,
+    frozen so that no change to descent moves them.  They are no constants
+    of an inequality: they only choose the first delta of a downward search,
+    the climb's start and the probe gate.
+    """
+    down = max(16.0 * epsilon**2, _BAND_LOWER_C * epsilon / L)
+    top = _BAND_UPPER_C * epsilon / L
+    return down, top if top > down else 2.0 * down
+
+
 class _Certificate(NamedTuple):
     value: float
     start: str
@@ -321,8 +338,7 @@ class _Certificate(NamedTuple):
 
 def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
                    cfg: Optional[MinimizeConfig] = None, tol_rel: float = 0.25,
-                   seed: int = 0,
-                   bracket: Optional[tuple[float, float]] = None) -> CriticalDeltaResult:
+                   seed: int = 0) -> CriticalDeltaResult:
     """Bisection on delta over "some multistart descent beats E(0) by tol_e".
 
     The energy of a fixed field is affine in delta, so every field with
@@ -332,15 +348,15 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
     descent can contradict it.  delta_lo is the largest delta below delta_hi
     at which no descent beat E(0).
 
-    The search keeps top, the top of critical_delta_bounds' band (or of
-    `bracket`), and hi = min(top, least certificate).  When a start
-    certifies top, the first predicate probes just below hi: at
-    hi/(1 + tol_rel), stepped up until hi/delta <= 1 + tol_rel holds in
-    floats, the stop test below.  A false probe is lo and settles the
-    bracket, one predicate in all (its descents can only lower hi to a
-    certificate above it, or they would have beaten E(0) there); a true one
-    lowers hi to a certificate at or below it.  Then each pass takes lo,
-    the largest false delta below hi, and does one of four things:
+    The search keeps top, the top of _search_band's band, and
+    hi = min(top, least certificate).  When a start certifies top, the
+    first predicate probes just below hi: at hi/(1 + tol_rel), stepped up
+    until hi/delta <= 1 + tol_rel holds in floats, the stop test below.  A
+    false probe is lo and settles the bracket, one predicate in all (its
+    descents can only lower hi to a certificate above it, or they would
+    have beaten E(0) there); a true one lowers hi to a certificate at or
+    below it.  Then each pass takes lo, the largest false delta below hi,
+    and does one of four things:
 
     - no lo: the next step of a downward search by factors of 10, which
       starts at the band's low end on the first pass and at hi/10 on a
@@ -392,9 +408,7 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
         if cert < best.value:
             best = _Certificate(cert, cert_start, delta, cert_field)
 
-    down, top = bracket if bracket is not None else critical_delta_bounds(epsilon, L)
-    if bracket is None and top <= down:
-        top = 2.0 * down
+    down, top = _search_band(epsilon, L)
     if best.value <= top:
         hi = best.value
         probe = hi / (1.0 + tol_rel)
@@ -521,14 +535,11 @@ def local_minimality_probe(p: EnergyParams, grid: Grid, n_samples: int,
             if energy(v, p).total <= e0:
                 violations += 1
         else:
-            uy_max = float(np.abs(_cell_center_uy(w)).max())
-            if uy_max <= 0:
-                continue
+            # a field whose u_y vanishes has area(B) = 0 at every bump
             v = None
             for bump in (1.001, 1.01, 1.05):
-                cand = w.with_values(w.values * (bump / uy_max))
-                area = b_geometry(cand).area_b
-                if 0.0 < area <= area_cap:
+                cand = scale_to_uy_peak(w, bump)
+                if 0.0 < b_geometry(cand).area_b <= area_cap:
                     v = cand
                     break
             if v is None:

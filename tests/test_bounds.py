@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from wellscape import (BandEmpty, BranchedSpec, BumpSpec, DegenerateInterval,
-                       EmptyB, branched_seed,
-                       critical_delta_bounds, estimate_interp_constant,
+                       EmptyB, branched_seed, estimate_interp_constant,
                        field_from_function, killerinterp_check, lemma1_check,
                        make_grid, nucleation_bump,
                        obstacle_min_1d, poincare_check, potential_seed,
@@ -223,6 +222,8 @@ def test_wopper_compact_bump():
     bump = nucleation_bump(BumpSpec(0.02, 0.05, 4.0, 1.0), g)
     rep = wopper_check(bump, epsilon=0.05)
     assert rep.holds and rep.rhs > 0.0
+    # every column qualifies, so rhs is eps times the largest column length
+    assert rep.rhs == 0.05 * float(b_geometry(bump).column_lengths.max())
 
 
 def test_wopper_ramp_sine():
@@ -266,16 +267,6 @@ def test_pq_region_intersection_consistency():
     q_at_g = math.sqrt(reg.f_const / reg.g_slope)
     assert reg.p_min * q_at_g == pytest.approx(reg.f_const, rel=1e-12)
     assert reg.q_min == pytest.approx(math.sqrt(reg.f_const / reg.upper_slope), rel=1e-12)
-
-
-def test_critical_delta_bounds_regimes():
-    # the frozen band, to the last bit: it picks the order of the predicates
-    # of every search whose starts certify nothing inside it
-    assert critical_delta_bounds(1e-4, 1.0) == (0.00044132253271793944, 0.004935138849834494)
-    assert critical_delta_bounds(0.1, 0.01) == (44.13225327179395, 493.51388498344943)
-    assert critical_delta_bounds(0.01, 1.0) == (0.044132253271793945, 0.4935138849834494)
-    # 16 eps^2 takes over the low end once eps/L is large
-    assert critical_delta_bounds(1.0, 1.0) == (16.0, 49.35138849834494)
 
 
 def test_reports_csv_layout():

@@ -10,10 +10,9 @@ import wellscape
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-# demo 06 (critical depth at 128^2, about 30 s) is left out to keep tier-1 short
 @pytest.mark.parametrize("name", ["01_fields_and_energies.py", "02_branched_seed.py",
                                   "03_cheap_nucleation.py", "04_potential_sequence.py",
-                                  "05_inequality_checks.py"])
+                                  "05_inequality_checks.py", "06_critical_depth.py"])
 def test_demo_runs(tmp_path, name):
     src = os.path.dirname(os.path.dirname(wellscape.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

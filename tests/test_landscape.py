@@ -129,9 +129,14 @@ def _passes(br, delta, epsilon, L):
     return br.total < e0 - 1e-6 * max(e0, epsilon)
 
 
-def test_critical_delta_coarse_bracket(grid64):
-    res = critical_delta(0.05, 1.0, 1, grid64, FAST_CFG, tol_rel=0.5,
-                         bracket=(0.05, 5.0), seed=0)
+def _band(down, top):
+    """A stand-in for landscape._search_band that returns (down, top)."""
+    return lambda epsilon, L: (down, top)
+
+
+def test_critical_delta_coarse_bracket(grid64, monkeypatch):
+    monkeypatch.setattr(landscape, "_search_band", _band(0.05, 5.0))
+    res = critical_delta(0.05, 1.0, 1, grid64, FAST_CFG, tol_rel=0.5, seed=0)
     assert res.delta_lo < res.delta_hi
     assert res.delta_hi / res.delta_lo <= 1.5 + 1e-9
     lo_recs = [r for r in res.evaluations if r.delta == res.delta_lo]
@@ -145,11 +150,10 @@ def test_critical_delta_coarse_bracket(grid64):
     assert all(r.delta < res.delta_hi for r in res.evaluations)
 
 
-def test_critical_delta_deterministic(grid64):
-    a = critical_delta(0.06, 1.0, 1, grid64, FAST_CFG, tol_rel=0.6,
-                       bracket=(0.06, 6.0), seed=5)
-    b = critical_delta(0.06, 1.0, 1, grid64, FAST_CFG, tol_rel=0.6,
-                       bracket=(0.06, 6.0), seed=5)
+def test_critical_delta_deterministic(grid64, monkeypatch):
+    monkeypatch.setattr(landscape, "_search_band", _band(0.06, 6.0))
+    a = critical_delta(0.06, 1.0, 1, grid64, FAST_CFG, tol_rel=0.6, seed=5)
+    b = critical_delta(0.06, 1.0, 1, grid64, FAST_CFG, tol_rel=0.6, seed=5)
     assert (a.delta_lo, a.delta_hi) == (b.delta_lo, b.delta_hi)
     assert [(r.delta, r.best_energy) for r in a.evaluations] == \
            [(r.delta, r.best_energy) for r in b.evaluations]
@@ -159,7 +163,8 @@ def test_critical_delta_same_records_on_one_worker(grid64, monkeypatch):
     # the predicate's winner is the first lowest energy in portfolio order,
     # however many workers descended the starts
     args = (0.06, 1.0, 1, grid64, FAST_CFG)
-    kwargs = dict(tol_rel=0.6, bracket=(0.06, 6.0), seed=5)
+    kwargs = dict(tol_rel=0.6, seed=5)
+    monkeypatch.setattr(landscape, "_search_band", _band(0.06, 6.0))
     pooled = critical_delta(*args, **kwargs)
     workers = []
     pool = landscape.ThreadPoolExecutor
@@ -486,8 +491,8 @@ def test_critical_delta_counts_an_inversion(grid64, monkeypatch, cert, inversion
                                         None if c == math.inf else start)
 
     monkeypatch.setattr(landscape, "minimize", fake_minimize)
-    res = critical_delta(0.05, 1.0, 1, grid64, FAST_CFG, tol_rel=0.5,
-                         bracket=(0.05, 5.0), seed=0)
+    monkeypatch.setattr(landscape, "_search_band", _band(0.05, 5.0))
+    res = critical_delta(0.05, 1.0, 1, grid64, FAST_CFG, tol_rel=0.5, seed=0)
     deltas = [r.delta for r in res.evaluations]
     assert 0.5 < deltas[0] < 0.6 and deltas[1] == 0.05 and 0.1 < deltas[2] < 0.15
     assert deltas[3] == pytest.approx(next_delta, rel=1e-12)
@@ -545,8 +550,8 @@ def test_critical_delta_brackets_a_monotone_predicate(f, frac, a, width, tol_rel
     bracket = (a * c, a * width * c)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(landscape, "minimize", _monotone_minimize(delta_true, frac))
-        res = critical_delta(0.05, 1.0, 1, GRID64, FAST_CFG, tol_rel=tol_rel,
-                             bracket=bracket, seed=0)
+        m.setattr(landscape, "_search_band", _band(*bracket))
+        res = critical_delta(0.05, 1.0, 1, GRID64, FAST_CFG, tol_rel=tol_rel, seed=0)
     _check_bracket(res, delta_true, tol_rel)
     first = res.evaluations[0].delta
     if c <= bracket[1]:
@@ -560,13 +565,25 @@ def test_critical_delta_brackets_a_monotone_predicate(f, frac, a, width, tol_rel
         assert first == bracket[0]
 
 
+def test_search_band_regimes():
+    # the frozen band, to the last bit: it picks the order of the predicates
+    # of every search whose starts certify nothing inside it
+    band = landscape._search_band
+    assert band(1e-4, 1.0) == (0.00044132253271793944, 0.004935138849834494)
+    assert band(0.1, 0.01) == (44.13225327179395, 493.51388498344943)
+    assert band(0.01, 1.0) == (0.044132253271793945, 0.4935138849834494)
+    # 16 eps^2 takes over the low end once eps/L is large
+    assert band(1.0, 1.0) == (16.0, 49.35138849834494)
+    # past eps*L of about 3.08, C eps/L falls below 16 eps^2 and top is 2 down
+    assert band(2.0, 2.0) == (64.0, 128.0)
+    assert band(0.5, 8.0) == (4.0, 8.0)
+
+
 def test_critical_delta_without_a_certifying_start_begins_at_the_band():
     # at eps = 0.01 on 64^2 the portfolio loses its branched starts, and the
     # random start certifies only above the band: no probe, and the first
     # predicate is at the band's low end, as without certificates
-    from wellscape.bounds import critical_delta_bounds
-
-    band = critical_delta_bounds(0.01, 1.0)
+    band = landscape._search_band(0.01, 1.0)
     delta_true = 0.3 * band[0] + 0.7 * band[1]
     with pytest.warns(PortfolioShrunk):
         starts = multistart_portfolio(0.01, GRID64, seed=0)
@@ -579,14 +596,11 @@ def test_critical_delta_without_a_certifying_start_begins_at_the_band():
     _check_bracket(res, delta_true, 0.25)
 
 
-def _critical_delta_ref(epsilon, L, variant, grid, cfg=None, tol_rel=0.25, seed=0,
-                        bracket=None):
+def _critical_delta_ref(epsilon, L, variant, grid, cfg=None, tol_rel=0.25, seed=0):
     """critical_delta as a bisection with a lower_end helper and a climb
     loop that assign hi in place; it reaches minimize, the portfolio,
-    energy and certificate through the landscape module, as the search
-    does."""
-    from wellscape.bounds import critical_delta_bounds
-
+    energy, certificate and the search band through the landscape module,
+    as the search does."""
     if min(epsilon, L) <= 0 or tol_rel <= 0:
         raise ValueError("epsilon, L, tol_rel must be positive")
     cfg = cfg or MinimizeConfig()
@@ -638,9 +652,7 @@ def _critical_delta_ref(epsilon, L, variant, grid, cfg=None, tol_rel=0.25, seed=
                 f"predicate true over ten decades below {top:.6g}")
         return lo
 
-    lo, hi = bracket if bracket is not None else critical_delta_bounds(epsilon, L)
-    if bracket is None and hi <= lo:
-        hi = 2.0 * lo
+    lo, hi = landscape._search_band(epsilon, L)
     hi = min(hi, best.value)
     if best.value <= hi:
         probe = hi / (1.0 + tol_rel)
@@ -746,10 +758,12 @@ def test_critical_delta_matches_the_bisection_reference(start_certs, kind, delta
     if bracket is not None:
         bracket = (bracket[0], bracket[0] * bracket[1])
     args = (epsilon, 1.0, 1, GRID8, FAST_CFG)
-    kwargs = dict(tol_rel=tol_rel, seed=0, bracket=bracket)
+    kwargs = dict(tol_rel=tol_rel, seed=0)
     outcomes = []
     for search in (critical_delta, _critical_delta_ref):
         with pytest.MonkeyPatch.context() as m:
+            if bracket is not None:
+                m.setattr(landscape, "_search_band", _band(*bracket))
             calls = _fake_landscape(m, start_certs, kind, delta_true, p_cert, salt)
             outcomes.append((_search_outcome(search, *args, **kwargs), calls))
     assert outcomes[0] == outcomes[1]
@@ -777,10 +791,10 @@ def test_critical_delta_true_everywhere_raises_below():
     calls = []
     with pytest.MonkeyPatch.context() as m:
         m.setattr(landscape, "minimize", _every_descent(True, calls))
+        m.setattr(landscape, "_search_band", _band(0.05, 5.0))
         with pytest.raises(landscape.BracketNotFound,
                            match=r"^predicate true over ten decades below 0\.05$"):
-            critical_delta(0.05, 1.0, 1, GRID64, FAST_CFG, tol_rel=0.25,
-                           bracket=(0.05, 5.0), seed=0)
+            critical_delta(0.05, 1.0, 1, GRID64, FAST_CFG, tol_rel=0.25, seed=0)
     deltas = list(dict.fromkeys(calls))   # one entry per predicate
     assert START_CERT / 1.25 <= deltas[0] < START_CERT
     assert len(deltas) == 1 + 11
@@ -796,8 +810,8 @@ def test_critical_delta_false_everywhere_raises_above():
         m.setattr(landscape, "multistart_portfolio",
                   lambda epsilon, grid, seed=0: [("zero", zero_field(grid))])
         m.setattr(landscape, "minimize", _every_descent(False, calls))
+        m.setattr(landscape, "_search_band", _band(0.05, 5.0))
         with pytest.raises(landscape.BracketNotFound,
                            match=r"^predicate false over ten decades above the band$"):
-            critical_delta(0.05, 1.0, 1, GRID64, FAST_CFG, tol_rel=0.25,
-                           bracket=(0.05, 5.0), seed=0)
+            critical_delta(0.05, 1.0, 1, GRID64, FAST_CFG, tol_rel=0.25, seed=0)
     assert calls == [0.05] + [5.0 * 10.0**k for k in range(11)]
