@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import islice
 import math
+import os
 from typing import Callable, NamedTuple, Optional
 import warnings
 
@@ -87,7 +89,11 @@ class ScalarField:
         expected = (self.grid.nx + 1, self.grid.ny)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
-        vals = np.array(self.values, dtype=float)  # defensive copy, then freeze
+        vals = self.values
+        if vals.flags.writeable or vals.base is not None or vals.dtype != np.float64:
+            # defensive copy, then freeze; a frozen float array that owns its
+            # memory, as read_field and branched_seed make, is kept
+            vals = np.array(vals, dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
         vals.setflags(write=False)
@@ -405,16 +411,22 @@ def validate_admissible(u: ScalarField) -> AdmissibilityReport:
 # A table entry, a str of up to 24 characters plus its slot, costs about
 # 80 bytes: ten float64 values.
 _TABLE_COST = 10
-_BLOCK_ROWS = 16   # rows per write: bounds the index and string temporaries
+_BLOCK_ROWS = 16   # rows per write or read: bounds the index and token temporaries
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """True where a sorted 1-D array starts a run of equal entries."""
+    first = np.empty(ordered.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
 
 
 def _distinct_bits(values: np.ndarray) -> Optional[np.ndarray]:
     """The sorted distinct uint64 bit patterns of values, so -0.0 and +0.0
     stay apart; None when more than one value in _TABLE_COST is distinct."""
     ordered = np.sort(values.view(np.uint64), axis=None)
-    first = np.empty(ordered.size, dtype=bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    first = _run_starts(ordered)
     if _TABLE_COST * np.count_nonzero(first) > ordered.size:
         return None
     return ordered[first]
@@ -448,10 +460,121 @@ def write_field(path, u: ScalarField) -> None:
             fh.write("".join([" ".join(row) + "\n" for row in rows]))
 
 
+def _token_index(words: np.ndarray) -> Optional[tuple]:
+    """Tokens as rows of four 8-byte words, grouped by a hash of the words:
+    (an index of one token per hash, the position of each token's hash in
+    that index), or None when more than one hash in _TABLE_COST is distinct."""
+    # odd multipliers: tokens that differ in one word never share a hash
+    keys = words[:, 0] * 0x9E3779B97F4A7C15
+    for k, m in ((1, 0xC2B2AE3D27D4EB4F), (2, 0x165667B19E3779F9), (3, 0x27D4EB2F165667C5)):
+        keys += words[:, k] * m
+    order = np.argsort(keys)
+    first = _run_starts(keys[order])
+    if _TABLE_COST * np.count_nonzero(first) > keys.size:
+        return None
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    return order[first], inverse
+
+
+def _table_values(lines: list) -> Optional[np.ndarray]:
+    """np.loadtxt(lines, dtype=float, ndmin=2), converting each distinct token
+    once; None where loadtxt should read the lines itself.
+
+    loadtxt first splits the lines into byte tokens (S32), so its own row,
+    column, comment and blank-line rules apply.  The tokens are deduplicated
+    by a hash of their four 8-byte words, each checked word for word against
+    its representative, and the distinct ones are converted by loadtxt again,
+    from one line: the same parser gives the same bits and rejects the same
+    tokens.  None comes back for a token that fills all 32 bytes (it may have
+    been cut), a NUL (S32 drops trailing ones), a hash collision, more than
+    one token in _TABLE_COST distinct (the writer's rule, where the table
+    would spare few conversions), or lines or tokens that loadtxt rejects, so
+    that its own error names their row and column.
+    """
+    if any("\0" in line for line in lines):
+        return None
+    try:
+        tokens = np.loadtxt(lines, dtype="S32", ndmin=2)
+    except ValueError:
+        return None
+    if tokens.size == 0:   # blank and comment lines only
+        return np.empty(tokens.shape)
+    if tokens.view(np.uint8)[..., 31::32].any():
+        return None
+    words = tokens.view(np.uint64).reshape(-1, 4)
+    index = _token_index(words)
+    if index is None:
+        return None
+    reps, inverse = index
+    if not np.array_equal(words.take(reps[inverse], axis=0), words):   # a collision
+        return None
+    try:
+        table = np.loadtxt([b" ".join(tokens.reshape(-1)[reps].tolist())],
+                           dtype=float, ndmin=1, encoding="latin1")
+    except ValueError:
+        return None
+    return table[inverse].reshape(tokens.shape)
+
+
+def _payload(fh, path, shape: tuple) -> np.ndarray:
+    """The rest of fh as np.loadtxt(fh, dtype=float, ndmin=2) reads it, which
+    must fill shape: a new frozen array, or a ValueError.
+
+    Each _BLOCK_ROWS lines go through _table_values, else loadtxt.  After a
+    refusal the table is next tried 1, 5, 21, ... blocks on, so a field of
+    distinct values costs few tries.  The array is allocated before any
+    block's temporaries, which then cannot split the heap's room for it, and
+    only if the file can hold its values at two characters each.
+    """
+    fits = 2 * shape[0] * shape[1] - 1 <= os.fstat(fh.fileno()).st_size
+    values = np.empty(shape) if fits else None
+    rows, line = 0, 2
+    skip = gap = 0
+    with warnings.catch_warnings():
+        # blank and comment lines give empty blocks; a header-only file is
+        # reported below, as a ValueError alone
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        for lines in iter(lambda: list(islice(fh, _BLOCK_ROWS)), []):
+            block = None
+            if skip:
+                skip -= 1
+            else:
+                block = _table_values(lines)
+                gap = skip = 0 if block is not None else 4 * gap + 1
+            if block is None:
+                try:
+                    block = np.loadtxt(lines, dtype=float, ndmin=2)
+                except ValueError as exc:
+                    raise ValueError(f"WSF1 payload of {path}, lines from {line}: "
+                                     f"{exc}") from None
+            line += len(lines)
+            if block.size == 0:
+                continue
+            if values is None:
+                raise ValueError(f"WSF1 file {path} is too short for {shape} values")
+            if block.shape[1] != shape[1] or rows + len(block) > shape[0]:
+                raise ValueError(f"WSF1 payload of {path} does not fit {shape}: a row of "
+                                 f"{block.shape[1]} values, or more than {shape[0]} rows")
+            values[rows:rows + len(block)] = block
+            rows += len(block)
+    if rows == 0:
+        raise ValueError(f"WSF1 file {path} has a header but no values")
+    if rows != shape[0]:
+        raise ValueError(f"WSF1 payload shape {(rows, shape[1])} != {shape}")
+    values.setflags(write=False)
+    return values
+
+
 def read_field(path) -> ScalarField:
     """Read a WSF1 dump written by write_field.
 
     The header is checked, and the grid built, before any value is read.
+    The payload is accepted where np.loadtxt(fh, dtype=float, ndmin=2)
+    accepts it, with the same bits: it is read _BLOCK_ROWS lines at a time
+    into one array of the header's shape, each block either by loadtxt or,
+    where few of its tokens are distinct, by converting each distinct token
+    once (_table_values).
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -465,13 +588,5 @@ def read_field(path) -> ScalarField:
         if missing:
             raise ValueError(f"WSF1 header of {path} lacks {', '.join(missing)}")
         grid = make_grid(float(meta["L"]), int(meta["nx"]), int(meta["ny"]))
-        with warnings.catch_warnings():
-            # a header-only file is reported below, as a ValueError alone
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                    UserWarning)
-            values = np.loadtxt(fh, dtype=float, ndmin=2)
-    if values.size == 0:
-        raise ValueError(f"WSF1 file {path} has a header but no values")
-    if values.shape != (grid.nx + 1, grid.ny):
-        raise ValueError(f"WSF1 payload shape {values.shape} != {(grid.nx + 1, grid.ny)}")
+        values = _payload(fh, path, (grid.nx + 1, grid.ny))
     return ScalarField(grid, values)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wellscape import (BranchedSpec, BumpSpec, EnergyParams, PotentialSpec,
                        ResolutionTooCoarse, UnsupportedProfile, b_geometry,
@@ -48,6 +50,45 @@ def test_branched_seed_cost_bounded_over_two_decades():
         br = energy(seed, EnergyParams(eps, 0.0, 3))
         vals.append((br.surface + br.elastic) / eps)
     assert max(vals) / min(vals) < 3.0
+
+
+def _branched_seed_ref(spec, grid):
+    """The whole-grid formula branched_seed replaced: the phase and both
+    halves evaluated on every node, then np.where picks a half."""
+    def profile(xw, y):
+        H = spec.h - spec.k * xw
+        yp = np.mod(y, 4.0 * spec.h)
+        yp = np.where(yp > 2.0 * spec.h, 4.0 * spec.h - yp, yp)
+        out = np.where(yp <= H, yp**2 / (2.0 * H), yp - H / 2.0)
+        return np.where(yp >= 2.0 * spec.h - H,
+                        2.0 * spec.h - H - (yp - 2.0 * spec.h) ** 2 / (2.0 * H), out)
+
+    x = grid.x_nodes[:, None]
+    y = grid.y_nodes[None, :]
+    left = (x / spec.l) * profile(np.zeros((1, 1)), y)
+    return np.where(x <= spec.l, left, profile(x - spec.l, y))
+
+
+def _assert_branched_matches_ref(eps, L, nx, ny):
+    spec = BranchedSpec.from_epsilon(eps, L)
+    g = make_grid(L, nx, ny)
+    assert branched_seed(spec, g).values.tobytes() == _branched_seed_ref(spec, g).tobytes()
+
+
+@pytest.mark.parametrize("eps, n", [(1e-3, 1024), (0.01, 256), (0.002, 512), (0.05, 64),
+                                    (0.003, 200)])
+def test_branched_seed_matches_whole_grid_formula(eps, n):
+    # one profile evaluation per distinct phase gives the same bits; (0.01,
+    # 256) is the branched start of the 256^2 bisection portfolio
+    _assert_branched_matches_ref(eps, 1.0, n, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(eps=st.floats(1e-3, 0.2), L=st.floats(0.25, 4.0), nx=st.integers(8, 150),
+       ny=st.integers(8, 300))
+def test_branched_seed_matches_whole_grid_formula_on_odd_grids(eps, L, nx, ny):
+    assume(ny * BranchedSpec.from_epsilon(eps, L).h >= 8.0)
+    _assert_branched_matches_ref(eps, L, nx, ny)
 
 
 def test_branched_seed_uy_jumps_bounded():

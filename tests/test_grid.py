@@ -19,7 +19,9 @@ from wellscape import (BranchedSpec, InvalidGrid, PotentialSpec, ScalarField,
                        validate_admissible, write_field, zero_field)
 from wellscape.energy import SURFACE_STENCILS
 import wellscape
-from wellscape.grid import _TABLE_COST, Workspace, _distinct_bits, adjoint, apply
+import wellscape.grid as grid_module
+from wellscape.grid import (_BLOCK_ROWS, _TABLE_COST, Workspace, _distinct_bits,
+                            _table_values, adjoint, apply)
 
 # every (x, y) operator pair the energies apply: the surface stencils, the
 # elastic u_x and the cell-center u_y of the well term; and Axc, Ayc, the
@@ -449,3 +451,218 @@ def test_read_field_malformed_files(tmp_path, text, message):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             read_field(path)
+
+
+def test_scalar_field_copies_what_others_can_write(rng):
+    # a writable array, or a frozen view of one, is copied; a frozen array
+    # that owns its memory, as read_field makes, is kept
+    g = make_grid(1.0, 8, 8)
+    writable = rng.normal(size=(9, 8))
+    u = ScalarField(g, writable)
+    writable[0, 0] += 1.0
+    assert u.values[0, 0] != writable[0, 0]
+    view = writable.view()
+    view.setflags(write=False)
+    assert ScalarField(g, view).values is not view
+    assert ScalarField(g, u.values).values is u.values
+    assert not ScalarField(g, writable).values.flags.writeable
+
+
+def _read_field_ref(path):
+    """The reader that read_field replaced: the whole payload through
+    np.loadtxt, then the shape check and the ScalarField."""
+    with open(path) as fh:
+        meta = dict(part.split("=", 1) for part in fh.readline().split()[1:])
+        grid = make_grid(float(meta["L"]), int(meta["nx"]), int(meta["ny"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            values = np.loadtxt(fh, dtype=float, ndmin=2)
+    if values.shape != (grid.nx + 1, grid.ny):
+        raise ValueError(f"payload shape {values.shape}")
+    return ScalarField(grid, values)
+
+
+def _read_bits(read, path):
+    """The bytes of the values read, or None for a ValueError."""
+    try:
+        return read(path).values.tobytes()
+    except ValueError:
+        return None
+
+
+def _assert_reads_like_loadtxt(path):
+    ref = _read_bits(_read_field_ref, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _read_bits(read_field, path) == ref
+
+
+# tokens loadtxt treats apart from plain 17-digit values: non-finite ones,
+# which ScalarField rejects; ones it rejects itself, among them 1_0, which
+# numpy's bytes-to-float cast would accept, and NULs, which S32 drops at a
+# token's end; and zero-padded ones of 31-34 bytes around the 32-byte cells
+ODD_TOKENS = (["nan", "-inf", "inf", "1e500", "-1e500", "1_0", "0x10", "1,5", "+.5", "-0",
+               "1e-400", "\u00e9", "1\x00", "\x00", "\x001"]
+              + ["0" * (n - 3) + "1.5" for n in (31, 32, 33, 34)]
+              + ["-" + "0" * (n - 4) + "2.5" for n in (31, 32, 33, 34)])
+TOKENS = (st.sampled_from(["%.17g" % v for v in EDGE_VALUES] + ODD_TOKENS)
+          | st.floats().map(lambda v: "%.17g" % v) | st.floats().map(repr))
+
+
+@st.composite
+def _wsf1_texts(draw):
+    """(header, payload) of a WSF1 file: pooled payloads (the table path) or
+    unpooled ones, tabs and other whitespace, CRLF, blank and comment lines,
+    a ragged row, and a row too many or too few."""
+    nx, ny = draw(st.integers(8, 40)), draw(st.integers(8, 24))
+    rows = nx + 1 + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    if draw(st.booleans()):
+        pool = draw(st.lists(TOKENS, min_size=1, max_size=5))
+        picks = draw(arrays(np.int8, (rows, ny), elements=st.integers(0, len(pool) - 1)))
+        table = [[pool[k] for k in row] for row in picks.tolist()]
+    else:
+        vals = draw(arrays(np.float64, (rows, ny),
+                           elements=st.sampled_from(EDGE_VALUES) | st.floats()))
+        table = [["%.17g" % v for v in row] for row in vals.tolist()]
+        for i, j, tok in draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                                 st.integers(0, ny - 1), TOKENS), max_size=3)):
+            table[i][j] = tok
+    for i, change in draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                             st.sampled_from([-1, 1])), max_size=1)):
+        table[i] = table[i][:-1] if change < 0 else table[i] + table[i][:1]
+    # \x0b and \u2028 end a line for str.splitlines, but neither for file
+    # iteration nor for loadtxt's stream: both read them as spaces
+    sep = draw(st.sampled_from([" ", "\t", "  ", " \t ", "\x0b", "\x85\u2028"]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [sep.join(row) + eol for row in table]
+    for i, extra in draw(st.lists(st.tuples(
+            st.integers(0, rows),
+            st.sampled_from(["\n", "  \n", "# note\n", "#\n", "0 # 1\n"])), max_size=3)):
+        lines.insert(i, extra)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = lines[i].rstrip() + " # trailing comment" + eol
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return f"WSF1 nx={nx} ny={ny} L=1\n", text
+
+
+def _pooled_text(token):
+    """(header, payload) of one block of few distinct values, token among them."""
+    rows = [["0.5", "0", token, "0.5", "0", "0.25", "0", "0.5"] for _ in range(_BLOCK_ROWS)]
+    return (f"WSF1 nx={_BLOCK_ROWS - 1} ny=8 L=1\n",
+            "".join(" ".join(row) + "\n" for row in rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_wsf1_texts())
+@example(case=_pooled_text("1_0"))
+def test_read_field_matches_loadtxt(tmp_path_factory, case):
+    # the same bits as the whole-payload loadtxt reader, or a ValueError from
+    # both; the example is a table-path block that numpy's bytes-to-float
+    # cast would read as 10
+    path = tmp_path_factory.mktemp("wsf1") / "f.wsf1"
+    path.write_bytes("".join(case).encode())
+    _assert_reads_like_loadtxt(path)
+
+
+@pytest.mark.parametrize("token", ODD_TOKENS)
+def test_read_field_table_path_agrees_on_odd_tokens(tmp_path, token):
+    # each odd token in a block of few distinct values, where the table path
+    # would convert it
+    path = tmp_path / "f.wsf1"
+    path.write_bytes("".join(_pooled_text(token)).encode())
+    _assert_reads_like_loadtxt(path)
+
+
+@pytest.mark.parametrize("extra, table", [(0, True), (1, False)])
+def test_read_field_either_side_of_the_path_threshold(tmp_path, rng, extra, table):
+    # one block of 160 values: 16 distinct take the table path and 17 loadtxt
+    nx, ny = _BLOCK_ROWS - 1, 10
+    n_distinct = (nx + 1) * ny // _TABLE_COST + extra
+    pool = np.array([-0.0, 0.0, 5e-324] + [k / 3.0 for k in range(1, n_distinct - 2)])
+    picks = rng.permutation(np.arange((nx + 1) * ny) % n_distinct)
+    u = ScalarField(make_grid(1.0, nx, ny), pool[picks].reshape(nx + 1, ny))
+    write_field(tmp_path / "f.wsf1", u)
+    lines = (tmp_path / "f.wsf1").read_text().splitlines(keepends=True)[1:]
+    got = _table_values(lines)
+    assert (got is not None) == table
+    if table:
+        assert got.tobytes() == np.loadtxt(lines, dtype=float, ndmin=2).tobytes()
+    assert read_field(tmp_path / "f.wsf1").values.tobytes() == u.values.tobytes()
+
+
+@pytest.mark.parametrize("width, table", [(31, True), (32, False), (33, False)])
+def test_read_field_long_tokens_take_loadtxt(tmp_path, width, table):
+    # a token that fills its 32 S32 bytes may have been cut: loadtxt reads it
+    token = "0" * (width - 3) + "1.5"
+    lines = [" ".join([token] + ["0"] * 9) + "\n" for _ in range(_BLOCK_ROWS)]
+    assert (_table_values(lines) is not None) == table
+    path = tmp_path / "f.wsf1"
+    path.write_text("WSF1 nx=15 ny=10 L=1\n" + "".join(lines))
+    values = read_field(path).values
+    assert np.all(values[:, 0] == 1.5) and np.all(values[:, 1:] == 0.0)
+
+
+def test_read_field_without_values_or_room(tmp_path):
+    # blank and comment lines alone are no values, with no warning escaping;
+    # a header that promises more values than the file can hold allocates
+    # nothing; a row too long and too few rows are named
+    path = tmp_path / "f.wsf1"
+    cases = [("WSF1 nx=8 ny=8 L=1\n\n  \n# only a comment\n", "has a header but no values"),
+             ("WSF1 nx=100000000 ny=8 L=1\n" + "0 " * 8 + "\n", "too short"),
+             ("WSF1 nx=8 ny=8 L=1\n" + "0.125 " * 64 + "\n", "does not fit"),
+             ("WSF1 nx=8 ny=8 L=1\n" + ("0.125 " * 8 + "\n") * 10, "more than 9 rows"),
+             ("WSF1 nx=8 ny=8 L=1\n" + ("0.125 " * 8 + "\n") * 8, r"shape \(8, 8\) != \(9, 8\)")]
+    for text, message in cases:
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                read_field(path)
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: branched_seed(BranchedSpec.from_epsilon(1e-3, g.L), g),
+    lambda g: random_admissible(g, np.random.default_rng(5)),
+], ids=["branched", "random"])
+def test_read_field_peak_memory(tmp_path, make):
+    # one array of the header's shape and one block's temporaries: no whole
+    # payload is parsed into a second array, and the field is not copied
+    u = make(make_grid(1.0, 512, 512))
+    write_field(tmp_path / "f.wsf1", u)
+    tracemalloc.start()
+    try:
+        back = read_field(tmp_path / "f.wsf1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.values.tobytes() == u.values.tobytes()
+    assert peak <= 1.5 * u.values.nbytes, peak / u.values.nbytes
+
+
+def test_read_field_table_path_refuses_a_hash_collision(monkeypatch):
+    # an index that puts distinct tokens under one hash is caught word for word
+    lines = ["0.5 0.25 " * 5 + "\n"] * _BLOCK_ROWS
+    assert _table_values(lines) is not None
+    monkeypatch.setattr(grid_module, "_token_index",
+                        lambda words: (np.zeros(1, np.intp), np.zeros(len(words), np.intp)))
+    assert _table_values(lines) is None
+
+
+@pytest.mark.parametrize("make, tries", [
+    (lambda g: branched_seed(BranchedSpec.from_epsilon(1e-3, g.L), g), 32),
+    (lambda g: random_admissible(g, np.random.default_rng(5)), 4),
+], ids=["branched", "random"])
+def test_read_field_backs_off_the_table_path(tmp_path, monkeypatch, make, tries):
+    # 32 blocks: a pooled field tries the table on each; a field of distinct
+    # values on blocks 0, 2, 8 and 30, after 1, 5 and 21 blocks of loadtxt
+    u = make(make_grid(1.0, 32 * _BLOCK_ROWS - 1, 256))
+    write_field(tmp_path / "f.wsf1", u)
+    calls = []
+    real = grid_module._table_values
+    monkeypatch.setattr(grid_module, "_table_values",
+                        lambda lines: calls.append(len(lines)) or real(lines))
+    assert read_field(tmp_path / "f.wsf1").values.tobytes() == u.values.tobytes()
+    assert len(calls) == tries
