@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .constructions import BranchedSpec, PotentialSpec, branched_seed, potential_seed
-from .bounds import killerinterp_sides
+from .bounds import killerinterp_sides, theorem2_bounds
 from .energy import (EmptyB, EmptyPiM, EnergyParams, b_geometry,
                      column_uyy_integrals, energy, scale_to_uy_peak)
 from .grid import ScalarField, l2_norm, make_grid
@@ -87,8 +87,7 @@ def _local_min_constants() -> tuple[float, float]:
                 min_area = min(min_area, area)
     if not math.isfinite(min_norm) or not math.isfinite(min_area):
         raise RuntimeError("calibration sweep found no energy-lowering state")
-    r_scale = eps**3.5 / delta**2
-    s_scale = eps**6 / (delta**4 * L)
+    r_scale, s_scale = theorem2_bounds(eps, delta, L)
     return min_norm / r_scale / SAFETY, min_area / s_scale / SAFETY
 
 

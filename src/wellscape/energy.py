@@ -107,7 +107,6 @@ class EnergyBreakdown:
 class BSetGeometry:
     """Discrete B(u) with its column projection and mean vertical extent tau."""
 
-    b_mask: np.ndarray            # (nx, ny) bool, per cell
     column_lengths: np.ndarray    # (nx,) run-corrected L^1(l_x cap B) per cell column
     area_b: float                 # hx * sum(column_lengths)
     pi_columns: np.ndarray        # cell columns containing at least one B-cell
@@ -195,7 +194,7 @@ def b_geometry(u: ScalarField) -> BSetGeometry:
     tau = None
     if area_b > 0.0 and len_pi > 0.0:
         tau = min(area_b / len_pi, 1.0)
-    return BSetGeometry(mask, lengths, area_b, pi, tau)
+    return BSetGeometry(lengths, area_b, pi, tau)
 
 
 def column_uyy_integrals(u: ScalarField) -> np.ndarray:

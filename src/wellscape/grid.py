@@ -414,62 +414,15 @@ _TABLE_COST = 10
 _BLOCK_ROWS = 16   # rows per write or read: bounds the index and token temporaries
 
 
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    """True where a sorted 1-D array starts a run of equal entries."""
-    first = np.empty(ordered.size, dtype=bool)
+def _groups(keys: np.ndarray) -> Optional[tuple]:
+    """Equal entries of a 1-D array grouped: (the position of one entry per
+    distinct key, the index of each entry's key among them), or None when
+    more than one key in _TABLE_COST is distinct."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    first = np.empty(keys.size, dtype=bool)
     first[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return first
-
-
-def _distinct_bits(values: np.ndarray) -> Optional[np.ndarray]:
-    """The sorted distinct uint64 bit patterns of values, so -0.0 and +0.0
-    stay apart; None when more than one value in _TABLE_COST is distinct."""
-    ordered = np.sort(values.view(np.uint64), axis=None)
-    first = _run_starts(ordered)
-    if _TABLE_COST * np.count_nonzero(first) > ordered.size:
-        return None
-    return ordered[first]
-
-
-def write_field(path, u: ScalarField) -> None:
-    """Write the WSF1 dump: header, then nx+1 lines of ny values (row-major in i).
-
-    Values are printed with 17 significant digits so readers round-trip
-    bit-identically.  A field with few distinct values, such as a
-    construction built from 1-D profiles, formats each distinct value once
-    and joins rows from that string table, block by block: the 17-digit
-    conversion is the cost of a dump.  Where more than one value in
-    _TABLE_COST is distinct, the table would outweigh the field itself and
-    spare few conversions, so np.savetxt formats every value.  Both paths
-    write the same bytes.  The sorted copy of the bit patterns, the size of
-    the field, is the largest transient; no whole file's text is held.
-    """
-    g = u.grid
-    distinct = _distinct_bits(u.values)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"WSF1 nx={g.nx} ny={g.ny} L={g.L:.17g}\n")
-        if distinct is None:
-            np.savetxt(fh, u.values, fmt="%.17g")
-            return
-        table = np.array(["%.17g" % v for v in distinct.view(np.float64).tolist()],
-                         dtype=object)
-        bits = u.values.view(np.uint64)
-        for i in range(0, g.nx + 1, _BLOCK_ROWS):
-            rows = table[np.searchsorted(distinct, bits[i:i + _BLOCK_ROWS])].tolist()
-            fh.write("".join([" ".join(row) + "\n" for row in rows]))
-
-
-def _token_index(words: np.ndarray) -> Optional[tuple]:
-    """Tokens as rows of four 8-byte words, grouped by a hash of the words:
-    (an index of one token per hash, the position of each token's hash in
-    that index), or None when more than one hash in _TABLE_COST is distinct."""
-    # odd multipliers: tokens that differ in one word never share a hash
-    keys = words[:, 0] * 0x9E3779B97F4A7C15
-    for k, m in ((1, 0xC2B2AE3D27D4EB4F), (2, 0x165667B19E3779F9), (3, 0x27D4EB2F165667C5)):
-        keys += words[:, k] * m
-    order = np.argsort(keys)
-    first = _run_starts(keys[order])
     if _TABLE_COST * np.count_nonzero(first) > keys.size:
         return None
     inverse = np.empty_like(order)
@@ -477,20 +430,49 @@ def _token_index(words: np.ndarray) -> Optional[tuple]:
     return order[first], inverse
 
 
+def write_field(path, u: ScalarField) -> None:
+    """Write the WSF1 dump: header, then nx+1 lines of ny values (row-major in i).
+
+    Values are printed with 17 significant digits so readers round-trip
+    bit-identically.  The field goes out _BLOCK_ROWS lines at a time, the
+    blocks read_field reads.  A block in which at most one value in
+    _TABLE_COST is distinct by bit pattern (so -0.0 and +0.0 stay apart),
+    as in a construction built from 1-D profiles, formats each distinct
+    value once and joins its rows from that string table: the 17-digit
+    conversion is the cost of a dump.  Any other block, where the table
+    would spare few conversions, goes through np.savetxt.  Both paths write
+    the same bytes, and no transient outgrows one block.
+    """
+    g = u.grid
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"WSF1 nx={g.nx} ny={g.ny} L={g.L:.17g}\n")
+        for i in range(0, g.nx + 1, _BLOCK_ROWS):
+            block = u.values[i:i + _BLOCK_ROWS]
+            flat = block.reshape(-1)
+            groups = _groups(flat.view(np.uint64))
+            if groups is None:
+                np.savetxt(fh, block, fmt="%.17g")
+                continue
+            reps, inverse = groups
+            table = np.array(["%.17g" % v for v in flat[reps].tolist()], dtype=object)
+            rows = table[inverse].reshape(block.shape).tolist()
+            fh.write("".join([" ".join(row) + "\n" for row in rows]))
+
+
 def _table_values(lines: list) -> Optional[np.ndarray]:
     """np.loadtxt(lines, dtype=float, ndmin=2), converting each distinct token
     once; None where loadtxt should read the lines itself.
 
     loadtxt first splits the lines into byte tokens (S32), so its own row,
-    column, comment and blank-line rules apply.  The tokens are deduplicated
-    by a hash of their four 8-byte words, each checked word for word against
+    column, comment and blank-line rules apply.  The tokens are grouped by
+    a hash of their four 8-byte words, each checked word for word against
     its representative, and the distinct ones are converted by loadtxt again,
     from one line: the same parser gives the same bits and rejects the same
     tokens.  None comes back for a token that fills all 32 bytes (it may have
     been cut), a NUL (S32 drops trailing ones), a hash collision, more than
-    one token in _TABLE_COST distinct (the writer's rule, where the table
-    would spare few conversions), or lines or tokens that loadtxt rejects, so
-    that its own error names their row and column.
+    one token in _TABLE_COST distinct (the writer's rule, from the same
+    _groups), or lines or tokens that loadtxt rejects, so that its own error
+    names their row and column.
     """
     if any("\0" in line for line in lines):
         return None
@@ -503,10 +485,14 @@ def _table_values(lines: list) -> Optional[np.ndarray]:
     if tokens.view(np.uint8)[..., 31::32].any():
         return None
     words = tokens.view(np.uint64).reshape(-1, 4)
-    index = _token_index(words)
-    if index is None:
+    # odd multipliers: tokens that differ in one word never share a hash
+    keys = words[:, 0] * 0x9E3779B97F4A7C15
+    for k, m in ((1, 0xC2B2AE3D27D4EB4F), (2, 0x165667B19E3779F9), (3, 0x27D4EB2F165667C5)):
+        keys += words[:, k] * m
+    groups = _groups(keys)
+    if groups is None:
         return None
-    reps, inverse = index
+    reps, inverse = groups
     if not np.array_equal(words.take(reps[inverse], axis=0), words):   # a collision
         return None
     try:
@@ -572,9 +558,10 @@ def read_field(path) -> ScalarField:
     The header is checked, and the grid built, before any value is read.
     The payload is accepted where np.loadtxt(fh, dtype=float, ndmin=2)
     accepts it, with the same bits: it is read _BLOCK_ROWS lines at a time
-    into one array of the header's shape, each block either by loadtxt or,
-    where few of its tokens are distinct, by converting each distinct token
-    once (_table_values).
+    into one array of the header's shape.  A block in which at most one
+    token in _TABLE_COST is distinct converts each distinct token once
+    (_table_values), the rule write_field applies to the same blocks; any
+    other block goes through loadtxt.
     """
     with open(path) as fh:
         header = fh.readline().split()

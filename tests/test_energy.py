@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
@@ -307,31 +307,58 @@ def _fused_kernel_bounds(u, p, grad_ref):
     """Entrywise bounds on |kernel - reference| for (value, gradient), fixed
     from the dtype and the terms' magnitudes, not from observed differences.
 
-    Both sides take surface and elastic from the same quadrature and the
-    quadratic gradient terms in the same order, so they differ only in the
-    well term and in the roundings that add it on.
+    Both sides take surface and elastic from the same quadrature, the
+    quadratic gradient terms in the same order and the smoothstep
+    coordinate t with the same bits, so they differ only in the well term
+    and in the roundings that add it on.  A product or quotient rounds to
+    x y (1 + d) + e, |d| <= u = 2**-53, and |e| <= eta = 2**-1075 where
+    gradual underflow makes it subnormal (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, sec. 2.1); a sum carries no e.  Each e is
+    then scaled by the factors multiplied in after it.
     * Value: each side sums the n cells' 1 - s (a magnitude of at most 2
       each; at most 4 roundings per term), scales by delta hx hy and adds
       surface and elastic, so it lies within gamma_(n+8) of the exact value
       relative to surface + elastic + 2 n delta hx hy, and the two within
-      twice that.
+      twice that.  The e's: 3 products per cell, scaled by delta hx hy,
+      and the three of ((delta hx) hy) times the sum, scaled by hy times
+      the sum (at most n), by the sum and by 1.
     * Gradient: each side's well term errs by at most gamma_12 times
       M = delta hx hy |A|^T |slope|, A the cell-center u_y operator (4
       roundings in the slope, 4 in the two operators, 4 in the factor), and
       |Fy| = (2 / hy) Ayc.  Adding it onto the quadratic terms Q rounds
       once, with |Q| <= |reference| + M, so the two differ by at most
-      2 gamma_16 (|reference| + 2 M).
+      2 gamma_16 (|reference| + 2 M).  The e's, with a = |A|^T |slope|:
+      - the kernel forms F = ((-6 delta) hx hy) / w, A^T (t (1 - t)) and
+        their product.  F's three e's are scaled by |A^T (t (1 - t))|,
+        at most a w / 6, times hx hy / w, 1 / w and 1.  The e's of
+        t (1 - t), of Axc^T's halving and of Fy^T's 1 / hy (two products at
+        the wrap) come to (4 / hy + 2) eta, scaled by |F|.  The last is 1.
+      - the reference forms D = delta hx hy, A^T slope with slope =
+        ((-6 t)(1 - t)) / w, and D times it.  D's e is scaled by a.  The
+        slope's three e's, (2 / w + 1) eta, and the operators' come to
+        ((2 / hy)(2 / w + 2) + 2) eta, scaled by |D|.  The last is 1.
+      Together under a (7 + w + hx hy) / 6 + delta hx hy (1 + 7 / w)
+      (4 / hy + 2) + 2 eta's.
+    Each eta sum is doubled, for the (1 + u) factors, the eta^2 terms and
+    the rounding of the bound itself: eta is no float, 2 eta = 2**-1074 is.
     """
     g = u.grid
+    eta2 = 2.0**-1074
     surface, elastic = surface_and_elastic(u, p.epsilon, p.variant)
     scale = g.hx * g.hy
     n = g.nx * g.ny
     value = 2.0 * _gamma(n + 8) * (surface + elastic + 2.0 * n * p.delta * scale)
+    value += 2.0 * eta2 * (3.0 * n * p.delta * scale + n * g.hy + n + 1.0)
     w = p.smooth_w
     t = np.clip((np.abs(_cell_center_uy(u)) - (1.0 - w)) / w, 0.0, 1.0)
     slope = 6.0 * t * (1.0 - t) / w
-    well = p.delta * scale * (2.0 / g.hy) * adjoint(g, slope, "Axc", "Ayc")
-    return value, 2.0 * _gamma(16) * (np.abs(grad_ref) + 2.0 * well)
+    a = (2.0 / g.hy) * adjoint(g, slope, "Axc", "Ayc")
+    d = p.delta * scale
+    well = d * a
+    # d + 7 (d / w), not d (1 + 7 / w): at d = 0 a subnormal w gives 0, not nan
+    underflow = eta2 * (a * (7.0 + w + scale) / 6.0
+                        + (d + 7.0 * (d / w)) * (4.0 / g.hy + 2.0) + 2.0)
+    return value, 2.0 * _gamma(16) * (np.abs(grad_ref) + 2.0 * well) + underflow
 
 
 @settings(max_examples=150, deadline=None)
@@ -339,11 +366,15 @@ def _fused_kernel_bounds(u, p, grad_ref):
        w=st.floats(0.0, 0.5, exclude_min=True), delta=st.floats(0.0, 3.0),
        eps=st.floats(0.005, 0.3), kind=st.sampled_from(["band", "random", "branched"]),
        amplitude=st.floats(0.05, 4.0), seed=st.integers(0, 2**32 - 1))
+@example(shape=(1.0, 64, 64), variant=1, w=0.4375, delta=2.2250738585072014e-308,
+         eps=0.25, kind="branched", amplitude=1.0, seed=0)
 def test_fused_smoothed_kernel_matches_two_pass(shape, variant, w, delta, eps, kind,
                                                 amplitude, seed):
     # (value, gradient) within _fused_kernel_bounds of the two-pass
     # references; "band" scales max |u_y| to 1, so cells fall on both sides
-    # of the smoothstep band and inside it
+    # of the smoothstep band and inside it.  The example's delta, the least
+    # normal float, makes the well factor subnormal: its gradient entries
+    # differ by a few units of 2**-1074, the bound's underflow terms
     g = make_grid(*shape)
     rng = np.random.default_rng(seed)
     u = random_admissible(g, rng, amplitude=amplitude)

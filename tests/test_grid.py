@@ -20,8 +20,8 @@ from wellscape import (BranchedSpec, InvalidGrid, PotentialSpec, ScalarField,
 from wellscape.energy import SURFACE_STENCILS
 import wellscape
 import wellscape.grid as grid_module
-from wellscape.grid import (_BLOCK_ROWS, _TABLE_COST, Workspace, _distinct_bits,
-                            _table_values, adjoint, apply)
+from wellscape.grid import (_BLOCK_ROWS, _TABLE_COST, Workspace, _groups, _table_values,
+                            adjoint, apply)
 
 # every (x, y) operator pair the energies apply: the surface stencils, the
 # elastic u_x and the cell-center u_y of the well term; and Axc, Ayc, the
@@ -372,45 +372,73 @@ def _assert_writes_like_loop_writer(out, u):
     assert back.values.tobytes() == u.values.tobytes()
 
 
+def _table_blocks(vals):
+    """Per _BLOCK_ROWS-line block of vals, whether write_field formats it from
+    a table of its distinct values."""
+    return [_groups(vals[i:i + _BLOCK_ROWS].reshape(-1).view(np.uint64)) is not None
+            for i in range(0, len(vals), _BLOCK_ROWS)]
+
+
+def _distinct_values(rng, shape):
+    """Values of which hardly two are equal, 17 digits wide over 600 decades."""
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-300, 301, size=shape)
+
+
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), nx=st.integers(8, 41), ny=st.integers(8, 41),
-       L=st.floats(1e-3, 1e3), pooled=st.booleans())
-def test_write_field_matches_loop_writer(tmp_path_factory, data, nx, ny, L, pooled):
+@given(data=st.data(), ny=st.integers(8, 41), L=st.floats(1e-3, 1e3),
+       kind=st.sampled_from(["plain", "pooled", "mixed"]))
+def test_write_field_matches_loop_writer(tmp_path_factory, data, ny, L, kind):
     # same file bytes as the loop writer on odd grids, 17-digit widths,
     # signed zeros, subnormals and +-1e300; the file reads back bit-identically.
     # A pooled field draws from at most 8 values, both zeros and a subnormal
-    # among them, so it takes the distinct-value path.
+    # among them, so its first block takes the table path.  A mixed field has
+    # at least two whole blocks, pooled and of distinct values in turn, so
+    # one file holds both paths.
+    low = 2 * _BLOCK_ROWS if kind == "mixed" else 8
+    nx = data.draw(st.integers(low, low + 33), label="nx")
     finite = st.floats(allow_nan=False, allow_infinity=False)
     elements = st.sampled_from(EDGE_VALUES) | finite
-    if pooled:
-        room = min(8, (nx + 1) * ny // _TABLE_COST) - 3
+    if kind != "plain":
+        room = min(8, min(nx + 1, _BLOCK_ROWS) * ny // _TABLE_COST) - 3
         pool = [-0.0, 0.0, data.draw(st.sampled_from([5e-324, -5e-324, 1e-310]))]
         pool += data.draw(st.lists(elements, max_size=room))
         elements = st.sampled_from(pool)
     vals = data.draw(arrays(np.float64, (nx + 1, ny), elements=elements))
-    if pooled:
-        assert _distinct_bits(vals) is not None
+    if kind == "pooled":
+        assert _table_blocks(vals)[0]
+    if kind == "mixed":
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        pooled = (np.arange(nx + 1) // _BLOCK_ROWS % 2 == 0)[:, None]
+        vals = np.where(pooled, vals, _distinct_values(rng, vals.shape))
+        whole = (nx + 1) // _BLOCK_ROWS
+        assert _table_blocks(vals)[:whole] == [k % 2 == 0 for k in range(whole)]
     _assert_writes_like_loop_writer(tmp_path_factory.mktemp("wsf1"),
                                     ScalarField(make_grid(L, nx, ny), vals))
 
 
-@pytest.mark.parametrize("extra, table", [(0, True), (1, False)])
-def test_write_field_either_side_of_the_path_threshold(tmp_path, rng, extra, table):
-    # 200 values, 20 distinct take the table path and 21 the savetxt path
-    nx, ny = 19, 10
+def _threshold_field(rng, extra):
+    """One block of 160 values, 16 + extra of them distinct: the most that
+    takes the table path, or one more."""
+    nx, ny = _BLOCK_ROWS - 1, 10
     n_distinct = (nx + 1) * ny // _TABLE_COST + extra
     pool = np.array([-0.0, 0.0, 5e-324] + [k / 3.0 for k in range(1, n_distinct - 2)])
     picks = rng.permutation(np.arange((nx + 1) * ny) % n_distinct)
-    vals = pool[picks].reshape(nx + 1, ny)
-    assert (_distinct_bits(vals) is not None) == table
-    _assert_writes_like_loop_writer(tmp_path, ScalarField(make_grid(1.0, nx, ny), vals))
+    return ScalarField(make_grid(1.0, nx, ny), pool[picks].reshape(nx + 1, ny))
+
+
+@pytest.mark.parametrize("extra, table", [(0, True), (1, False)])
+def test_write_field_either_side_of_the_path_threshold(tmp_path, rng, extra, table):
+    u = _threshold_field(rng, extra)
+    assert _table_blocks(u.values) == [table]
+    _assert_writes_like_loop_writer(tmp_path, u)
 
 
 def test_write_field_branched_seed_matches_loop_writer(tmp_path):
-    # 5 % of the branched seed's values are distinct: the table path
+    # 5 % of the branched seed's values are distinct: every block takes the
+    # table path
     g = make_grid(1.0, 256, 256)
     u = branched_seed(BranchedSpec.from_epsilon(1e-3, 1.0), g)
-    assert _distinct_bits(u.values) is not None
+    assert all(_table_blocks(u.values))
     _assert_writes_like_loop_writer(tmp_path, u)
 
 
@@ -420,8 +448,13 @@ def test_write_field_branched_seed_matches_loop_writer(tmp_path):
     lambda g: random_admissible(g, np.random.default_rng(5)),
 ], ids=["branched", "potential", "random"])
 def test_write_field_peak_memory(tmp_path, make):
-    # the sorted bit patterns, the field's size, are the writer's largest
-    # transient: no whole file's text and no string per value is held
+    # every transient is one block's, 16 rows of 512 values: the five 8-byte
+    # index arrays of _groups, an 8-byte slot per value in the gathered
+    # table and again in the row lists, each value's text (at most 25
+    # characters) in its row's string and again in the block's, and the
+    # table's strings (one value in ten, about 75 bytes each): under 128
+    # bytes a value, 1.05 MB.  The field is 2.1 MB, so a whole-field
+    # transient, such as the sorted bit patterns of every value, fails this
     u = make(make_grid(1.0, 512, 512))
     tracemalloc.start()
     try:
@@ -429,7 +462,7 @@ def test_write_field_peak_memory(tmp_path, make):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * u.values.nbytes, peak / u.values.nbytes
+    assert peak <= 128 * _BLOCK_ROWS * u.grid.ny < u.values.nbytes, peak / u.values.nbytes
 
 
 def test_read_field_checks_the_header_before_the_payload(tmp_path):
@@ -511,19 +544,28 @@ TOKENS = (st.sampled_from(["%.17g" % v for v in EDGE_VALUES] + ODD_TOKENS)
 
 @st.composite
 def _wsf1_texts(draw):
-    """(header, payload) of a WSF1 file: pooled payloads (the table path) or
-    unpooled ones, tabs and other whitespace, CRLF, blank and comment lines,
-    a ragged row, and a row too many or too few."""
-    nx, ny = draw(st.integers(8, 40)), draw(st.integers(8, 24))
+    """(header, payload) of a WSF1 file: pooled payloads (the table path),
+    unpooled ones, or mixed ones of at least two whole blocks, pooled and of
+    distinct values in turn; tabs and other whitespace, CRLF, blank and
+    comment lines, a ragged row, and a row too many or too few."""
+    kind = draw(st.sampled_from(["pooled", "plain", "mixed"]))
+    low = 2 * _BLOCK_ROWS if kind == "mixed" else 8
+    nx, ny = draw(st.integers(low, low + 32)), draw(st.integers(8, 24))
     rows = nx + 1 + draw(st.sampled_from([0, 0, 0, -1, 1]))
-    if draw(st.booleans()):
+    if kind != "plain":
         pool = draw(st.lists(TOKENS, min_size=1, max_size=5))
         picks = draw(arrays(np.int8, (rows, ny), elements=st.integers(0, len(pool) - 1)))
         table = [[pool[k] for k in row] for row in picks.tolist()]
-    else:
-        vals = draw(arrays(np.float64, (rows, ny),
-                           elements=st.sampled_from(EDGE_VALUES) | st.floats()))
-        table = [["%.17g" % v for v in row] for row in vals.tolist()]
+    if kind != "pooled":
+        if kind == "plain":
+            vals = draw(arrays(np.float64, (rows, ny),
+                               elements=st.sampled_from(EDGE_VALUES) | st.floats()))
+        else:
+            vals = _distinct_values(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                                    (rows, ny))
+        plain = [["%.17g" % v for v in row] for row in vals.tolist()]
+        table = plain if kind == "plain" else [
+            row if i // _BLOCK_ROWS % 2 == 0 else plain[i] for i, row in enumerate(table)]
         for i, j, tok in draw(st.lists(st.tuples(st.integers(0, rows - 1),
                                                  st.integers(0, ny - 1), TOKENS), max_size=3)):
             table[i][j] = tok
@@ -578,12 +620,7 @@ def test_read_field_table_path_agrees_on_odd_tokens(tmp_path, token):
 
 @pytest.mark.parametrize("extra, table", [(0, True), (1, False)])
 def test_read_field_either_side_of_the_path_threshold(tmp_path, rng, extra, table):
-    # one block of 160 values: 16 distinct take the table path and 17 loadtxt
-    nx, ny = _BLOCK_ROWS - 1, 10
-    n_distinct = (nx + 1) * ny // _TABLE_COST + extra
-    pool = np.array([-0.0, 0.0, 5e-324] + [k / 3.0 for k in range(1, n_distinct - 2)])
-    picks = rng.permutation(np.arange((nx + 1) * ny) % n_distinct)
-    u = ScalarField(make_grid(1.0, nx, ny), pool[picks].reshape(nx + 1, ny))
+    u = _threshold_field(rng, extra)
     write_field(tmp_path / "f.wsf1", u)
     lines = (tmp_path / "f.wsf1").read_text().splitlines(keepends=True)[1:]
     got = _table_values(lines)
@@ -646,8 +683,8 @@ def test_read_field_table_path_refuses_a_hash_collision(monkeypatch):
     # an index that puts distinct tokens under one hash is caught word for word
     lines = ["0.5 0.25 " * 5 + "\n"] * _BLOCK_ROWS
     assert _table_values(lines) is not None
-    monkeypatch.setattr(grid_module, "_token_index",
-                        lambda words: (np.zeros(1, np.intp), np.zeros(len(words), np.intp)))
+    monkeypatch.setattr(grid_module, "_groups",
+                        lambda keys: (np.zeros(1, np.intp), np.zeros(len(keys), np.intp)))
     assert _table_values(lines) is None
 
 
