@@ -23,7 +23,7 @@ import numpy as np
 
 from .energy import (EmptyB, EmptyPiM, TauOne, TruncatedBSet, b_geometry,
                      surface_and_elastic, truncate_b)
-from .grid import ScalarField, apply, integrate_square, l2_norm
+from .grid import ScalarField, integrate_square, l2_norm
 
 POINCARE_CONSTANT = math.pi**2 / 4.0  # sharp 1D Dirichlet-Neumann constant
 
@@ -112,6 +112,19 @@ def obstacle_min_1d(y1: float, y2: float) -> ObstacleSolution:
     return ObstacleSolution(4.0 / (y2 - y1), y1, y2)
 
 
+def _second_difference_gram(n: int) -> np.ndarray:
+    """D2^T D2 for the (n-1) x (n+1) second difference D2 (rows 1, -2, 1),
+    assembled from each row's 3 x 3 element matrix: the entries are small
+    integers, exact in any order, so this is the product bit for bit."""
+    gram = np.zeros((n + 1, n + 1))
+    stencil = np.array([1.0, -2.0, 1.0])
+    idx = np.arange(n - 1)
+    for a in range(3):
+        for b in range(3):
+            gram[idx + a, idx + b] += stencil[a] * stencil[b]
+    return gram
+
+
 def obstacle_qp_oracle(y1: float, y2: float, n: int = 512) -> tuple[float, np.ndarray, np.ndarray]:
     """Discrete quadratic program: minimize h * sum of second differences squared.
 
@@ -125,12 +138,7 @@ def obstacle_qp_oracle(y1: float, y2: float, n: int = 512) -> tuple[float, np.nd
     h = (y2 - y1) / n
     nodes = y1 + h * np.arange(n + 1)
 
-    D2 = np.zeros((n - 1, n + 1))
-    idx = np.arange(n - 1)
-    D2[idx, idx] = 1.0
-    D2[idx, idx + 1] = -2.0
-    D2[idx, idx + 2] = 1.0
-    Q = D2.T @ D2 / h**3  # value = f^T Q f
+    Q = _second_difference_gram(n) / h**3  # value = f^T Q f
 
     A = np.zeros((3, n + 1))
     A[0, :3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)   # f'(y1) = 1
@@ -164,7 +172,7 @@ def lemma1_check(u: ScalarField) -> BoundReport:
         raise EmptyB("lemma1_check requires area(B) > 0")
     if geom.tau is None or geom.tau >= 1.0 - 1e-9:
         raise TauOne(f"tau = {geom.tau}: occupied columns fully inside B")
-    lhs = integrate_square(apply(u.grid, u.values, y="Dyy"), u.grid) / geom.area_b
+    lhs = integrate_square(u.values, u.grid, y="Dyy") / geom.area_b
     rhs = 4.0 / (geom.tau * (1.0 - geom.tau))
     holds = lhs >= rhs * grid_tolerance(u)
     ctx = f"tau={geom.tau:.6g},area_B={geom.area_b:.6g}"
@@ -201,7 +209,7 @@ def estimate_interp_constant(family: Iterable[np.ndarray],
 def poincare_check(u: ScalarField) -> BoundReport:
     """int u_x^2 >= (pi^2/4) / L^2 * int u^2 for fields vanishing at x = 0."""
     g = u.grid
-    lhs = integrate_square(apply(g, u.values, "Dx"), g)
+    lhs = integrate_square(u.values, g, "Dx")
     rhs = POINCARE_CONSTANT / g.L**2 * integrate_square(u.values, g)
     holds = lhs >= rhs * grid_tolerance(u)
     return BoundReport("poincare", f"L={g.L:g}", lhs, rhs, lhs - rhs, holds)
@@ -224,7 +232,7 @@ def killerinterp_sides(u: ScalarField, M: float) -> tuple[float, float, Truncate
     trunc = truncate_b(u, M)  # EmptyB when area(B) = 0
     if trunc.pi_m_columns.size == 0 or trunc.area_b_m <= 0.0:
         raise EmptyPiM("truncation removed every column")
-    lhs = l2_norm(u) * math.sqrt(integrate_square(apply(u.grid, u.values, "Dx"), u.grid))
+    lhs = l2_norm(u) * math.sqrt(integrate_square(u.values, u.grid, "Dx"))
     base = (trunc.area_b_m / trunc.len_pi_m) ** 2 / M
     return lhs, base, trunc
 

@@ -182,10 +182,14 @@ def nucleation_bump(spec: BumpSpec, grid: Grid) -> ScalarField:
     f = spec.lam * ((x - (L - dx)) / dx) ** 2
     f = np.where(x >= L - dx, f, 0.0)
     yr = np.where(y > 2.0 * a, 4.0 * a - y, y)  # reflect about y = 2a
-    lower = f * yr**2 / (2.0 * a)
-    upper = a * f - f * (2.0 * a - yr) ** 2 / (2.0 * a)
-    values = np.where(yr <= a, lower, upper)
-    values = np.where((yr >= 0.0) & (y < 4.0 * a), values, 0.0)
+    # one field, written in place column set by column set: f yr^2 / 2a on
+    # the lower caps, a f - f (2a - yr)^2 / 2a on the upper ones, 0 outside
+    lower = yr <= a
+    values = f * np.where(lower, yr**2, (2.0 * a - yr) ** 2)
+    values /= 2.0 * a
+    np.subtract(a * f, values, out=values, where=~lower)
+    values[:, ~((yr >= 0.0) & (y < 4.0 * a))[0]] = 0.0
+    values.setflags(write=False)
     return ScalarField(grid, values)
 
 

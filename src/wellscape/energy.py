@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .grid import (Grid, ScalarField, Workspace, _square_row_sums, adjoint, apply,
-                   integrate_square, validate_admissible)
+                   apply_strips, integrate_square, validate_admissible)
 
 # |u_y| >= 1 is tested with this slack so that exact ties survive roundoff
 # (the branched seed's entire B-set sits at |u_y| = 1 exactly).
@@ -128,23 +128,24 @@ def well_potential(a, b, delta: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _cell_center_uy(u: ScalarField) -> np.ndarray:
-    """d/dy of the bilinear interpolant at cell centers, shape (nx, ny)."""
-    return apply(u.grid, u.values, *CELL_UY)
+def _b_cells(u: ScalarField):
+    """Yield (r0, |u_y| at the cell centers, the B-cell mask) a strip of cell
+    rows at a time, from r0 on: u_y is d/dy of the bilinear interpolant, and
+    the arrays are overwritten at the next step."""
+    for r0, q in apply_strips(u.grid, u.values, *CELL_UY):
+        np.abs(q, out=q)
+        yield r0, q, q >= 1.0 - TIE_TOL
 
 
 def scale_to_uy_peak(u: ScalarField, peak: float) -> ScalarField:
     """u times peak / max |u_y| at cell centers, or u itself where u_y
     vanishes at every cell center."""
-    top = float(np.abs(_cell_center_uy(u)).max())
-    return u.with_values(u.values * (peak / top)) if top > 0 else u
-
-
-def _b_cells(u: ScalarField) -> tuple[np.ndarray, np.ndarray, float]:
-    """|u_y| at cell centers, the B-cell mask and its area (mask sum * hx * hy)."""
-    q = np.abs(_cell_center_uy(u))
-    mask = q >= 1.0 - TIE_TOL
-    return q, mask, float(mask.sum()) * u.grid.hx * u.grid.hy
+    top = max(float(q.max()) for _, q, _ in _b_cells(u))
+    if not top > 0:
+        return u
+    values = u.values * (peak / top)
+    values.setflags(write=False)   # a frozen array of its own: the field keeps it
+    return u.with_values(values)
 
 
 def _column_lengths(mask: np.ndarray, q: np.ndarray, hy: float) -> np.ndarray:
@@ -184,11 +185,18 @@ def _column_lengths(mask: np.ndarray, q: np.ndarray, hy: float) -> np.ndarray:
 
 
 def b_geometry(u: ScalarField) -> BSetGeometry:
-    """Discrete B(u) = {cell centers with |u_y| >= 1} and derived geometry."""
+    """Discrete B(u) = {cell centers with |u_y| >= 1} and derived geometry.
+
+    _column_lengths treats each cell column on its own, so it runs a strip of
+    columns at a time."""
     g = u.grid
-    q, mask, _ = _b_cells(u)
-    lengths = _column_lengths(mask, q, g.hy)
-    pi = np.flatnonzero(mask.any(axis=1))
+    lengths = np.empty(g.nx)
+    occupied = np.empty(g.nx, dtype=bool)
+    for r0, q, mask in _b_cells(u):
+        r1 = r0 + len(q)
+        lengths[r0:r1] = _column_lengths(mask, q, g.hy)
+        occupied[r0:r1] = mask.any(axis=1)
+    pi = np.flatnonzero(occupied)
     len_pi = g.hx * pi.size
     area_b = float(g.hx * lengths.sum())
     tau = None
@@ -203,7 +211,7 @@ def column_uyy_integrals(u: ScalarField) -> np.ndarray:
     Cell-centered like integrate(): hy/2 times the sum of u_yy^2 over the
     column's two node rows, so hx * sum is integrate_square(u_yy).
     """
-    r = _square_row_sums(apply(u.grid, u.values, y="Dyy"))
+    r = _square_row_sums(u.grid, u.values, y="Dyy")
     return 0.5 * u.grid.hy * (r[:-1] + r[1:])
 
 
@@ -229,21 +237,22 @@ def _quadratic_sums(values: np.ndarray, grid: Grid, epsilon: float, variant: int
                     ws: Optional[Workspace] = None) -> tuple[float, float, list]:
     """(eps^2 * S_variant, integral of u_x^2, fields) of the nodal values.
 
-    The fields are apply(values, x, y) per SURFACE_STENCILS row, then u_x,
-    each integrated by integrate_square.  Without a workspace each is dropped
-    once integrated (at 1024^2 a variant-3 field set would be 34 MB) and the
-    list comes back empty; with one they stay in it for the gradient pass.
+    The fields are apply(values, x, y) per SURFACE_STENCILS row, then u_x.
+    Without a workspace each is integrated a strip at a time
+    (integrate_square(values, grid, x, y)), no field is made, and the list
+    comes back empty; with one each is applied into it, integrated, and kept
+    in the list for the gradient pass.  The integrals have the same bits.
     """
     rows = [(x, y) for x, y, _ in SURFACE_STENCILS[variant]] + [("Dx", None)]
     shape = (grid.nx + 1, grid.ny)
     fields, integrals = [], []
     for k, (x, y) in enumerate(rows):
         if ws is None:
-            f = apply(grid, values, x, y)
+            integrals.append(integrate_square(values, grid, x, y))
         else:
             f = apply(grid, values, x, y, out=ws.get(("field", k), shape), ws=ws)
             fields.append(f)
-        integrals.append(integrate_square(f, grid))
+            integrals.append(integrate_square(f, grid))
     *surface, elastic = integrals
     weights = [w for _, _, w in SURFACE_STENCILS[variant]]
     return epsilon**2 * sum(w * i for w, i in zip(weights, surface)), elastic, fields
@@ -264,7 +273,8 @@ def energy(u: ScalarField, p: EnergyParams) -> EnergyBreakdown:
     if not report.ok:
         raise NotAdmissible("; ".join(report.violations))
     surface, elastic = surface_and_elastic(u, p.epsilon, p.variant)
-    area_b = _b_cells(u)[2]
+    cells = sum(np.count_nonzero(mask) for _, _, mask in _b_cells(u))
+    area_b = float(cells) * u.grid.hx * u.grid.hy
     area_a = u.grid.L - area_b
     well = p.delta * area_a
     return EnergyBreakdown(surface, elastic, well,

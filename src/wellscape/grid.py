@@ -14,12 +14,25 @@ integrands and makes boolean cell masks partition the area of Omega exactly.
 Each operator is a stencil table, built once per grid: its interior rows
 are an integer combination of shifted input rows (coefficients +-1 or -2)
 times one float scale, and its other rows (the y-wrap, the one-sided x
-rows) are listed explicitly as float coefficients.  apply() and adjoint()
-evaluate a table with slices of whole rows, and write into a caller's array
-when given one; their results are C-ordered arrays.  An interior output is
-its unit terms summed, then scaled once, so it differs from the matrix
-product D @ u by at most a few roundoffs of |D| @ |u| (Higham, Accuracy and
-Stability of Numerical Algorithms, 2002, ch. 4).
+rows) are listed explicitly as float coefficients.  One evaluator,
+_evaluate, computes a window of output rows [r0, r1) of an x-operator
+from the window of input rows they read (a y-operator always acts on
+whole rows); apply() and adjoint() evaluate the window of every row, with
+slices of whole rows, and write into a caller's array when given one;
+their results are C-ordered arrays.  An interior output is its unit terms
+summed, then scaled once, so it differs from the matrix product D @ u by
+at most a few roundoffs of |D| @ |u| (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, ch. 4).
+
+A sharp reduction never holds a whole derivative field: apply_strips()
+hands out X u Y^T a strip of output rows at a time, each a view of one
+buffer reused from strip to strip, and integrate_square(f, grid, x, y)
+sums the squares of each strip's rows into one vector.  A strip holds
+about _STRIP_BYTES (32 rows at ny = 1024, the whole field at ny <= 128);
+the y-operator runs on the strip's input window, its rows plus the x-
+operator's halo.  Every output value and every row sum is the same
+computation as on the whole field, so the bits do not depend on the
+strips (loop tiling: Wolf and Lam, PLDI 1991).
 """
 
 from __future__ import annotations
@@ -94,7 +107,9 @@ class ScalarField:
             # defensive copy, then freeze; a frozen float array that owns its
             # memory, as read_field and branched_seed make, is kept
             vals = np.array(vals, dtype=float)
-        if not np.all(np.isfinite(vals)):
+        # min and max are NaN if any value is, and read the values without
+        # writing a mask of the field
+        if not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
             raise ValueError("field values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -230,24 +245,36 @@ def _stencils(grid: Grid) -> dict:
     return {name: (_stencil(r), _stencil(_transposed(r, n))) for name, (r, n) in rows.items()}
 
 
-def _evaluate(st: _Stencil, src: np.ndarray, dst: np.ndarray, axis: int) -> None:
+def _evaluate(st: _Stencil, src: np.ndarray, dst: np.ndarray, axis: int,
+              r0: int = 0, s0: int = 0) -> None:
     """dst = D along `axis` of src; src and dst are C-ordered.
 
-    Along the slow axis each output row is a slice of whole input rows; along
-    the contiguous axis (y-operators only, which are square) the interior is
-    one flat run whose row seams land on the edge columns, rewritten after.
-    The interior adds or subtracts its unit input slices straight into dst,
+    Along the slow axis dst holds the output rows r0 .. r0 + len(dst) - 1,
+    and src the input rows from s0 on, at least those the output rows read
+    (_input_rows); the defaults are the whole operator.  Each output row is
+    a slice of whole input rows.  Along the contiguous axis (y-operators
+    only, which are square) every row is computed, the interior as one flat
+    run whose row seams land on the edge columns, rewritten after.  The
+    interior adds or subtracts its unit input slices straight into dst,
     then multiplies by the scale once.
     """
-    step = src.shape[1] if axis == 0 else 1
     sf, df = src.reshape(-1), dst.reshape(-1)
-    b, e = st.lo * step, df.size - (st.n_out - st.hi) * step
-    out = df[b:e]
-    (o0, _), (o1, f), *rest = st.units
-    f(sf[b + o0 * step:e + o0 * step], sf[b + o1 * step:e + o1 * step], out=out)
-    for o, f in rest:
-        f(out, sf[b + o * step:e + o * step], out=out)
-    np.multiply(out, st.scale, out=out)
+    if axis == 0:
+        step, r1 = src.shape[1], r0 + dst.shape[0]
+        shift = (r0 - s0) * step
+        b, e = (max(st.lo, r0) - r0) * step, (min(st.hi, r1) - r0) * step
+    else:
+        step, r1, shift = 1, st.n_out, 0
+        b, e = st.lo, df.size - (st.n_out - st.hi)
+    if b < e:
+        out = df[b:e]
+        (o0, _), (o1, f), *rest = st.units
+        i0, i1 = b + shift + o0 * step, b + shift + o1 * step
+        f(sf[i0:i0 + e - b], sf[i1:i1 + e - b], out=out)
+        for o, f in rest:
+            i = b + shift + o * step
+            f(out, sf[i:i + e - b], out=out)
+        np.multiply(out, st.scale, out=out)
     if st.edges:
         # edge rows are whole input rows, or columns for a y-operator, done
         # one line at a time: numpy keeps the GIL for loops of at most 500
@@ -256,10 +283,22 @@ def _evaluate(st: _Stencil, src: np.ndarray, dst: np.ndarray, axis: int) -> None
         sv, dv = (src, dst) if axis == 0 else (src.T, dst.T)
         scratch = np.empty(sv.shape[1])
         for r, ((col, a), *more) in st.edges:
-            acc = dv[r]
-            np.multiply(sv[col], a, out=acc)
+            if not r0 <= r < r1:
+                continue
+            acc = dv[r - r0]
+            np.multiply(sv[col - s0], a, out=acc)
             for col, a in more:
-                acc += np.multiply(sv[col], a, out=scratch)
+                acc += np.multiply(sv[col - s0], a, out=scratch)
+
+
+def _input_rows(st: _Stencil, r0: int, r1: int) -> tuple[int, int]:
+    """The input rows [a, b) that output rows [r0, r1) of st read."""
+    rows = [col for r, terms in st.edges if r0 <= r < r1 for col, _ in terms]
+    lo, hi = max(st.lo, r0), min(st.hi, r1)
+    if lo < hi:
+        offsets = [o for o, _ in st.units]
+        rows += [lo + min(offsets), hi - 1 + max(offsets)]
+    return min(rows), max(rows) + 1
 
 
 def _chain(values: np.ndarray, ops: list, out: Optional[np.ndarray],
@@ -319,6 +358,58 @@ def adjoint(grid: Grid, values: np.ndarray, x: Optional[str] = None,
     return _chain(values, ops, out, ws)
 
 
+# A strip array holds about this many bytes: a few fit in a core's cache
+# next to the strip's input rows, and a whole-field array is never made
+_STRIP_BYTES = 1 << 18
+
+
+@lru_cache(maxsize=128)
+def _strip_windows(grid: Grid, x: Optional[str]) -> tuple:
+    """(r0, r1, a, b) per strip: output rows [r0, r1) of the x-operator (the
+    identity for None) and the input rows [a, b) they read."""
+    st = None if x is None else _stencils(grid)[x][0]
+    n_out = grid.nx + 1 if st is None else st.n_out
+    height = max(1, _STRIP_BYTES // (8 * grid.ny))
+    windows = []
+    for r0 in range(0, n_out, height):
+        r1 = min(r0 + height, n_out)
+        windows.append((r0, r1) + ((r0, r1) if st is None else _input_rows(st, r0, r1)))
+    return tuple(windows)
+
+
+def apply_strips(grid: Grid, values: np.ndarray, x: Optional[str] = None,
+                 y: Optional[str] = None):
+    """Yield (r0, block) in row order: block is rows r0 .. r0 + len(block) - 1
+    of apply(grid, values, x, y), with the same bits.
+
+    With an operator, each block is a view of a buffer that the next step
+    overwrites, and the caller may overwrite it too; the y-operator is
+    evaluated on the strip's input window, then the x-operator's window.
+    With none, values comes back whole as one block.
+    """
+    if x is None and y is None:
+        yield 0, values
+        return
+    tables = _stencils(grid)
+    values = np.ascontiguousarray(values)
+    windows = _strip_windows(grid, x)
+    ny = values.shape[1]
+    out = np.empty((max(r1 - r0 for r0, r1, _, _ in windows), ny))
+    if x is not None and y is not None:
+        window = np.empty((max(b - a for _, _, a, b in windows), ny))
+    else:
+        window = out
+    for r0, r1, a, b in windows:
+        src = values[a:b]
+        if y is not None:
+            _evaluate(tables[y][0], src, window[:b - a], 1)
+            src = window[:b - a]
+        if x is not None:
+            _evaluate(tables[x][0], src, out[:r1 - r0], 0, r0, a)
+            src = out[:r1 - r0]
+        yield r0, src
+
+
 def d_y(u: ScalarField) -> ScalarField:
     """Central difference in y with periodic wraparound."""
     return u.with_values(apply(u.grid, u.values, y="Dy"))
@@ -365,15 +456,24 @@ def integrate(f: ScalarField | np.ndarray, grid: Grid | None = None) -> float:
     return float(grid.hx * grid.hy * (w @ values.sum(axis=1)))
 
 
-def _square_row_sums(f: np.ndarray) -> np.ndarray:
-    """Row sums of f * f from einsum, which writes no product field and never
-    calls BLAS, so the bits do not depend on the number of BLAS threads."""
-    return np.einsum("ij,ij->i", f, f)
+def _square_row_sums(grid: Grid, values: np.ndarray, x: Optional[str] = None,
+                     y: Optional[str] = None) -> np.ndarray:
+    """Row sums of (X values Y^T)^2, a strip at a time (apply_strips).
+
+    Each row's sum comes from einsum, which writes no product array and
+    never calls BLAS, so the bits depend neither on the number of BLAS
+    threads nor on the strips.
+    """
+    return np.concatenate([np.einsum("ij,ij->i", block, block)
+                           for _, block in apply_strips(grid, values, x, y)])
 
 
-def integrate_square(f: np.ndarray, grid: Grid) -> float:
-    """integrate(f * f, grid), reading f once and writing no field."""
-    return float(grid.hx * grid.hy * (_x_weights(grid) @ _square_row_sums(f)))
+def integrate_square(f: np.ndarray, grid: Grid, x: Optional[str] = None,
+                     y: Optional[str] = None) -> float:
+    """integrate((X f Y^T)^2, grid) for the named operators (None: identity),
+    with the bits of integrate_square(apply(grid, f, x, y), grid) and no
+    whole-field array written: f is read once per strip."""
+    return float(grid.hx * grid.hy * (_x_weights(grid) @ _square_row_sums(grid, f, x, y)))
 
 
 def l2_norm(u: ScalarField) -> float:

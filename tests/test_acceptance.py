@@ -18,7 +18,8 @@ from wellscape import (BranchedSpec, BumpSpec, EnergyParams, MinimizeConfig,
                        pq_region, radial_poisson, radial_profile,
                        random_admissible, theorem2_bounds)
 from wellscape.bounds import calibration_value, obstacle_qp_oracle
-from wellscape.energy import _cell_center_uy
+from wellscape.energy import CELL_UY
+from wellscape.grid import apply
 
 CFG = MinimizeConfig(max_iters=60, w_init=0.2, w_factor=0.25, w_floor=0.04)
 
@@ -174,7 +175,7 @@ def test_criterion_6_obstacle_and_lemma():
     violations = 0
     while checked < 200:
         w = random_admissible(grid, rng, amplitude=rng.uniform(0.3, 2.0))
-        top = float(np.abs(_cell_center_uy(w)).max())
+        top = float(np.abs(apply(grid, w.values, *CELL_UY)).max())
         if top == 0.0:
             continue
         u = w.with_values(w.values * (rng.uniform(1.05, 3.0) / top))

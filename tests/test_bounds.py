@@ -14,9 +14,10 @@ from wellscape import (BandEmpty, BranchedSpec, BumpSpec, DegenerateInterval,
                        pq_region, proportional_band, reports_to_csv,
                        theorem2_bounds, wopper_check, zero_field)
 from wellscape import PotentialSpec, calibrate
-from wellscape.bounds import calibration_value, killerinterp_sides, obstacle_qp_oracle
-from wellscape.energy import b_geometry, column_uyy_integrals
-from wellscape.grid import d_yy, integrate
+from wellscape.bounds import (_second_difference_gram, calibration_value, killerinterp_sides,
+                              obstacle_qp_oracle)
+from wellscape.energy import CELL_UY, b_geometry, column_uyy_integrals
+from wellscape.grid import apply, d_yy, integrate
 from wellscape.landscape import random_admissible
 
 
@@ -55,6 +56,17 @@ def test_obstacle_qp_oracle_within_one_percent(pair):
     assert abs(slope_mid) < 5e-2
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 511, 512])
+def test_second_difference_gram_is_the_product(n):
+    # the assembled D2^T D2 has the bits of the dense product, zeros' signs too
+    D2 = np.zeros((n - 1, n + 1))
+    idx = np.arange(n - 1)
+    D2[idx, idx] = 1.0
+    D2[idx, idx + 1] = -2.0
+    D2[idx, idx + 2] = 1.0
+    assert _second_difference_gram(n).tobytes() == (D2.T @ D2).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # lemma 2.1 checker
 
@@ -86,11 +98,10 @@ def test_lemma1_zero_field_raises(grid64):
 
 def test_lemma1_zero_violations_on_random_family(rng):
     g = make_grid(1.0, 96, 96)
-    from wellscape.energy import _cell_center_uy
     checked = 0
     for _ in range(60):
         w = random_admissible(g, rng, amplitude=rng.uniform(0.5, 2.0))
-        top = float(np.abs(_cell_center_uy(w)).max())
+        top = float(np.abs(apply(g, w.values, *CELL_UY)).max())
         if top == 0.0:
             continue
         u = w.with_values(w.values * (rng.uniform(1.1, 2.5) / top))

@@ -7,17 +7,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
-from wellscape import (BranchedSpec, EmptyB, EnergyParams, NotAdmissible,
+from wellscape import (BranchedSpec, EmptyB, EnergyBreakdown, EnergyParams, NotAdmissible,
                        ZeroSmoothing, b_geometry, branched_seed,
                        energy, energy_gradient, energy_smoothed,
                        field_from_function, integrate, make_grid, shift_y,
                        truncate_b, well_potential, zero_field)
-from wellscape.energy import (SURFACE_STENCILS, TIE_TOL, _cell_center_uy,
-                              _column_lengths, _quadratic_sums, column_uyy_integrals,
+from wellscape.energy import (CELL_UY, SURFACE_STENCILS, TIE_TOL, _column_lengths,
+                              _quadratic_sums, column_uyy_integrals, scale_to_uy_peak,
                               surface_and_elastic)
-from wellscape.grid import (ScalarField, Workspace, _x_weights, adjoint, apply, d_yy,
-                            integrate_square)
+from wellscape.grid import (_STRIP_BYTES, ScalarField, Workspace, _x_weights, adjoint, apply,
+                            d_yy, integrate_square)
 from wellscape.landscape import certificate, random_admissible
+
+
+def _cell_center_uy(u):
+    """Whole-field reference: d/dy of the bilinear interpolant at cell centers."""
+    return apply(u.grid, u.values, *CELL_UY)
 
 
 def test_well_potential_values():
@@ -463,6 +468,80 @@ def test_column_uyy_integrals_are_the_trapezoid_rule(nx, ny, L, amplitude, seed)
     assert np.all(np.abs(cols - ref) <= 2.0 * _gamma(ny + 8) * ref)
     whole = integrate_square(apply(g, u.values, y="Dyy"), g)
     assert abs(g.hx * cols.sum() - whole) <= 2.0 * _gamma((nx + 1) * ny + 4) * whole
+
+
+def _sharp_refs(u, p):
+    """energy(), b_geometry's (column_lengths, pi_columns, area_b, tau) and
+    column_uyy_integrals, each from whole-field arrays."""
+    g, v = u.grid, u.values
+    q = np.abs(_cell_center_uy(u))
+    mask = q >= 1.0 - TIE_TOL
+    lengths = _column_lengths(mask, q, g.hy)
+    pi = np.flatnonzero(mask.any(axis=1))
+    area_b = float(g.hx * lengths.sum())
+    tau = min(area_b / (g.hx * pi.size), 1.0) if area_b > 0.0 and pi.size else None
+    surface = p.epsilon**2 * sum(w * integrate_square(apply(g, v, x, y), g)
+                                 for x, y, w in SURFACE_STENCILS[p.variant])
+    elastic = integrate_square(apply(g, v, "Dx"), g)
+    cells = float(mask.sum()) * g.hx * g.hy
+    well = p.delta * (g.L - cells)
+    e = EnergyBreakdown(surface, elastic, well, surface + elastic + well, cells, g.L - cells)
+    f = apply(g, v, y="Dyy")
+    r = np.einsum("ij,ij->i", f, f)
+    return e, (lengths, pi, area_b, tau), 0.5 * g.hy * (r[:-1] + r[1:])
+
+
+@settings(max_examples=80, deadline=None)
+@given(nx=st.integers(8, 24), ny=st.integers(16, 24).map(lambda k: 2 * k + 1),
+       L=st.floats(0.25, 4.0).filter(lambda L: L != 1.0), rows=st.integers(1, 26),
+       branched=st.booleans(), peak=st.floats(0.5, 3.0),
+       variant=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
+@example(nx=8, ny=33, L=0.7, rows=3, branched=True, peak=1.0, variant=3, seed=0)
+@example(nx=8, ny=33, L=0.7, rows=1, branched=False, peak=1.5, variant=3, seed=1)
+@example(nx=8, ny=35, L=1.5, rows=4, branched=False, peak=2.5, variant=2, seed=2)
+def test_strip_mined_b_cells_and_integrals_match_the_whole_field(
+        strip_rows, nx, ny, L, rows, branched, peak, variant, seed):
+    # energy(), b_geometry and column_uyy_integrals evaluated a strip of rows
+    # at a time give the bits of the whole-field references, on ties at
+    # |u_y| = 1 (the branched seed, one period in ny >= 32 cells) and on
+    # random fields that cross 1
+    g = make_grid(L, nx, ny)
+    if branched:
+        u = branched_seed(BranchedSpec.from_epsilon(1.0 / (16.0 * L), L), g)
+    else:
+        u = scale_to_uy_peak(random_admissible(g, np.random.default_rng(seed)), peak)
+    p = EnergyParams(0.05, 0.7, variant)
+    e_ref, (lengths, pi, area_b, tau), cols_ref = _sharp_refs(u, p)
+    with strip_rows(rows, ny):
+        e = energy(u, p)
+        geom = b_geometry(u)
+        cols = column_uyy_integrals(u)
+    assert e == e_ref
+    assert geom.column_lengths.tobytes() == lengths.tobytes()
+    assert geom.pi_columns.tobytes() == pi.tobytes()
+    assert (geom.area_b, geom.tau) == (area_b, tau)
+    assert cols.tobytes() == cols_ref.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: branched_seed(BranchedSpec.from_epsilon(1e-3, g.L), g),
+    lambda g: scale_to_uy_peak(random_admissible(g, np.random.default_rng(3)), 1.5),
+], ids=["branched", "random"])
+def test_sharp_energy_and_b_geometry_hold_no_whole_field(traced_peak, make):
+    # at 512^2 a strip array holds _STRIP_BYTES, 64 rows, an eighth of the
+    # field.  energy() holds the y-operator's window (the strip and a halo of
+    # at most 3 rows), the x-operator's strip, then a strip's B-mask (a byte a
+    # cell): under 3 strip arrays.  b_geometry adds _column_lengths' per-strip
+    # temporaries (the rotation index, the gathered |u_y|, its run maxima and
+    # a few byte arrays): under 7, still less than the field.  Evaluated on
+    # whole fields, they held 3.0 and 2.6 fields
+    g = make_grid(1.0, 512, 512)
+    u = make(g)
+    for fn, strips in ((lambda: energy(u, EnergyParams(1e-3, 0.1, 3)), 3),
+                       (lambda: b_geometry(u), 7)):
+        fn()   # the operator tables of the grid are built once
+        _, peak = traced_peak(fn)
+        assert peak <= strips * _STRIP_BYTES < u.values.nbytes, peak / _STRIP_BYTES
 
 
 @settings(max_examples=60, deadline=None)

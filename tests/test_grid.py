@@ -1,8 +1,8 @@
+from functools import partial
 import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,11 +17,12 @@ from wellscape import (BranchedSpec, InvalidGrid, PotentialSpec, ScalarField,
                        field_from_function, integrate, l2_norm, make_grid,
                        potential_seed, random_admissible, read_field, shift_y,
                        validate_admissible, write_field, zero_field)
-from wellscape.energy import SURFACE_STENCILS
+from wellscape.constructions import BumpSpec, nucleation_bump
+from wellscape.energy import CELL_UY, SURFACE_STENCILS, scale_to_uy_peak
 import wellscape
 import wellscape.grid as grid_module
-from wellscape.grid import (_BLOCK_ROWS, _TABLE_COST, Workspace, _groups, _table_values,
-                            adjoint, apply)
+from wellscape.grid import (_BLOCK_ROWS, _TABLE_COST, Workspace, _groups, _strip_windows,
+                            _table_values, adjoint, apply, apply_strips, integrate_square)
 
 # every (x, y) operator pair the energies apply: the surface stencils, the
 # elastic u_x and the cell-center u_y of the well term; and Axc, Ayc, the
@@ -308,6 +309,103 @@ def test_apply_adjoint_match_plain_products(name, nx, ny, L, fortran, seed):
                 assert out.tobytes(order="C") == got.tobytes()
 
 
+# every (x, y) that a sharp reduction integrates: the surface stencils, u_x
+# and the u_yy of the column integrals
+SQUARED_PAIRS = sorted({(x, y) for rows in SURFACE_STENCILS.values() for x, y, _ in rows}
+                       | {("Dx", None), (None, "Dyy")}, key=str)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(8, 24), ny=st.integers(4, 20).map(lambda k: 2 * k + 1),
+       L=st.floats(0.25, 4.0).filter(lambda L: L != 1.0), rows=st.integers(1, 26),
+       seed=st.integers(0, 2**32 - 1))
+@example(nx=8, ny=9, L=0.7, rows=1, seed=0)    # nine strips, a seam at every row
+@example(nx=8, ny=9, L=0.7, rows=3, seed=1)    # three strips, nx + 1 a multiple
+@example(nx=8, ny=9, L=0.7, rows=4, seed=2)    # the last one-sided row alone
+@example(nx=8, ny=11, L=2.5, rows=5, seed=3)   # nx + 1 no multiple of the height
+@example(nx=8, ny=11, L=2.5, rows=8, seed=4)   # a seam just before row nx
+def test_strips_have_the_bits_of_the_whole_field(strip_rows, nx, ny, L, rows, seed):
+    # apply_strips' blocks, in order, are apply()'s rows, and
+    # integrate_square(v, g, x, y) is integrate_square(apply(g, v, x, y), g):
+    # bit for bit, whatever the strip height
+    g = make_grid(L, nx, ny)
+    v = _signed_normals(np.random.default_rng(seed), (nx + 1, ny), "C")
+    with strip_rows(rows, ny):
+        for x, y in SQUARED_PAIRS + [CELL_UY]:
+            whole = apply(g, v, x, y)
+            starts, blocks = zip(*[(r0, block.copy()) for r0, block in apply_strips(g, v, x, y)])
+            assert list(starts) == list(range(0, len(whole), rows))
+            assert np.concatenate(blocks).tobytes() == whole.tobytes()
+            if (x, y) != CELL_UY:
+                assert integrate_square(v, g, x, y).hex() == integrate_square(whole, g).hex()
+
+
+def test_strip_height_follows_the_byte_budget():
+    # 32 rows at ny = 1024, 128 at 256, the whole field at 128^2
+    for n, rows in ((1024, 32), (256, 128), (128, 129)):
+        g = make_grid(1.0, n, n)
+        r0, r1, _, _ = _strip_windows(g, None)[0]
+        assert (r0, r1) == (0, rows)
+
+
+def _random_admissible_ref(grid, rng, amplitude=1.0):
+    """random_admissible as whole-field expressions, copied into the field."""
+    y = grid.y_nodes
+    xi = (grid.x_nodes / grid.L)[:, None]
+    values = 0.0
+    for power in (1, 2):
+        prof = np.zeros_like(y)
+        for n in range(1, 9):
+            a, b = rng.normal(size=2) / n
+            prof += a * np.cos(2.0 * math.pi * n * y) + b * np.sin(2.0 * math.pi * n * y)
+        values = values + xi**power * prof
+    rms = math.sqrt(float((values**2).mean()))
+    if rms > 0:
+        values *= amplitude / rms
+    return ScalarField(grid, values)
+
+
+def _scale_to_uy_peak_ref(u, peak):
+    """scale_to_uy_peak from the whole cell-center u_y, copied into the field."""
+    return u.with_values(u.values * (peak / np.abs(apply(u.grid, u.values, *CELL_UY)).max()))
+
+
+def _nucleation_bump_ref(spec, grid):
+    """nucleation_bump as whole-field expressions, copied into the field."""
+    a, dx, L = spec.a, spec.delta_x, spec.L
+    x = grid.x_nodes[:, None]
+    y = grid.y_nodes[None, :]
+    f = np.where(x >= L - dx, spec.lam * ((x - (L - dx)) / dx) ** 2, 0.0)
+    yr = np.where(y > 2.0 * a, 4.0 * a - y, y)
+    lower = f * yr**2 / (2.0 * a)
+    upper = a * f - f * (2.0 * a - yr) ** 2 / (2.0 * a)
+    values = np.where((yr >= 0.0) & (y < 4.0 * a), np.where(yr <= a, lower, upper), 0.0)
+    return ScalarField(grid, values)
+
+
+@pytest.mark.parametrize("build, ref", [
+    (lambda g: lambda: random_admissible(g, np.random.default_rng(5), 0.7),
+     lambda g: _random_admissible_ref(g, np.random.default_rng(5), 0.7)),
+    (lambda g: partial(scale_to_uy_peak,
+                       _random_admissible_ref(g, np.random.default_rng(6)), 1.5),
+     lambda g: _scale_to_uy_peak_ref(_random_admissible_ref(g, np.random.default_rng(6)), 1.5)),
+    (lambda g: lambda: nucleation_bump(BumpSpec(0.1, 0.5, 2.0, g.L), g),
+     lambda g: _nucleation_bump_ref(BumpSpec(0.1, 0.5, 2.0, g.L), g)),
+], ids=["random_admissible", "scale_to_uy_peak", "nucleation_bump"])
+def test_constructors_hand_their_array_to_the_field(traced_peak, build, ref):
+    # each makes one frozen float array of its own, which the field keeps,
+    # with temporaries of at most an eighth of a field (strips, blocks of
+    # rows): the peak is under 1.125 fields.  Copied into the field after
+    # whole-field temporaries, they peaked at 2.13, 2.13 and 4.13 fields
+    g = make_grid(1.0, 512, 512)
+    fn = build(g)
+    fn()   # the operator tables of the grid are built once
+    u, peak = traced_peak(fn)
+    assert u.values.tobytes() == ref(g).values.tobytes()
+    assert ScalarField(g, u.values).values is u.values
+    assert peak <= 1.125 * u.values.nbytes, peak / u.values.nbytes
+
+
 def test_package_runs_without_scipy():
     # scipy stays a test dependency: importing the package and running a
     # descent and an energy must not load it
@@ -447,7 +545,7 @@ def test_write_field_branched_seed_matches_loop_writer(tmp_path):
     lambda g: potential_seed(PotentialSpec(4, 1.0, nR=2048), g),
     lambda g: random_admissible(g, np.random.default_rng(5)),
 ], ids=["branched", "potential", "random"])
-def test_write_field_peak_memory(tmp_path, make):
+def test_write_field_peak_memory(tmp_path, make, traced_peak):
     # every transient is one block's, 16 rows of 512 values: the five 8-byte
     # index arrays of _groups, an 8-byte slot per value in the gathered
     # table and again in the row lists, each value's text (at most 25
@@ -456,12 +554,7 @@ def test_write_field_peak_memory(tmp_path, make):
     # bytes a value, 1.05 MB.  The field is 2.1 MB, so a whole-field
     # transient, such as the sorted bit patterns of every value, fails this
     u = make(make_grid(1.0, 512, 512))
-    tracemalloc.start()
-    try:
-        write_field(tmp_path / "f.wsf1", u)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: write_field(tmp_path / "f.wsf1", u))
     assert peak <= 128 * _BLOCK_ROWS * u.grid.ny < u.values.nbytes, peak / u.values.nbytes
 
 
@@ -664,17 +757,12 @@ def test_read_field_without_values_or_room(tmp_path):
     lambda g: branched_seed(BranchedSpec.from_epsilon(1e-3, g.L), g),
     lambda g: random_admissible(g, np.random.default_rng(5)),
 ], ids=["branched", "random"])
-def test_read_field_peak_memory(tmp_path, make):
+def test_read_field_peak_memory(tmp_path, make, traced_peak):
     # one array of the header's shape and one block's temporaries: no whole
     # payload is parsed into a second array, and the field is not copied
     u = make(make_grid(1.0, 512, 512))
     write_field(tmp_path / "f.wsf1", u)
-    tracemalloc.start()
-    try:
-        back = read_field(tmp_path / "f.wsf1")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    back, peak = traced_peak(lambda: read_field(tmp_path / "f.wsf1"))
     assert back.values.tobytes() == u.values.tobytes()
     assert peak <= 1.5 * u.values.nbytes, peak / u.values.nbytes
 
