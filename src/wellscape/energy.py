@@ -30,8 +30,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .grid import (Grid, ScalarField, Workspace, _square_row_sums, adjoint, apply,
-                   apply_strips, integrate_square, validate_admissible)
+from .grid import (Grid, ScalarField, Workspace, _adopt, _square_row_sums, adjoint,
+                   apply, apply_strips, integrate_square, validate_admissible)
 
 # |u_y| >= 1 is tested with this slack so that exact ties survive roundoff
 # (the branched seed's entire B-set sits at |u_y| = 1 exactly).
@@ -78,10 +78,10 @@ class EnergyParams:
     smooth_w: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        if not np.isfinite(self.epsilon) or self.epsilon <= 0:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if not np.isfinite(self.delta) or self.delta < 0:
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         if self.variant not in (1, 2, 3):
             raise ValueError(f"variant must be 1, 2 or 3, got {self.variant}")
         if not 0.0 <= self.smooth_w <= 0.5:
@@ -143,9 +143,7 @@ def scale_to_uy_peak(u: ScalarField, peak: float) -> ScalarField:
     top = max(float(q.max()) for _, q, _ in _b_cells(u))
     if not top > 0:
         return u
-    values = u.values * (peak / top)
-    values.setflags(write=False)   # a frozen array of its own: the field keeps it
-    return u.with_values(values)
+    return _adopt(u, u.values * (peak / top))
 
 
 def _column_lengths(mask: np.ndarray, q: np.ndarray, hy: float) -> np.ndarray:
@@ -250,7 +248,7 @@ def _quadratic_sums(values: np.ndarray, grid: Grid, epsilon: float, variant: int
         if ws is None:
             integrals.append(integrate_square(values, grid, x, y))
         else:
-            f = apply(grid, values, x, y, out=ws.get(("field", k), shape), ws=ws)
+            f = apply(grid, values, x, y, out=ws.get(("field", k), shape))
             fields.append(f)
             integrals.append(integrate_square(f, grid))
     *surface, elastic = integrals
@@ -297,15 +295,15 @@ def _smoothed_terms(values: np.ndarray, grid: Grid, p: EnergyParams,
     The indicator chi_(-1,1)(|u_y|) becomes the C^1 smoothstep
     1 - t^2 (3 - 2t): 1 below |u_y| = 1 - w, 0 above 1, cubic between; the
     well term sums it over the n cells as n - sum t^2 (3 - 2t).
-    Every array, the returned terms included, lives in `ws` (a new one when
-    none is given) until the next pass that uses it.
+    Every array it keeps, the returned terms included, lives in `ws` (a new
+    one when none is given) until the next pass that uses it.
     """
     ws = Workspace() if ws is None else ws
     w = p.smooth_w
     surface, elastic, (*fields, dx) = _quadratic_sums(values, grid, p.epsilon,
                                                       p.variant, ws)
     cells = (grid.nx, grid.ny)
-    uy = apply(grid, values, *CELL_UY, out=ws.get("uy", cells), ws=ws)
+    uy = apply(grid, values, *CELL_UY, out=ws.get("uy", cells))
     t = np.abs(uy, out=ws.get("t", cells))
     t -= 1.0 - w
     t /= w
@@ -347,7 +345,7 @@ def _smoothed_gradient(terms: _SmoothedTerms, grid: Grid, p: EnergyParams,
     for coef, f, x, y in quadratic:
         f[0] *= 0.5
         f[-1] *= 0.5
-        adjoint(grid, f, x, y, out=term, ws=ws)
+        adjoint(grid, f, x, y, out=term)
         term *= coef
         grad += term
 
@@ -359,7 +357,7 @@ def _smoothed_gradient(terms: _SmoothedTerms, grid: Grid, p: EnergyParams,
     well = np.subtract(1.0, t, out=ws.get("well", t.shape))  # the value pass is done with it
     well *= t
     np.copysign(well, terms.uy, out=well)
-    adjoint(grid, well, *CELL_UY, out=term, ws=ws)
+    adjoint(grid, well, *CELL_UY, out=term)
     term *= max(-6.0 * p.delta * scale / p.smooth_w, -np.finfo(float).max)
     grad += term
 
@@ -382,4 +380,4 @@ def energy_gradient(u: ScalarField, p: EnergyParams) -> ScalarField:
     if p.smooth_w <= 0.0:
         raise ZeroSmoothing("gradient needs smooth_w > 0")
     terms = _smoothed_terms(u.values, u.grid, p)[1]
-    return u.with_values(_smoothed_gradient(terms, u.grid, p))
+    return _adopt(u, _smoothed_gradient(terms, u.grid, p))

@@ -17,22 +17,22 @@ times one float scale, and its other rows (the y-wrap, the one-sided x
 rows) are listed explicitly as float coefficients.  One evaluator,
 _evaluate, computes a window of output rows [r0, r1) of an x-operator
 from the window of input rows they read (a y-operator always acts on
-whole rows); apply() and adjoint() evaluate the window of every row, with
-slices of whole rows, and write into a caller's array when given one;
-their results are C-ordered arrays.  An interior output is its unit terms
-summed, then scaled once, so it differs from the matrix product D @ u by
-at most a few roundoffs of |D| @ |u| (Higham, Accuracy and Stability of
-Numerical Algorithms, 2002, ch. 4).
+whole rows); one loop, _blocks, runs it over windows of X u Y^T or
+X^T v Y.  apply() and adjoint() are the one window of every row, into a
+caller's array or a new C-ordered one.  An interior output is its unit
+terms summed, then scaled once, so it differs from the matrix product
+D @ u by at most a few roundoffs of |D| @ |u| (Higham, Accuracy and
+Stability of Numerical Algorithms, 2002, ch. 4).
 
 A sharp reduction never holds a whole derivative field: apply_strips()
-hands out X u Y^T a strip of output rows at a time, each a view of one
-buffer reused from strip to strip, and integrate_square(f, grid, x, y)
-sums the squares of each strip's rows into one vector.  A strip holds
-about _STRIP_BYTES (32 rows at ny = 1024, the whole field at ny <= 128);
-the y-operator runs on the strip's input window, its rows plus the x-
-operator's halo.  Every output value and every row sum is the same
-computation as on the whole field, so the bits do not depend on the
-strips (loop tiling: Wolf and Lam, PLDI 1991).
+runs the loop over strips of output rows, each block a view of one buffer
+reused from strip to strip, and integrate_square(f, grid, x, y) sums the
+squares of each strip's rows into one vector.  A strip holds about
+_STRIP_BYTES (32 rows at ny = 1024, the whole field at ny <= 128); the
+y-operator runs on its rows plus the x-operator's halo.  Every output
+value and every row sum is the same computation as on the whole field,
+so the bits do not depend on the strips (loop tiling: Wolf and Lam, PLDI
+1991).
 """
 
 from __future__ import annotations
@@ -118,6 +118,12 @@ class ScalarField:
         return replace(self, values=values)
 
 
+def _adopt(u: ScalarField, values: np.ndarray) -> ScalarField:
+    """u.with_values(values) for a new array: frozen, the field keeps it uncopied."""
+    values.setflags(write=False)
+    return u.with_values(values)
+
+
 def zero_field(grid: Grid) -> ScalarField:
     return ScalarField(grid, np.zeros((grid.nx + 1, grid.ny)))
 
@@ -131,10 +137,10 @@ def field_from_function(grid: Grid,
 
 # ---------------------------------------------------------------------------
 # finite-difference operators as stencil tables; nothing outside this module
-# reaches them except through apply() and adjoint()
+# reaches them except through apply(), adjoint() and apply_strips()
 
 class Workspace:
-    """Scratch arrays that one computation reuses from call to call.
+    """A descent's own arrays (no operator's), reused from iteration to iteration.
 
     get() hands out the C-ordered array kept under a key and makes a new one
     only when the key is new or its shape or dtype changed.  A workspace
@@ -246,17 +252,17 @@ def _stencils(grid: Grid) -> dict:
 
 
 def _evaluate(st: _Stencil, src: np.ndarray, dst: np.ndarray, axis: int,
-              r0: int = 0, s0: int = 0) -> None:
+              r0: int, s0: int) -> None:
     """dst = D along `axis` of src; src and dst are C-ordered.
 
     Along the slow axis dst holds the output rows r0 .. r0 + len(dst) - 1,
     and src the input rows from s0 on, at least those the output rows read
-    (_input_rows); the defaults are the whole operator.  Each output row is
-    a slice of whole input rows.  Along the contiguous axis (y-operators
-    only, which are square) every row is computed, the interior as one flat
-    run whose row seams land on the edge columns, rewritten after.  The
-    interior adds or subtracts its unit input slices straight into dst,
-    then multiplies by the scale once.
+    (_input_rows); each output row is a slice of whole input rows.  Along
+    the contiguous axis (y-operators only, which are square; r0 and s0 are
+    ignored) every row is computed, the interior as one flat run whose row
+    seams land on the edge columns, rewritten after.  The interior adds or
+    subtracts its unit input slices straight into dst, then multiplies by
+    the scale once.
     """
     sf, df = src.reshape(-1), dst.reshape(-1)
     if axis == 0:
@@ -264,7 +270,7 @@ def _evaluate(st: _Stencil, src: np.ndarray, dst: np.ndarray, axis: int,
         shift = (r0 - s0) * step
         b, e = (max(st.lo, r0) - r0) * step, (min(st.hi, r1) - r0) * step
     else:
-        step, r1, shift = 1, st.n_out, 0
+        step, r1, shift, r0, s0 = 1, st.n_out, 0, 0, 0
         b, e = st.lo, df.size - (st.n_out - st.hi)
     if b < e:
         out = df[b:e]
@@ -301,61 +307,70 @@ def _input_rows(st: _Stencil, r0: int, r1: int) -> tuple[int, int]:
     return min(rows), max(rows) + 1
 
 
-def _chain(values: np.ndarray, ops: list, out: Optional[np.ndarray],
-           ws: Optional[Workspace]) -> np.ndarray:
-    """Apply (stencil, axis) pairs in turn to values, copied to C order first
-    if it is not.  The last result goes to `out`, or to a new C-ordered array;
-    the intermediate ones to `ws`, else to new arrays."""
+def _blocks(grid: Grid, values: np.ndarray, x: Optional[str], y: Optional[str],
+            transposed: bool, windows: tuple, out: Optional[np.ndarray] = None):
+    """Yield (r0, block) per window (r0, r1, a, b): block is rows [r0, r1) of
+    X values Y^T, or of X^T values Y when transposed, from input rows [a, b).
+
+    values is copied to C order first if it is not.  X values Y^T runs the
+    y-operator on rows [a, b), then the x-operator; X^T values Y the x-
+    operator, then the y-operator on its rows.  A block is a view of `out`
+    (C-ordered) when one is given, else of one buffer that the next window
+    overwrites; with no operator it is a copy of the rows.
+    """
+    named = ((x, 0), (y, 1)) if transposed else ((y, 1), (x, 0))
+    ops = [(_stencils(grid)[n][transposed], axis) for n, axis in named if n is not None]
     values = np.ascontiguousarray(values)
-    for k, (st, axis) in enumerate(ops):
-        shape = (st.n_out, values.shape[1]) if axis == 0 else (values.shape[0], st.n_out)
-        last = k == len(ops) - 1
-        if last and out is not None and out.flags.c_contiguous:
-            dst = out
-        elif ws is None or (last and out is None):
-            dst = np.empty(shape)
-        else:
-            dst = ws.get(("dst", k), shape)
-        _evaluate(st, values, dst, axis)
-        values = dst
-    if out is None or values is out:
-        return values
-    np.copyto(out, values)
-    return out
+    ny = values.shape[1]
+    if out is None:
+        buf = np.empty((max(r1 - r0 for r0, r1, _, _ in windows), ny))
+    if len(ops) == 2:
+        mid = np.empty((max(max(r1 - r0, b - a) for r0, r1, a, b in windows), ny))
+    for r0, r1, a, b in windows:
+        block = buf[:r1 - r0] if out is None else out[r0:r1]
+        src = values[a:b]
+        for k, (st, axis) in enumerate(ops):
+            dst = block if k == len(ops) - 1 else mid[:len(src) if axis else r1 - r0]
+            _evaluate(st, src, dst, axis, r0, a)
+            src = dst
+        if not ops:
+            np.copyto(block, src)
+        yield r0, block
+
+
+def _whole(grid: Grid, values: np.ndarray, x: Optional[str], y: Optional[str],
+           transposed: bool, out: Optional[np.ndarray]) -> np.ndarray:
+    """apply() or adjoint(): _blocks over the one window of every row."""
+    # not strips: same bits, but 5-15 % more CPU for a descent at 256^2
+    n = len(values) if x is None else _stencils(grid)[x][transposed].n_out
+    dst = out if out is not None and out.flags.c_contiguous else np.empty((n, values.shape[1]))
+    next(_blocks(grid, values, x, y, transposed, ((0, n, 0, len(values)),), dst))
+    if out is not None and dst is not out:
+        np.copyto(out, dst)
+    return dst if out is None else out
 
 
 def apply(grid: Grid, values: np.ndarray, x: Optional[str] = None,
-          y: Optional[str] = None, out: Optional[np.ndarray] = None,
-          ws: Optional[Workspace] = None) -> np.ndarray:
+          y: Optional[str] = None, out: Optional[np.ndarray] = None) -> np.ndarray:
     """X @ values @ Y^T for the named x- and y-operators (None: identity), y first.
 
     Names: Dx, Dxx, Axc (nodes -> cells) in x; Dy, Dyy, Fy, Ayc (cell circle) in y.
     The result is a new C-ordered array, or `out` (C or F order, the
-    caller's choice) when one is given, with the same bits either way.  An
-    input that is not C-ordered is copied to C order first.  The other
-    arrays the operators write come from `ws`, else are new.
+    caller's choice) when one is given, with the same bits either way; with
+    no operator named, a copy of values.  An input that is not C-ordered is
+    copied to C order first.  With two operators, the first writes a new
+    array of its own.
     """
-    tables = _stencils(grid)
-    ops = ([(tables[y][0], 1)] if y is not None else []) + \
-        ([(tables[x][0], 0)] if x is not None else [])
-    if not ops:
-        return values
-    return _chain(values, ops, out, ws)
+    return _whole(grid, values, x, y, False, out)
 
 
 def adjoint(grid: Grid, values: np.ndarray, x: Optional[str] = None,
-            y: Optional[str] = None, out: Optional[np.ndarray] = None,
-            ws: Optional[Workspace] = None) -> np.ndarray:
+            y: Optional[str] = None, out: Optional[np.ndarray] = None) -> np.ndarray:
     """X^T @ values @ Y, the adjoint of apply(); the x-operator acts first.
 
     Evaluated, laid out and written as apply() does.
     """
-    tables = _stencils(grid)
-    ops = ([(tables[x][1], 0)] if x is not None else []) + \
-        ([(tables[y][1], 1)] if y is not None else [])
-    if not ops:
-        return values
-    return _chain(values, ops, out, ws)
+    return _whole(grid, values, x, y, True, out)
 
 
 # A strip array holds about this many bytes: a few fit in a core's cache
@@ -379,58 +394,39 @@ def _strip_windows(grid: Grid, x: Optional[str]) -> tuple:
 
 def apply_strips(grid: Grid, values: np.ndarray, x: Optional[str] = None,
                  y: Optional[str] = None):
-    """Yield (r0, block) in row order: block is rows r0 .. r0 + len(block) - 1
+    """Iterate (r0, block) in row order: block is rows r0 .. r0 + len(block) - 1
     of apply(grid, values, x, y), with the same bits.
 
-    With an operator, each block is a view of a buffer that the next step
-    overwrites, and the caller may overwrite it too; the y-operator is
-    evaluated on the strip's input window, then the x-operator's window.
-    With none, values comes back whole as one block.
+    With an operator, _blocks over _strip_windows: each block is a view of a
+    buffer that the next step overwrites, and the caller may overwrite it
+    too.  With none, values comes back whole as one block.
     """
     if x is None and y is None:
-        yield 0, values
-        return
-    tables = _stencils(grid)
-    values = np.ascontiguousarray(values)
-    windows = _strip_windows(grid, x)
-    ny = values.shape[1]
-    out = np.empty((max(r1 - r0 for r0, r1, _, _ in windows), ny))
-    if x is not None and y is not None:
-        window = np.empty((max(b - a for _, _, a, b in windows), ny))
-    else:
-        window = out
-    for r0, r1, a, b in windows:
-        src = values[a:b]
-        if y is not None:
-            _evaluate(tables[y][0], src, window[:b - a], 1)
-            src = window[:b - a]
-        if x is not None:
-            _evaluate(tables[x][0], src, out[:r1 - r0], 0, r0, a)
-            src = out[:r1 - r0]
-        yield r0, src
+        return iter([(0, values)])
+    return _blocks(grid, values, x, y, False, _strip_windows(grid, x))
 
 
 def d_y(u: ScalarField) -> ScalarField:
     """Central difference in y with periodic wraparound."""
-    return u.with_values(apply(u.grid, u.values, y="Dy"))
+    return _adopt(u, apply(u.grid, u.values, y="Dy"))
 
 
 def d_x(u: ScalarField) -> ScalarField:
     """Central difference in x; one-sided second-order stencils at i=0, nx."""
-    return u.with_values(apply(u.grid, u.values, "Dx"))
+    return _adopt(u, apply(u.grid, u.values, "Dx"))
 
 
 def d_yy(u: ScalarField) -> ScalarField:
-    return u.with_values(apply(u.grid, u.values, y="Dyy"))
+    return _adopt(u, apply(u.grid, u.values, y="Dyy"))
 
 
 def d_xx(u: ScalarField) -> ScalarField:
-    return u.with_values(apply(u.grid, u.values, "Dxx"))
+    return _adopt(u, apply(u.grid, u.values, "Dxx"))
 
 
 def d_xy(u: ScalarField) -> ScalarField:
     """Mixed second derivative, computed as d_x(d_y(u))."""
-    return u.with_values(apply(u.grid, u.values, "Dx", "Dy"))
+    return _adopt(u, apply(u.grid, u.values, "Dx", "Dy"))
 
 
 def _x_weights(grid: Grid) -> np.ndarray:
@@ -483,7 +479,7 @@ def l2_norm(u: ScalarField) -> float:
 
 def shift_y(u: ScalarField, cells: int) -> ScalarField:
     """Circular shift by whole cells in y (the periodic direction)."""
-    return u.with_values(np.roll(u.values, cells, axis=1))
+    return _adopt(u, np.roll(u.values, cells, axis=1))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ from .constructions import BranchedSpec, ResolutionTooCoarse, branched_seed
 from .energy import (EnergyBreakdown, EnergyParams, NotAdmissible,  # noqa: F401
                      _smoothed_gradient, _smoothed_terms, b_geometry, energy,
                      energy_gradient, energy_smoothed, scale_to_uy_peak)
-from .grid import (Grid, ScalarField, Workspace, l2_norm, validate_admissible,
-                   zero_field)
+from .grid import (Grid, ScalarField, Workspace, _adopt, l2_norm,
+                   validate_admissible, zero_field)
 
 
 class Diverged(RuntimeError):
@@ -281,7 +281,7 @@ def multistart_portfolio(epsilon: float, grid: Grid,
         seedf = branched_seed(BranchedSpec.from_epsilon(epsilon, grid.L), grid)
         starts.append(("branched", seedf))
         for s in (0.5, 2.0):
-            starts.append((f"branched_x{s:g}", seedf.with_values(s * seedf.values)))
+            starts.append((f"branched_x{s:g}", _adopt(seedf, s * seedf.values)))
     except ResolutionTooCoarse as exc:
         warnings.warn(f"no branched starts at epsilon={epsilon:g} on the "
                       f"{grid.nx}x{grid.ny} grid (L={grid.L:g}): {exc}",

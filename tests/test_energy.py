@@ -169,6 +169,15 @@ def test_energy_closed_form_x_sin():
     assert br.total == pytest.approx(exact, rel=5e-3)
 
 
+@pytest.mark.parametrize("epsilon, delta", [(math.nan, 0.1), (math.inf, 0.1), (-math.inf, 0.1),
+                                            (0.1, math.nan), (0.1, math.inf), (0.1, -math.inf),
+                                            (0.0, 0.1), (0.1, -1e-300)])
+def test_energy_params_reject_nonfinite_and_out_of_range(epsilon, delta):
+    # nan <= 0 and nan < 0 are False and +inf passes both: finiteness is its own check
+    with pytest.raises(ValueError):
+        EnergyParams(epsilon, delta)
+
+
 def test_energy_requires_admissible(grid64):
     bad = field_from_function(grid64, lambda X, Y: 1.0 + X)
     with pytest.raises(NotAdmissible):

@@ -21,7 +21,7 @@ from wellscape.constructions import BumpSpec, nucleation_bump
 from wellscape.energy import CELL_UY, SURFACE_STENCILS, scale_to_uy_peak
 import wellscape
 import wellscape.grid as grid_module
-from wellscape.grid import (_BLOCK_ROWS, _TABLE_COST, Workspace, _groups, _strip_windows,
+from wellscape.grid import (_BLOCK_ROWS, _TABLE_COST, _groups, _strip_windows,
                             _table_values, adjoint, apply, apply_strips, integrate_square)
 
 # every (x, y) operator pair the energies apply: the surface stencils, the
@@ -282,8 +282,9 @@ CSR_BOUND = (2 * 4 + 1) * 2.0**-53
 def test_apply_adjoint_match_plain_products(name, nx, ny, L, fortran, seed):
     # apply/adjoint against the CSR products D @ v, D.T @ v, v @ D.T and v @ D:
     # the same shape, within CSR_BOUND * (|D| @ |v|) entrywise, in a C-ordered
-    # array without out=; the same bits, written into out, in either order
-    # and with or without a workspace, with out=
+    # array without out=; the same bits, written into out, in either order,
+    # with out=.  With no operator named, the result is a C-ordered copy of
+    # v, or out with v's values
     g = make_grid(L, nx, ny)
     D = _csr_ops(g)[name]
     A = abs(D)
@@ -297,16 +298,34 @@ def test_apply_adjoint_match_plain_products(name, nx, ny, L, fortran, seed):
     else:
         cases = [(apply, u, dict(y=name), u @ D.T, abs(u) @ A.T),
                  (adjoint, u, dict(y=name), u @ D, abs(u) @ A)]
-    ws = Workspace()
+    cases += [(fn, u, {}, u, np.zeros(u.shape)) for fn in (apply, adjoint)]
     for fn, arg, ops, want, scale in cases:
         got = fn(g, arg, **ops)
         assert got.shape == want.shape and got.flags.c_contiguous
         assert np.all(np.abs(got - want) <= CSR_BOUND * scale)
         for out_order in "CF":
-            for scratch in (None, ws):
-                out = np.full(got.shape, np.nan, order=out_order)
-                assert fn(g, arg, **ops, out=out, ws=scratch) is out
-                assert out.tobytes(order="C") == got.tobytes()
+            out = np.full(got.shape, np.nan, order=out_order)
+            assert fn(g, arg, **ops, out=out) is out
+            assert out.tobytes(order="C") == got.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.sampled_from(OPERATOR_PAIRS), nx=st.integers(8, 48),
+       ny=st.integers(8, 48), L=st.floats(0.25, 4.0), fortran=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(pair=CELL_UY, nx=9, ny=11, L=0.7, fortran=False, seed=0)
+@example(pair=("Dx", "Dy"), nx=13, ny=9, L=2.5, fortran=True, seed=1)
+def test_two_operators_act_in_order(pair, nx, ny, L, fortran, seed):
+    # apply is the y-operator, then the x-operator on its result; adjoint the
+    # x-operator, then the y-operator: bit for bit, whatever the input order
+    x, y = pair
+    g = make_grid(L, nx, ny)
+    rng = np.random.default_rng(seed)
+    order = "F" if fortran else "C"
+    u = _signed_normals(rng, (nx + 1, ny), order)
+    v = _signed_normals(rng, apply(g, u, x).shape, order)
+    assert apply(g, u, x, y).tobytes() == apply(g, apply(g, u, y=y), x).tobytes()
+    assert adjoint(g, v, x, y).tobytes() == adjoint(g, adjoint(g, v, x), y=y).tobytes()
 
 
 # every (x, y) that a sharp reduction integrates: the surface stencils, u_x
@@ -370,6 +389,11 @@ def _scale_to_uy_peak_ref(u, peak):
     return u.with_values(u.values * (peak / np.abs(apply(u.grid, u.values, *CELL_UY)).max()))
 
 
+def _derived_ref(u, x, y):
+    """u with the values X u Y^T, copied into the field."""
+    return u.with_values(apply(u.grid, u.values, x, y))
+
+
 def _nucleation_bump_ref(spec, grid):
     """nucleation_bump as whole-field expressions, copied into the field."""
     a, dx, L = spec.a, spec.delta_x, spec.L
@@ -391,12 +415,20 @@ def _nucleation_bump_ref(spec, grid):
      lambda g: _scale_to_uy_peak_ref(_random_admissible_ref(g, np.random.default_rng(6)), 1.5)),
     (lambda g: lambda: nucleation_bump(BumpSpec(0.1, 0.5, 2.0, g.L), g),
      lambda g: _nucleation_bump_ref(BumpSpec(0.1, 0.5, 2.0, g.L), g)),
-], ids=["random_admissible", "scale_to_uy_peak", "nucleation_bump"])
+    (lambda g: partial(d_x, _random_admissible_ref(g, np.random.default_rng(7))),
+     lambda g: _derived_ref(_random_admissible_ref(g, np.random.default_rng(7)), "Dx", None)),
+    (lambda g: partial(d_yy, _random_admissible_ref(g, np.random.default_rng(8))),
+     lambda g: _derived_ref(_random_admissible_ref(g, np.random.default_rng(8)), None, "Dyy")),
+    (lambda g: partial(shift_y, _random_admissible_ref(g, np.random.default_rng(9)), 5),
+     lambda g: ScalarField(g, np.roll(_random_admissible_ref(g, np.random.default_rng(9)).values,
+                                      5, axis=1))),
+], ids=["random_admissible", "scale_to_uy_peak", "nucleation_bump", "d_x", "d_yy", "shift_y"])
 def test_constructors_hand_their_array_to_the_field(traced_peak, build, ref):
     # each makes one frozen float array of its own, which the field keeps,
     # with temporaries of at most an eighth of a field (strips, blocks of
     # rows): the peak is under 1.125 fields.  Copied into the field after
-    # whole-field temporaries, they peaked at 2.13, 2.13 and 4.13 fields
+    # whole-field temporaries, they peaked at 2.13, 2.13, 4.13, 2.00, 2.00
+    # and 2.00 fields
     g = make_grid(1.0, 512, 512)
     fn = build(g)
     fn()   # the operator tables of the grid are built once
