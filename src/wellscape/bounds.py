@@ -23,7 +23,7 @@ import numpy as np
 
 from .energy import (EmptyB, EmptyPiM, TauOne, TruncatedBSet, b_geometry,
                      surface_and_elastic, truncate_b)
-from .grid import ScalarField, integrate_square, l2_norm
+from .grid import ScalarField, _field_integral_square, l2_norm
 
 POINCARE_CONSTANT = math.pi**2 / 4.0  # sharp 1D Dirichlet-Neumann constant
 
@@ -112,54 +112,69 @@ def obstacle_min_1d(y1: float, y2: float) -> ObstacleSolution:
     return ObstacleSolution(4.0 / (y2 - y1), y1, y2)
 
 
-def _second_difference_gram(n: int) -> np.ndarray:
-    """D2^T D2 for the (n-1) x (n+1) second difference D2 (rows 1, -2, 1),
-    assembled from each row's 3 x 3 element matrix: the entries are small
-    integers, exact in any order, so this is the product bit for bit."""
-    gram = np.zeros((n + 1, n + 1))
-    stencil = np.array([1.0, -2.0, 1.0])
-    idx = np.arange(n - 1)
-    for a in range(3):
-        for b in range(3):
-            gram[idx + a, idx + b] += stencil[a] * stencil[b]
-    return gram
-
-
 def obstacle_qp_oracle(y1: float, y2: float, n: int = 512) -> tuple[float, np.ndarray, np.ndarray]:
     """Discrete quadratic program: minimize h * sum of second differences squared.
 
-    Both derivative constraints are active at the optimum; the
-    equality-constrained KKT system is solved directly and the multiplier
-    signs are verified so the solution certifies the inequality-constrained
-    problem.  Returns (value, nodes, profile).
+    Minimize f^T Q f = sum_{i=1}^{n-1} (Delta^2 f_i)^2 / h^3 over the nodal
+    values f_0..f_n, subject to the one-sided second-order slopes f'(y1) = 1
+    and f'(y2) = -1 (both active at the optimum) and the gauge f(y1) = 0.
+    Stationarity 2 Q f + A^T lam = 0, with Q = D2^T D2 / h^3: the constraint
+    rows A touch only nodes 0..2 and n-2..n, so rows 3..n-3 read
+    Delta^4 f = 0.  The second differences are then linear on 2..n-2, and
+    f is a cubic on nodes 1..n-1 with f_0 and f_n free (the discrete
+    Holladay theorem; de Boor, A Practical Guide to Splines, 1978, ch. V).
+    The QP is solved exactly in that basis: f_0, f_n and min(4, n-1)
+    monomials of a node coordinate centred and scaled into [-1, 1], a KKT
+    system of at most 9 x 9 built in O(n) time and memory.  On rows 2..n-2
+    the second difference of a cubic p is p'' times the squared step, taken
+    exactly rather than by cancelling differences.  The multiplier signs are
+    verified so the solution certifies the inequality-constrained problem;
+    the value is sum (Delta^2 f)^2 / h^3.  Returns (value, nodes, profile).
     """
     if y2 <= y1:
         raise DegenerateInterval(f"need y2 > y1, got {y1}, {y2}")
     h = (y2 - y1) / n
     nodes = y1 + h * np.arange(n + 1)
+    m = min(4, n - 1)
+    step = 2.0 / n
+    t = (np.arange(1, n) - 0.5 * n) * step   # nodes 1..n-1 in [-1, 1]
+    powers = np.arange(m)
 
-    Q = _second_difference_gram(n) / h**3  # value = f^T Q f
+    def node(i):
+        """The basis (f_0, f_n, t^0, ..., t^(m-1)) at node i."""
+        row = np.zeros(m + 2)
+        if i == 0:
+            row[0] = 1.0
+        elif i == n:
+            row[1] = 1.0
+        else:
+            row[2:] = t[i - 1] ** powers
+        return row
 
-    A = np.zeros((3, n + 1))
-    A[0, :3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)   # f'(y1) = 1
-    A[1, n - 2:] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)  # f'(y2) = -1
-    A[2, 0] = 1.0                                          # gauge f(y1) = 0
-    b = np.array([1.0, -1.0, 0.0])
-
-    kkt = np.zeros((n + 4, n + 4))
-    kkt[:n + 1, :n + 1] = 2.0 * Q
-    kkt[:n + 1, n + 1:] = A.T
-    kkt[n + 1:, :n + 1] = A
-    rhs = np.concatenate([np.zeros(n + 1), b])
-    sol = np.linalg.solve(kkt, rhs)
-    f = sol[:n + 1]
-    lam = sol[n + 1:]
+    d2 = np.zeros((n - 1, m + 2))   # Delta^2 of each basis function, rows i = 1..n-1
+    for j in range(2, m):
+        d2[1:-1, 2 + j] = j * (j - 1) * step**2 * t[1:-1] ** (j - 2)
+    d2[0] = node(0) - 2.0 * node(1) + node(2)
+    d2[-1] = node(n - 2) - 2.0 * node(n - 1) + node(n)
+    A = np.stack([(-3.0 * node(0) + 4.0 * node(1) - node(2)) / (2.0 * h),    # f'(y1) = 1
+                  (node(n - 2) - 4.0 * node(n - 1) + 3.0 * node(n)) / (2.0 * h),  # f'(y2) = -1
+                  node(0)])                                                # gauge f(y1) = 0
+    kkt = np.zeros((m + 5, m + 5))
+    kkt[:m + 2, :m + 2] = 2.0 / h**3 * (d2.T @ d2)
+    kkt[:m + 2, m + 2:] = A.T
+    kkt[m + 2:, :m + 2] = A
+    sol = np.linalg.solve(kkt, np.concatenate([np.zeros(m + 2), [1.0, -1.0, 0.0]]))
+    c, lam = sol[:m + 2], sol[m + 2:]
     # stationarity 2Qf = -A^T lam: the >=-constraint needs lam[0] <= 0 and the
     # <=-constraint lam[1] >= 0 for the active set to be KKT-consistent
     tol = 1e-8 * (abs(lam[0]) + abs(lam[1]) + 1.0)
     if lam[0] > tol or lam[1] < -tol:
         raise RuntimeError(f"QP multiplier signs inconsistent: {lam[:2]}")
-    return float(f @ Q @ f), nodes, f
+    f = np.empty(n + 1)
+    f[0], f[n] = c[0], c[1]
+    f[1:n] = np.polynomial.polynomial.polyval(t, c[2:])
+    s = d2 @ c
+    return float(s @ s) / h**3, nodes, f
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +187,7 @@ def lemma1_check(u: ScalarField) -> BoundReport:
         raise EmptyB("lemma1_check requires area(B) > 0")
     if geom.tau is None or geom.tau >= 1.0 - 1e-9:
         raise TauOne(f"tau = {geom.tau}: occupied columns fully inside B")
-    lhs = integrate_square(u.values, u.grid, y="Dyy") / geom.area_b
+    lhs = _field_integral_square(u, y="Dyy") / geom.area_b
     rhs = 4.0 / (geom.tau * (1.0 - geom.tau))
     holds = lhs >= rhs * grid_tolerance(u)
     ctx = f"tau={geom.tau:.6g},area_B={geom.area_b:.6g}"
@@ -209,8 +224,8 @@ def estimate_interp_constant(family: Iterable[np.ndarray],
 def poincare_check(u: ScalarField) -> BoundReport:
     """int u_x^2 >= (pi^2/4) / L^2 * int u^2 for fields vanishing at x = 0."""
     g = u.grid
-    lhs = integrate_square(u.values, g, "Dx")
-    rhs = POINCARE_CONSTANT / g.L**2 * integrate_square(u.values, g)
+    lhs = _field_integral_square(u, "Dx")
+    rhs = POINCARE_CONSTANT / g.L**2 * _field_integral_square(u)
     holds = lhs >= rhs * grid_tolerance(u)
     return BoundReport("poincare", f"L={g.L:g}", lhs, rhs, lhs - rhs, holds)
 
@@ -232,7 +247,7 @@ def killerinterp_sides(u: ScalarField, M: float) -> tuple[float, float, Truncate
     trunc = truncate_b(u, M)  # EmptyB when area(B) = 0
     if trunc.pi_m_columns.size == 0 or trunc.area_b_m <= 0.0:
         raise EmptyPiM("truncation removed every column")
-    lhs = l2_norm(u) * math.sqrt(integrate_square(u.values, u.grid, "Dx"))
+    lhs = l2_norm(u) * math.sqrt(_field_integral_square(u, "Dx"))
     base = (trunc.area_b_m / trunc.len_pi_m) ** 2 / M
     return lhs, base, trunc
 

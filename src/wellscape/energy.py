@@ -30,8 +30,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .grid import (Grid, ScalarField, Workspace, _adopt, _square_row_sums, adjoint,
-                   apply, apply_strips, integrate_square, validate_admissible)
+from .grid import (Grid, ScalarField, Workspace, _adopt, _field_integral_square,
+                   _field_row_sums, _memoized, adjoint, apply, apply_strips,
+                   integrate_square, validate_admissible)
 
 # |u_y| >= 1 is tested with this slack so that exact ties survive roundoff
 # (the branched seed's entire B-set sits at |u_y| = 1 exactly).
@@ -105,7 +106,10 @@ class EnergyBreakdown:
 
 @dataclass(frozen=True)
 class BSetGeometry:
-    """Discrete B(u) with its column projection and mean vertical extent tau."""
+    """Discrete B(u) with its column projection and mean vertical extent tau.
+
+    b_geometry computes it once per field and hands every caller the same
+    one, so its arrays are read-only."""
 
     column_lengths: np.ndarray    # (nx,) run-corrected L^1(l_x cap B) per cell column
     area_b: float                 # hx * sum(column_lengths)
@@ -183,10 +187,14 @@ def _column_lengths(mask: np.ndarray, q: np.ndarray, hy: float) -> np.ndarray:
 
 
 def b_geometry(u: ScalarField) -> BSetGeometry:
-    """Discrete B(u) = {cell centers with |u_y| >= 1} and derived geometry.
+    """Discrete B(u) = {cell centers with |u_y| >= 1} and derived geometry,
+    computed once per field (_memoized)."""
+    return _memoized(u, "b_geometry", _b_geometry)
 
-    _column_lengths treats each cell column on its own, so it runs a strip of
-    columns at a time."""
+
+def _b_geometry(u: ScalarField) -> BSetGeometry:
+    """b_geometry uncached.  _column_lengths treats each cell column on its
+    own, so it runs a strip of columns at a time."""
     g = u.grid
     lengths = np.empty(g.nx)
     occupied = np.empty(g.nx, dtype=bool)
@@ -200,6 +208,8 @@ def b_geometry(u: ScalarField) -> BSetGeometry:
     tau = None
     if area_b > 0.0 and len_pi > 0.0:
         tau = min(area_b / len_pi, 1.0)
+    lengths.setflags(write=False)
+    pi.setflags(write=False)
     return BSetGeometry(lengths, area_b, pi, tau)
 
 
@@ -209,7 +219,7 @@ def column_uyy_integrals(u: ScalarField) -> np.ndarray:
     Cell-centered like integrate(): hy/2 times the sum of u_yy^2 over the
     column's two node rows, so hx * sum is integrate_square(u_yy).
     """
-    r = _square_row_sums(u.grid, u.values, y="Dyy")
+    r = _field_row_sums(u, y="Dyy")
     return 0.5 * u.grid.hy * (r[:-1] + r[1:])
 
 
@@ -231,34 +241,40 @@ def truncate_b(u: ScalarField, M: float) -> TruncatedBSet:
 # ---------------------------------------------------------------------------
 # energies
 
-def _quadratic_sums(values: np.ndarray, grid: Grid, epsilon: float, variant: int,
-                    ws: Optional[Workspace] = None) -> tuple[float, float, list]:
-    """(eps^2 * S_variant, integral of u_x^2, fields) of the nodal values.
+def _quadratic_rows(variant: int) -> list:
+    """(x-op, y-op) of each SURFACE_STENCILS row of variant, then of u_x."""
+    return [(x, y) for x, y, _ in SURFACE_STENCILS[variant]] + [("Dx", None)]
 
-    The fields are apply(values, x, y) per SURFACE_STENCILS row, then u_x.
-    Without a workspace each is integrated a strip at a time
-    (integrate_square(values, grid, x, y)), no field is made, and the list
-    comes back empty; with one each is applied into it, integrated, and kept
-    in the list for the gradient pass.  The integrals have the same bits.
-    """
-    rows = [(x, y) for x, y, _ in SURFACE_STENCILS[variant]] + [("Dx", None)]
-    shape = (grid.nx + 1, grid.ny)
-    fields, integrals = [], []
-    for k, (x, y) in enumerate(rows):
-        if ws is None:
-            integrals.append(integrate_square(values, grid, x, y))
-        else:
-            f = apply(grid, values, x, y, out=ws.get(("field", k), shape))
-            fields.append(f)
-            integrals.append(integrate_square(f, grid))
+
+def _weigh(integrals: list, epsilon: float, variant: int) -> tuple[float, float]:
+    """(eps^2 * S_variant, integral of u_x^2) from the _quadratic_rows integrals."""
     *surface, elastic = integrals
     weights = [w for _, _, w in SURFACE_STENCILS[variant]]
-    return epsilon**2 * sum(w * i for w, i in zip(weights, surface)), elastic, fields
+    return epsilon**2 * sum(w * i for w, i in zip(weights, surface)), elastic
+
+
+def _quadratic_sums(values: np.ndarray, grid: Grid, epsilon: float, variant: int,
+                    ws: Workspace) -> tuple[float, float, list]:
+    """(eps^2 * S_variant, integral of u_x^2, fields) of the nodal values.
+
+    The fields are apply(values, x, y) per _quadratic_rows row, each applied
+    into ws, integrated and kept for the gradient pass.  The integrals have
+    the bits of surface_and_elastic's strip-wise ones.
+    """
+    shape = (grid.nx + 1, grid.ny)
+    fields = [apply(grid, values, x, y, out=ws.get(("field", k), shape))
+              for k, (x, y) in enumerate(_quadratic_rows(variant))]
+    integrals = [integrate_square(f, grid) for f in fields]
+    return (*_weigh(integrals, epsilon, variant), fields)
 
 
 def surface_and_elastic(u: ScalarField, epsilon: float, variant: int) -> tuple[float, float]:
-    """(eps^2 * S_variant(u), integral of u_x^2): the quadratic part of E_i."""
-    return _quadratic_sums(u.values, u.grid, epsilon, variant)[:2]
+    """(eps^2 * S_variant(u), integral of u_x^2): the quadratic part of E_i.
+
+    Each integral is a strip at a time from the field's memoized row sums
+    (_field_integral_square): no derivative field is made."""
+    return _weigh([_field_integral_square(u, x, y) for x, y in _quadratic_rows(variant)],
+                  epsilon, variant)
 
 
 def energy(u: ScalarField, p: EnergyParams) -> EnergyBreakdown:

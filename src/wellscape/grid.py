@@ -37,7 +37,7 @@ so the bits do not depend on the strips (loop tiling: Wolf and Lam, PLDI
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import islice
 import math
@@ -93,10 +93,18 @@ def make_grid(L: float, nx: int, ny: int) -> Grid:
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Nodal values on a Grid, y-periodic by storage, immutable."""
+    """Nodal values on a Grid, y-periodic by storage, immutable.
+
+    A field keeps a private memo of what the bound checkers derive from it
+    (the B-geometry, squared row sums), each computed once through
+    _memoized.  It cannot go stale: the values are frozen and owned (a view
+    or a writable array is copied first), so no caller can change them, and
+    a field made by with_values, replace or _adopt starts with an empty memo.
+    """
 
     grid: Grid
     values: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         expected = (self.grid.nx + 1, self.grid.ny)
@@ -122,6 +130,19 @@ def _adopt(u: ScalarField, values: np.ndarray) -> ScalarField:
     """u.with_values(values) for a new array: frozen, the field keeps it uncopied."""
     values.setflags(write=False)
     return u.with_values(values)
+
+
+def _memoized(u: ScalarField, key, compute: Callable[[ScalarField], object]):
+    """compute(u), computed once per field and kept under key in its memo.
+
+    What compute returns is shared by every later caller, so its arrays
+    must be read-only.  Two threads may both compute a missing entry; the
+    first stored is the one kept.
+    """
+    try:
+        return u._memo[key]
+    except KeyError:
+        return u._memo.setdefault(key, compute(u))
 
 
 def zero_field(grid: Grid) -> ScalarField:
@@ -464,17 +485,37 @@ def _square_row_sums(grid: Grid, values: np.ndarray, x: Optional[str] = None,
                            for _, block in apply_strips(grid, values, x, y)])
 
 
+def _field_row_sums(u: ScalarField, x: Optional[str] = None,
+                    y: Optional[str] = None) -> np.ndarray:
+    """_square_row_sums of u's values, read-only, computed once per field."""
+    def compute(v):
+        rows = _square_row_sums(v.grid, v.values, x, y)
+        rows.setflags(write=False)
+        return rows
+    return _memoized(u, ("row_sums", x, y), compute)
+
+
+def _integrate_rows(grid: Grid, rows: np.ndarray) -> float:
+    return float(grid.hx * grid.hy * (_x_weights(grid) @ rows))
+
+
 def integrate_square(f: np.ndarray, grid: Grid, x: Optional[str] = None,
                      y: Optional[str] = None) -> float:
     """integrate((X f Y^T)^2, grid) for the named operators (None: identity),
     with the bits of integrate_square(apply(grid, f, x, y), grid) and no
     whole-field array written: f is read once per strip."""
-    return float(grid.hx * grid.hy * (_x_weights(grid) @ _square_row_sums(grid, f, x, y)))
+    return _integrate_rows(grid, _square_row_sums(grid, f, x, y))
+
+
+def _field_integral_square(u: ScalarField, x: Optional[str] = None,
+                           y: Optional[str] = None) -> float:
+    """integrate_square(u.values, u.grid, x, y), from the field's memoized row sums."""
+    return _integrate_rows(u.grid, _field_row_sums(u, x, y))
 
 
 def l2_norm(u: ScalarField) -> float:
-    """sqrt of integrate(u^2), through integrate_square."""
-    return math.sqrt(integrate_square(u.values, u.grid))
+    """sqrt of integrate(u^2), from the field's memoized row sums."""
+    return math.sqrt(_field_integral_square(u))
 
 
 def shift_y(u: ScalarField, cells: int) -> ScalarField:

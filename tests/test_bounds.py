@@ -1,24 +1,34 @@
+import dataclasses
 import io
 import json
 import math
+from fractions import Fraction
+import importlib
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wellscape import (BandEmpty, BranchedSpec, BumpSpec, DegenerateInterval,
-                       EmptyB, branched_seed, estimate_interp_constant,
+                       EmptyB, EmptyPiM, EnergyParams, ScalarField, TauOne, branched_seed, cli,
+                       energy, estimate_interp_constant,
                        field_from_function, killerinterp_check, lemma1_check,
                        make_grid, nucleation_bump,
                        obstacle_min_1d, poincare_check, potential_seed,
                        pq_region, proportional_band, reports_to_csv,
-                       theorem2_bounds, wopper_check, zero_field)
+                       theorem2_bounds, truncate_b, wopper_check, zero_field)
 from wellscape import PotentialSpec, calibrate
-from wellscape.bounds import (_second_difference_gram, calibration_value, killerinterp_sides,
-                              obstacle_qp_oracle)
-from wellscape.energy import CELL_UY, b_geometry, column_uyy_integrals
-from wellscape.grid import apply, d_yy, integrate
+import wellscape.grid as grid_module
+from wellscape.bounds import calibration_value, killerinterp_sides, obstacle_qp_oracle
+from wellscape.energy import (CELL_UY, b_geometry, column_uyy_integrals, scale_to_uy_peak,
+                              surface_and_elastic)
+from wellscape.grid import _adopt, _field_row_sums, apply, d_yy, integrate, l2_norm
 from wellscape.landscape import random_admissible
+
+# the package exports the function energy under the module's name
+energy_module = importlib.import_module("wellscape.energy")
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +64,86 @@ def test_obstacle_qp_oracle_within_one_percent(pair):
     mid_idx = len(nodes) // 2
     slope_mid = (prof[mid_idx + 1] - prof[mid_idx - 1]) / (2 * (nodes[1] - nodes[0]))
     assert abs(slope_mid) < 5e-2
+
+
+def _second_difference_gram(n: int) -> np.ndarray:
+    """D2^T D2 for the (n-1) x (n+1) second difference D2 (rows 1, -2, 1),
+    assembled from each row's 3 x 3 element matrix: the entries are small
+    integers, exact in any order, so this is the product bit for bit."""
+    gram = np.zeros((n + 1, n + 1))
+    stencil = np.array([1.0, -2.0, 1.0])
+    idx = np.arange(n - 1)
+    for a in range(3):
+        for b in range(3):
+            gram[idx + a, idx + b] += stencil[a] * stencil[b]
+    return gram
+
+
+def _dense_kkt(n: int, h):
+    """The obstacle QP's full KKT matrix and right-hand side over all n + 1
+    nodes, as nested lists of h's type (float or Fraction)."""
+    gram = _second_difference_gram(n)
+    zero = h * 0
+    one = zero + 1
+    N = n + 1
+    A = [[zero] * N for _ in range(3)]
+    A[0][:3] = [-3 / (2 * h), 4 / (2 * h), -1 / (2 * h)]   # f'(y1) = 1
+    A[1][n - 2:] = [1 / (2 * h), -4 / (2 * h), 3 / (2 * h)]  # f'(y2) = -1
+    A[2][0] = one                                             # gauge f(y1) = 0
+    kkt = [[2 * int(gram[i, j]) / h**3 for j in range(N)] + [A[r][i] for r in range(3)]
+           for i in range(N)]
+    kkt += [A[r] + [zero] * 3 for r in range(3)]
+    return kkt, [zero] * N + [one, -one, zero]
+
+
+def _solve_exact(matrix, rhs):
+    """Gauss-Jordan elimination over Fractions."""
+    rows = [row[:] + [r] for row, r in zip(matrix, rhs)]
+    n = len(rows)
+    for k in range(n):
+        p = next(i for i in range(k, n) if rows[i][k] != 0)
+        rows[k], rows[p] = rows[p], rows[k]
+        for i in range(n):
+            if i != k and rows[i][k] != 0:
+                factor = rows[i][k] / rows[k][k]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+@pytest.mark.parametrize("pair", [(0.0, 1.0), (0.2, 0.9)])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_obstacle_qp_matches_an_exact_dense_solve(n, pair):
+    # the reduced QP is the dense one: its value agrees with an exact
+    # rational solve of the full (n+4)^2 KKT system
+    y1, y2 = pair
+    h = (Fraction(y2) - Fraction(y1)) / n
+    f = _solve_exact(*_dense_kkt(n, h))[:n + 1]
+    exact = sum((f[i - 1] - 2 * f[i] + f[i + 1]) ** 2 for i in range(1, n)) / h**3
+    value, nodes, prof = obstacle_qp_oracle(y1, y2, n)
+    assert abs(value - float(exact)) <= 1e-12 * float(exact)
+    assert nodes.shape == prof.shape == (n + 1,)
+    assert np.allclose(prof, [float(v) for v in f], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 64, 512])
+def test_obstacle_qp_profile_matches_the_dense_float_kkt(n):
+    y1, y2 = 0.2, 0.9
+    h = (y2 - y1) / n
+    kkt, rhs = _dense_kkt(n, h)
+    f = np.linalg.solve(np.array(kkt), np.array(rhs))[:n + 1]
+    value, _, prof = obstacle_qp_oracle(y1, y2, n)
+    assert np.abs(prof - f).max() <= 1e-8
+    gram = _second_difference_gram(n) / h**3
+    assert value == pytest.approx(float(f @ gram @ f), rel=1e-7)
+
+
+def test_obstacle_qp_memory_is_linear_in_n(traced_peak):
+    # the dense KKT would need (n+4)^2 * 8 B = 80 GB here
+    n = 10**5
+    (value, nodes, prof), peak = traced_peak(lambda: obstacle_qp_oracle(0.0, 1.0, n))
+    assert peak < 16e6
+    assert value == pytest.approx(4.0, rel=1e-3)
+    assert prof.shape == (n + 1,)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 511, 512])
@@ -287,3 +377,142 @@ def test_reports_csv_layout():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "check,context,lhs,rhs,slack,holds"
     assert lines[1].startswith("poincare,")
+
+
+# ---------------------------------------------------------------------------
+# the per-field memo the checkers share
+
+def _bits(value):
+    """value with every float as its hex and every array as its bytes."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,) + tuple(_bits(getattr(value, f.name))
+                                               for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _outcome(check, u):
+    try:
+        return "value", _bits(check(u))
+    except (EmptyB, TauOne, EmptyPiM) as exc:
+        return "raised", type(exc).__name__, str(exc)
+
+
+def _memo_checkers(eps, M):
+    return {
+        "lemma1": lemma1_check,
+        "poincare": poincare_check,
+        "wopper": lambda u: wopper_check(u, eps),
+        "killerinterp": lambda u: killerinterp_check(u, M),
+        "killerinterp_sides": lambda u: killerinterp_sides(u, M),
+        "truncate_b": lambda u: truncate_b(u, M),
+        "column_uyy_integrals": column_uyy_integrals,
+        "l2_norm": l2_norm,
+        "b_geometry": b_geometry,
+        "surface_and_elastic": lambda u: surface_and_elastic(u, eps, 3),
+        "energy": lambda u: energy(u, EnergyParams(eps, 0.3, 2)),
+    }
+
+
+def _memo_field(kind, L, nx, ny, seed, peak):
+    g = make_grid(L, nx, ny)
+    if kind == "branched":
+        return branched_seed(BranchedSpec.from_epsilon(0.05 / L, L), g)
+    if kind == "bump":
+        return nucleation_bump(BumpSpec(0.25, L, 1.0 + peak, L), g)
+    if kind == "tent":
+        # |u_y| = 1 on all cells but one of each column past x = 0: a tie
+        # plateau of ny - 1 cells counts ny hy = 1, so tau = 1 (TauOne)
+        j = np.arange(ny)
+        tent = np.minimum(j, ny - 1 - j) / ny
+        return ScalarField(g, np.where(g.x_nodes[:, None] > 0.0, tent, 0.0))
+    return scale_to_uy_peak(random_admissible(g, np.random.default_rng(seed)), peak)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["random", "branched", "bump", "tent"]),
+       L=st.floats(0.5, 2.0).filter(lambda L: L != 1.0),
+       nx=st.integers(8, 20).map(lambda k: 2 * k + 1),
+       ny=st.integers(16, 20).map(lambda k: 2 * k + 1),
+       seed=st.integers(0, 2**32 - 1), peak=st.floats(0.5, 2.5),
+       M=st.sampled_from([1e30, 1e-300, "median"]),
+       order=st.permutations(sorted(_memo_checkers(0.1, 1.0))))
+def test_checkers_report_the_same_bits_from_a_filled_memo(kind, L, nx, ny, seed, peak,
+                                                          M, order):
+    # each checker on a fresh field, against the same checker once the others
+    # have filled the shared field's memo in the drawn order; the exceptions
+    # of a field outside a checker's domain are raised alike
+    def make():
+        return _memo_field(kind, L, nx, ny, seed, peak)
+
+    if M == "median":
+        u = make()
+        pi = b_geometry(u).pi_columns
+        M = 2.0 * float(np.median(column_uyy_integrals(u)[pi])) + 1e-12 if pi.size else 1.0
+    checkers = _memo_checkers(0.1, M)
+    fresh = {name: _outcome(check, make()) for name, check in checkers.items()}
+    shared = make()
+    for name in order + order[::-1]:
+        assert _outcome(checkers[name], shared) == fresh[name], name
+    # the memo keeps per-column vectors only, no field-sized array
+    for entry in shared._memo.values():
+        arrays = [entry] if isinstance(entry, np.ndarray) else \
+            [getattr(entry, f.name) for f in dataclasses.fields(entry)]
+        for a in arrays:
+            if isinstance(a, np.ndarray):
+                assert a.ndim == 1 and a.size <= nx + 1 and not a.flags.writeable
+    # fields made from a filled one start with an empty memo
+    assert shared._memo
+    for child in (shared.with_values(shared.values), _adopt(shared, shared.values.copy()),
+                  dataclasses.replace(shared)):
+        assert child._memo == {} and child._memo is not shared._memo
+
+
+def test_memoized_arrays_are_read_only():
+    g = make_grid(1.0, 64, 64)
+    u = branched_seed(BranchedSpec.from_epsilon(0.02, 1.0), g)
+    geom = b_geometry(u)
+    assert b_geometry(u) is geom
+    rows = [_field_row_sums(u, x, y) for x, y in [(None, None), ("Dx", None), (None, "Dyy")]]
+    for a in [geom.column_lengths, geom.pi_columns, *rows]:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_verify_computes_each_field_quantity_once(tmp_path, monkeypatch):
+    # one verify-inequalities run: per field one B-geometry and the three
+    # squared row-sum passes (u, u_x, u_yy), however many checkers read them
+    geometries, passes = [], []
+    uncached_geometry = energy_module._b_geometry
+    uncached_rows = grid_module._square_row_sums
+
+    def count_geometry(u):
+        geometries.append(u)
+        return uncached_geometry(u)
+
+    def count_rows(grid, values, x=None, y=None):
+        passes.append((values, x, y))
+        return uncached_rows(grid, values, x, y)
+
+    monkeypatch.setattr(energy_module, "_b_geometry", count_geometry)
+    monkeypatch.setattr(grid_module, "_square_row_sums", count_rows)
+    cfg = {"schema": 1, "command": "verify-inequalities", "seed": 3,
+           "grid": {"L": 1.0, "nx": 64, "ny": 64}, "energy": {"epsilon": 0.02},
+           "n_random": 5}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.run(str(path), str(tmp_path / "out")) == 0
+    fields = {id(u.values): u for u in geometries}
+    assert len(geometries) == len(fields) == 6   # the branched seed and 5 random
+    per_field = {}
+    for values, x, y in passes:
+        per_field.setdefault(id(values), []).append((x, y))
+    assert set(per_field) == set(fields)
+    for ops in per_field.values():
+        assert sorted(ops, key=str) == sorted([(None, None), ("Dx", None), (None, "Dyy")],
+                                              key=str)

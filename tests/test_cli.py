@@ -333,8 +333,7 @@ def test_bad_scalars_are_config_errors(tmp_path, capsys, where):
 
 
 GRID32 = {"L": 1.0, "nx": 32, "ny": 32}
-# well-typed values out of the range of what a command builds from them; n is
-# kept small, since the obstacle QP's KKT matrix is dense, (n + 4)^2 floats
+# well-typed values out of the range of what a command builds from them
 OUT_OF_RANGE = {
     "branched epsilon -1": {"command": "construct-branched", "grid": GRID32,
                             "construction": {"epsilon": -1}},
