@@ -21,7 +21,7 @@ def main():
         spec = PotentialSpec(j, L)
         prof = radial_profile(spec)
         sol = radial_poisson(prof, spec.nR)
-        print(f"{j}   {prof.norm_l2(50_000):9.4f}  {sol.zprime0:9.4f}  "
+        print(f"{j}   {prof.norm_l2():9.4f}  {sol.zprime0:9.4f}  "
               f"{-spec.k / 4 - spec.A_j:9.4f}")
 
     # cross-check the radial solve against direct log-kernel quadrature

@@ -38,7 +38,7 @@ def main():
 
     y = np.arange(2048) / 2048.0
     modes = [np.sin(2 * np.pi * n * y) for n in range(1, 9)]
-    c14 = estimate_interp_constant(modes, np.geomspace(0.5, 500.0, 400))
+    c14 = estimate_interp_constant(modes)
     print(f"\ninterpolation constant over pure modes: {c14:.5f} (each mode gives 2)")
 
     lo, hi = proportional_band(0.1, 0.16)

@@ -29,7 +29,7 @@ POINCARE_CONSTANT = math.pi**2 / 4.0  # sharp 1D Dirichlet-Neumann constant
 
 
 class DegenerateInterval(ValueError):
-    """Obstacle problem needs y2 > y1."""
+    """Obstacle problem needs finite y2 > y1."""
 
 
 class BandEmpty(ValueError):
@@ -105,76 +105,44 @@ class ObstacleSolution:
         return (np.asarray(y) - mid) ** 2 / (self.y1 - self.y2)
 
 
+def _check_interval(y1: float, y2: float) -> None:
+    if not (math.isfinite(y1) and math.isfinite(y2) and y2 > y1):
+        raise DegenerateInterval(f"need finite y2 > y1, got {y1}, {y2}")
+
+
 def obstacle_min_1d(y1: float, y2: float) -> ObstacleSolution:
     """min of int f''^2 over f with f'(y1) >= 1, f'(y2) <= -1: 4/(y2-y1)."""
-    if y2 <= y1:
-        raise DegenerateInterval(f"need y2 > y1, got {y1}, {y2}")
+    _check_interval(y1, y2)
     return ObstacleSolution(4.0 / (y2 - y1), y1, y2)
 
 
 def obstacle_qp_oracle(y1: float, y2: float, n: int = 512) -> tuple[float, np.ndarray, np.ndarray]:
     """Discrete quadratic program: minimize h * sum of second differences squared.
 
-    Minimize f^T Q f = sum_{i=1}^{n-1} (Delta^2 f_i)^2 / h^3 over the nodal
-    values f_0..f_n, subject to the one-sided second-order slopes f'(y1) = 1
-    and f'(y2) = -1 (both active at the optimum) and the gauge f(y1) = 0.
-    Stationarity 2 Q f + A^T lam = 0, with Q = D2^T D2 / h^3: the constraint
-    rows A touch only nodes 0..2 and n-2..n, so rows 3..n-3 read
-    Delta^4 f = 0.  The second differences are then linear on 2..n-2, and
-    f is a cubic on nodes 1..n-1 with f_0 and f_n free (the discrete
-    Holladay theorem; de Boor, A Practical Guide to Splines, 1978, ch. V).
-    The QP is solved exactly in that basis: f_0, f_n and min(4, n-1)
-    monomials of a node coordinate centred and scaled into [-1, 1], a KKT
-    system of at most 9 x 9 built in O(n) time and memory.  On rows 2..n-2
-    the second difference of a cubic p is p'' times the squared step, taken
-    exactly rather than by cancelling differences.  The multiplier signs are
-    verified so the solution certifies the inequality-constrained problem;
-    the value is sum (Delta^2 f)^2 / h^3.  Returns (value, nodes, profile).
+    Minimize sum_{i=1}^{n-1} s_i^2 / h^3, s_i = f_{i-1} - 2 f_i + f_{i+1},
+    over the nodal values f_0..f_n, subject to the one-sided second-order
+    slopes f'(y1) >= 1 and f'(y2) <= -1 and the gauge f(y1) = 0.  With
+    d_i = f_i - f_{i-1} the slopes read d_1 - s_1/2 >= h and
+    d_n + s_{n-1}/2 <= -h, and d_n = d_1 + sum s.  Some d_1 meets both
+    exactly when w . s <= -2h, w = (1, ..., 1) plus 1/2 at both ends, so
+    the optimum is the least-norm s = -2h w / (w . w) with value
+    4 / (h w . w).  That s meets w . s <= -2h with equality, which leaves
+    the one d_1 = h + s_1/2: both slope constraints are active.  O(n) time
+    and memory.  Returns (value, nodes, profile).
     """
-    if y2 <= y1:
-        raise DegenerateInterval(f"need y2 > y1, got {y1}, {y2}")
+    _check_interval(y1, y2)
+    if n < 2:
+        raise ValueError(f"the QP needs n >= 2, got {n}")
     h = (y2 - y1) / n
     nodes = y1 + h * np.arange(n + 1)
-    m = min(4, n - 1)
-    step = 2.0 / n
-    t = (np.arange(1, n) - 0.5 * n) * step   # nodes 1..n-1 in [-1, 1]
-    powers = np.arange(m)
-
-    def node(i):
-        """The basis (f_0, f_n, t^0, ..., t^(m-1)) at node i."""
-        row = np.zeros(m + 2)
-        if i == 0:
-            row[0] = 1.0
-        elif i == n:
-            row[1] = 1.0
-        else:
-            row[2:] = t[i - 1] ** powers
-        return row
-
-    d2 = np.zeros((n - 1, m + 2))   # Delta^2 of each basis function, rows i = 1..n-1
-    for j in range(2, m):
-        d2[1:-1, 2 + j] = j * (j - 1) * step**2 * t[1:-1] ** (j - 2)
-    d2[0] = node(0) - 2.0 * node(1) + node(2)
-    d2[-1] = node(n - 2) - 2.0 * node(n - 1) + node(n)
-    A = np.stack([(-3.0 * node(0) + 4.0 * node(1) - node(2)) / (2.0 * h),    # f'(y1) = 1
-                  (node(n - 2) - 4.0 * node(n - 1) + 3.0 * node(n)) / (2.0 * h),  # f'(y2) = -1
-                  node(0)])                                                # gauge f(y1) = 0
-    kkt = np.zeros((m + 5, m + 5))
-    kkt[:m + 2, :m + 2] = 2.0 / h**3 * (d2.T @ d2)
-    kkt[:m + 2, m + 2:] = A.T
-    kkt[m + 2:, :m + 2] = A
-    sol = np.linalg.solve(kkt, np.concatenate([np.zeros(m + 2), [1.0, -1.0, 0.0]]))
-    c, lam = sol[:m + 2], sol[m + 2:]
-    # stationarity 2Qf = -A^T lam: the >=-constraint needs lam[0] <= 0 and the
-    # <=-constraint lam[1] >= 0 for the active set to be KKT-consistent
-    tol = 1e-8 * (abs(lam[0]) + abs(lam[1]) + 1.0)
-    if lam[0] > tol or lam[1] < -tol:
-        raise RuntimeError(f"QP multiplier signs inconsistent: {lam[:2]}")
-    f = np.empty(n + 1)
-    f[0], f[n] = c[0], c[1]
-    f[1:n] = np.polynomial.polynomial.polyval(t, c[2:])
-    s = d2 @ c
-    return float(s @ s) / h**3, nodes, f
+    w = np.ones(n - 1)
+    w[0] += 0.5
+    w[-1] += 0.5
+    ww = float(w @ w)
+    s = (-2.0 * h / ww) * w
+    d = np.concatenate(([0.0], np.cumsum(s))) + (h + 0.5 * s[0])
+    f = np.concatenate(([0.0], np.cumsum(d)))
+    return 4.0 / (h * ww), nodes, f
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +162,15 @@ def lemma1_check(u: ScalarField) -> BoundReport:
     return BoundReport("lemma1", ctx, lhs, rhs, lhs - rhs, holds)
 
 
-def estimate_interp_constant(family: Iterable[np.ndarray],
-                             sigma_grid: Sequence[float]) -> float:
+def estimate_interp_constant(family: Iterable[np.ndarray]) -> float:
     """Empirical infimum of (sigma^-2 int f'' ^2 + sigma^2 int f^2) / int f'^2.
 
     family yields 1D periodic profiles sampled on a uniform grid of [0, 1);
-    profiles with vanishing int f'^2 are skipped.
+    profiles with vanishing int f'^2 are skipped.  For a profile with
+    integrals a = int f''^2, b = int f^2 and c = int f'^2, the minimum over
+    sigma of a / sigma^2 + sigma^2 b is 2 sqrt(ab), taken at
+    sigma = (a/b)^(1/4), so its ratio is 2 sqrt(ab) / c.
     """
-    sigma = np.asarray(list(sigma_grid), dtype=float)
-    if np.any(sigma == 0.0):
-        raise ValueError("sigma grid must avoid zero")
     best = math.inf
     for f in family:
         f = np.asarray(f, dtype=float)
@@ -216,8 +183,7 @@ def estimate_interp_constant(family: Iterable[np.ndarray],
         c = hy * float(fy @ fy)
         if c <= 1e-14 * (a + bb + 1.0):
             continue
-        ratios = (a / sigma**2 + sigma**2 * bb) / c
-        best = min(best, float(ratios.min()))
+        best = min(best, 2.0 * math.sqrt(a * bb) / c)
     return best
 
 

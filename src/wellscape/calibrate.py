@@ -25,7 +25,7 @@ from .constructions import BranchedSpec, PotentialSpec, branched_seed, potential
 from .bounds import killerinterp_sides, theorem2_bounds
 from .energy import (EmptyB, EmptyPiM, EnergyParams, b_geometry,
                      column_uyy_integrals, energy, scale_to_uy_peak)
-from .grid import ScalarField, l2_norm, make_grid
+from .grid import ScalarField, _adopt, l2_norm, make_grid
 from .landscape import (MinimizeConfig, _beats, minimize, multistart_portfolio,
                         random_admissible)
 
@@ -74,7 +74,7 @@ def _local_min_constants() -> tuple[float, float]:
     candidates: list[ScalarField] = []
     seed = branched_seed(BranchedSpec.from_epsilon(eps, L), grid)
     for s in (0.25, 0.5, 1.0, 2.0, 4.0):
-        candidates.append(seed.with_values(s * seed.values))
+        candidates.append(_adopt(seed, s * seed.values))
     for name, start in multistart_portfolio(eps, grid, seed=1):
         candidates.append(minimize(start, p, SWEEP_CONFIG).field)
     min_norm = math.inf

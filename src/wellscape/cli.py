@@ -364,12 +364,10 @@ def _cmd_obstacle(cfg, out_dir, seed):
     pairs = _scalar(section, "pairs", lambda v: [(_float(a), _float(b)) for a, b in v],
                     [(0.0, 1.0), (0.0, 0.5), (0.2, 0.9)])
     n = _scalar(section, "n", _int, 512)
-    if n < 2:
-        raise ConfigError(f"bad 'n' ({n}): the QP needs n >= 2")
     rows = []
     for y1, y2 in pairs:
         sol = _built("obstacle section", bnd.obstacle_min_1d, y1, y2)
-        qp_value, _, _ = bnd.obstacle_qp_oracle(y1, y2, n)
+        qp_value, _, _ = _built("obstacle section", bnd.obstacle_qp_oracle, y1, y2, n)
         rows.append({"y1": y1, "y2": y2, "analytic": sol.value, "qp": qp_value,
                      "rel_err": abs(qp_value - sol.value) / sol.value})
     return [_write_json(out_dir, "obstacle.json", {"n": n, "results": rows})]

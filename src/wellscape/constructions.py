@@ -256,11 +256,13 @@ class RadialProfile:
         """Branch knots; quadratures place panel boundaries here."""
         return (2.0**(-self.spec.j), 1.0, SUPPORT_RADIUS)
 
-    def norm_l2(self, n: int = 200_000) -> float:
-        """||f||_2 over the disk: sqrt(pi * int g^2 R dR) by quadrature."""
-        edges = _panel_edges(self, n)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        return math.sqrt(math.pi * float(np.sum(self(mid) ** 2 * mid * np.diff(edges))))
+    def norm_l2(self) -> float:
+        """||f||_2 over the disk: sqrt(pi * int g^2 R dR), in closed form.
+
+        The three branches give int g^2 R dR = A_j^2 (1/2 + 3j/8 + 3/2).
+        """
+        s = self.spec
+        return math.sqrt(2.0 * math.pi * s.A_j**2 * (1.0 + 3.0 * s.j / 16.0))
 
 
 def radial_profile(spec: PotentialSpec) -> RadialProfile:

@@ -546,7 +546,7 @@ def local_minimality_probe(p: EnergyParams, grid: Grid, n_samples: int,
             nrm = l2_norm(w)
             if nrm <= 0:
                 continue
-            v = w.with_values(w.values * (norm_cap / nrm))
+            v = _adopt(w, w.values * (norm_cap / nrm))
             eligible += 1
             if energy(v, p).total <= e0:
                 violations += 1

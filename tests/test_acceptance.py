@@ -146,7 +146,7 @@ def test_criterion_5_potential_sequence():
         sol = radial_poisson(radial_profile(spec), spec.nR)
         target = -spec.k / 4 - spec.A_j
         assert abs(sol.zprime0 - target) / abs(target) < 5e-3
-        norms.append(radial_profile(spec).norm_l2(50_000))
+        norms.append(radial_profile(spec).norm_l2())
     assert all(b < a for a, b in zip(norms, norms[1:]))
 
     grid = make_grid(L, 256, 256)

@@ -169,12 +169,16 @@ def test_radial_profile_inner_knot_factor_two():
 
 
 def test_radial_profile_norm_closed_form_and_decay():
+    # a knot-aware midpoint rule for sqrt(pi int g^2 R dR) checks the
+    # closed form against the profile's branches
     prev = math.inf
     for j in range(1, 9):
-        spec = PotentialSpec(j, 1.0)
-        norm = radial_profile(spec).norm_l2()
-        closed = math.sqrt(2 * math.pi * spec.A_j**2 * (1 + 3 * j / 16))
-        assert norm == pytest.approx(closed, rel=1e-3)
+        prof = radial_profile(PotentialSpec(j, 1.0))
+        edges = np.unique(np.concatenate([np.linspace(0.0, 2.0, 50_001), prof.breakpoints]))
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        quad = math.sqrt(math.pi * float(np.sum(prof(mid) ** 2 * mid * np.diff(edges))))
+        norm = prof.norm_l2()
+        assert norm == pytest.approx(quad, rel=1e-6)
         assert norm < prev
         prev = norm
 
