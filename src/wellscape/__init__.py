@@ -7,10 +7,9 @@ from .bounds import (BandEmpty, BoundReport, DegenerateInterval, PqRegion,
                      proportional_band, reports_to_csv, theorem2_bounds,
                      wopper_check)
 from .constructions import (BranchedSpec, BumpSpec, PotentialSpec,
-                            ResolutionTooCoarse, UnsupportedProfile,
-                            branched_seed, convolution_oracle, nucleation_bump,
-                            potential_seed, quintic_smoothstep_cutoff,
-                            radial_poisson, radial_profile)
+                            ResolutionTooCoarse, branched_seed,
+                            convolution_oracle, nucleation_bump, potential_seed,
+                            quintic_smoothstep_cutoff, radial_profile)
 from .energy import (BSetGeometry, EmptyB, EmptyPiM, EnergyBreakdown,
                      EnergyParams, NotAdmissible, TauOne, TruncatedBSet,
                      ZeroSmoothing, b_geometry, energy, energy_gradient,

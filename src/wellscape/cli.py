@@ -25,8 +25,8 @@ import numpy as np
 from . import bounds as bnd
 from . import constructions as cons
 # b_geometry is not called here, but bench/ wraps it under this name
-from .energy import (EmptyB, EnergyParams, TauOne, b_geometry,  # noqa: F401
-                     energy, scale_to_uy_peak)
+from .energy import (EmptyB, EnergyParams, NotAdmissible, TauOne,  # noqa: F401
+                     b_geometry, energy, scale_to_uy_peak)
 # bench/ wraps write_field under this name too: call it as a global, at write time
 from .grid import ScalarField, make_grid, read_field, write_field, zero_field
 from .landscape import (BracketNotFound, Diverged, MinimizeConfig,
@@ -212,8 +212,7 @@ def _cmd_construct(cfg, out_dir, seed):
         build = cons.nucleation_bump
     else:
         eps, variant = _scalar(c, "epsilon", _float, 0.1), 3
-        spec = _built("construction", cons.PotentialSpec, _scalar(c, "j", _int), grid.L,
-                      nR=_scalar(c, "nR", _int, 4096))
+        spec = _built("construction", cons.PotentialSpec, _scalar(c, "j", _int), grid.L)
         build = cons.potential_seed
     p = _built("construction", EnergyParams, eps, delta, _scalar(c, "variant", _int, variant))
     fld = build(spec, grid)
@@ -407,7 +406,7 @@ def run(config_path: str, out_dir: str = ".", seed: int | None = None) -> int:
 
     try:
         artifacts = _COMMANDS[command](cfg, out_dir, run_seed)
-    except (ConfigError, cons.ResolutionTooCoarse) as exc:
+    except (ConfigError, cons.ResolutionTooCoarse, NotAdmissible) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (Diverged, BracketNotFound, bnd.InequalityViolated) as exc:

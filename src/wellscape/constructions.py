@@ -10,12 +10,14 @@
   measure, at cost O(lambda^2 * delta^(1/2)) when a = delta^(1/2).
 
 * potential seeds: densities f_j(R, theta) = g_j(R) sin(theta) on the disk,
-  their Newtonian potentials z_j solved through the separable radial ODE
+  whose Newtonian potentials z_j = Z(R) sin(theta) solve the separable
+  radial ODE
 
       Z'' + Z'/R - Z/R^2 = g(R),
       Z(R) = -(1/(2R)) int_0^R s^2 g(s) ds - (R/2) int_R^inf g(s) ds,
 
-  and the pullback of the cut-off potential to Omega by the affine map
+  with both moments elementary for the piecewise power-law g_j, and the
+  pullback of the cut-off potential to Omega by the affine map
   T(x) = 2(x - P)/sqrt(L^2+1), P = (L/2, 1/2).  A direct log-kernel
   convolution quadrature is kept as an independent oracle.
 """
@@ -35,10 +37,6 @@ SUPPORT_RADIUS = 2.0  # densities live on the disk of radius 2
 
 class ResolutionTooCoarse(ValueError):
     """Grid cannot resolve the construction's internal length scales."""
-
-
-class UnsupportedProfile(ValueError):
-    """Radial density extends beyond the supported disk."""
 
 
 def quintic_smoothstep_cutoff(r_plateau: float, r_support: float) -> Callable:
@@ -198,7 +196,7 @@ def nucleation_bump(spec: BumpSpec, grid: Grid) -> ScalarField:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Index j of the density sequence plus the radial solver resolution.
+    """Index j of the density sequence on a domain of width L.
 
     k = -6*sqrt(L^2+1), A_j = k/j, alpha_j = 1/j - 2.  The density carries
     no cutoff, because the reference values -k/4 - A_j for z_y(0,0)
@@ -208,15 +206,12 @@ class PotentialSpec:
 
     j: int
     L: float
-    nR: int = 4096
 
     def __post_init__(self):
         if self.j < 1:
             raise ValueError(f"sequence index must be >= 1, got {self.j}")
         if self.L <= 0:
             raise ValueError(f"L must be positive, got {self.L}")
-        if self.nR < 1:
-            raise ValueError(f"the radial solver needs nR >= 1 panels, got {self.nR}")
 
     @property
     def k(self) -> float:
@@ -232,12 +227,17 @@ class PotentialSpec:
 
     def to_json_dict(self) -> dict:
         return {"j": self.j, "L": self.L, "k": self.k, "A_j": self.A_j,
-                "alpha_j": self.alpha_j, "nR": self.nR}
+                "alpha_j": self.alpha_j}
 
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Radial factor g(R) of a density g(R)*sin(theta) on the disk."""
+    """Radial factor g(R) of a density g(R)*sin(theta) on the disk.
+
+    g is 2^j A_j on [0, 2^-j], A_j R^(1/j-1) on (2^-j, 1], A_j on (1, 2] and
+    0 beyond, so the potential z = Z(R) sin(theta) of the density, the
+    solution of Z'' + Z'/R - Z/R^2 = g, is elementary (see potential).
+    """
 
     spec: PotentialSpec
 
@@ -251,10 +251,38 @@ class RadialProfile:
                         np.where(R <= 1.0, middle,
                                  np.where(R <= SUPPORT_RADIUS, s.A_j, 0.0)))
 
+    def moments(self, R) -> tuple[np.ndarray, np.ndarray]:
+        """(J, I2) with J = I1/R^2, I1(R) = int_0^R s^2 g ds and
+        I2(R) = int_R^2 g ds, in closed form.
+
+        Each branch adds its integral over its part of [0, R], R clipped to
+        the branch.  J is formed per branch: on the inner disk it is
+        2^j A_j R/3, so J(0) = 0 with no division by R.
+        """
+        s = self.spec
+        R = np.asarray(R, dtype=float)
+        knot, inner, p = 2.0**(-s.j), 2.0**s.j * s.A_j, 1.0 / s.j
+        r0 = np.minimum(R, knot)
+        r1 = np.clip(R, knot, 1.0)
+        r2 = np.clip(R, 1.0, SUPPORT_RADIUS)
+        i1 = (inner * r0**3 / 3.0
+              + s.A_j * (np.power(r1, p + 2.0) - knot ** (p + 2.0)) / (p + 2.0)
+              + s.A_j * (r2**3 - 1.0) / 3.0)
+        i2 = (inner * (knot - r0) + s.A_j * s.j * (1.0 - np.power(r1, p))
+              + s.A_j * (SUPPORT_RADIUS - r2))
+        J = np.where(R <= knot, inner * R / 3.0, i1 / np.maximum(R, knot) ** 2)
+        return J, i2
+
+    def potential(self, R) -> tuple[np.ndarray, np.ndarray]:
+        """(Z, Z') at R: Z = -I1/(2R) - R*I2/2 and Z' = I1/(2R^2) - I2/2,
+        the Newtonian potential z = Z sin(theta) of g sin(theta)."""
+        J, i2 = self.moments(R)
+        return -np.asarray(R, dtype=float) * (J + i2) / 2.0, (J - i2) / 2.0
+
     @property
-    def breakpoints(self) -> tuple[float, ...]:
-        """Branch knots; quadratures place panel boundaries here."""
-        return (2.0**(-self.spec.j), 1.0, SUPPORT_RADIUS)
+    def zprime0(self) -> float:
+        """Z'(0) = z_y(0, 0) = -I2(0)/2, which is -A_j - k/4."""
+        return float(self.potential(0.0)[1])
 
     def norm_l2(self) -> float:
         """||f||_2 over the disk: sqrt(pi * int g^2 R dR), in closed form.
@@ -267,100 +295,6 @@ class RadialProfile:
 
 def radial_profile(spec: PotentialSpec) -> RadialProfile:
     return RadialProfile(spec)
-
-
-def _panel_edges(g: Callable, n: int) -> np.ndarray:
-    """Uniform panel edges on [0, 2], augmented with the profile's knots."""
-    edges = np.linspace(0.0, SUPPORT_RADIUS, n + 1)
-    bps = getattr(g, "breakpoints", None)
-    if bps:
-        extra = [b for b in bps if 0.0 < b < SUPPORT_RADIUS]
-        edges = np.unique(np.concatenate([edges, np.asarray(extra, dtype=float)]))
-    return edges
-
-
-@dataclass(frozen=True)
-class RadialSolution:
-    """Z(R) with z(R, theta) = Z(R)*sin(theta) the Newtonian potential of g*sin.
-
-    Z is represented through its two cumulative moments
-
-        I1(R) = int_0^R s^2 g(s) ds,   I2(R) = int_R^2 g(s) ds,
-        Z(R)  = -I1(R)/(2R) - R*I2(R)/2,
-
-    with the moments accumulated by a knot-aware midpoint rule and linearly
-    interpolated, so Z and Z' evaluate smoothly at any radius.
-    """
-
-    edges: np.ndarray
-    I1: np.ndarray
-    I2: np.ndarray
-    total: float  # int_0^2 g
-    base_edges: np.ndarray            # the uniform part of the panel grid
-    knots: tuple[float, ...] = ()
-
-    @property
-    def zprime0(self) -> float:
-        """Z'(0) = z_y(0, 0) = -(1/2) int g."""
-        return -self.total / 2.0
-
-    def __call__(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        i1 = np.interp(r, self.edges, self.I1)
-        i2 = np.interp(r, self.edges, self.I2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = -i1 / (2.0 * r) - r * i2 / 2.0
-        return np.where(r > 0.0, z, 0.0)
-
-    def derivative(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        i1 = np.interp(r, self.edges, self.I1)
-        i2 = np.interp(r, self.edges, self.I2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            zp = i1 / (2.0 * r**2) - i2 / 2.0
-        return np.where(r > 0.0, zp, self.zprime0)
-
-    def ode_residual(self, g: Callable) -> float:
-        """Max |Z'' + Z'/R - Z/R^2 - g| on [0.05, 1.9], by central differences.
-
-        Evaluated on the uniform panel edges (where the cumulative moments
-        are quadrature-exact); points within two steps of a declared knot of
-        g are skipped, since g itself may jump there.
-        """
-        sel = (self.base_edges >= 0.05) & (self.base_edges <= 1.9)
-        R = self.base_edges[sel]
-        h = R[1] - R[0]
-        Z = self(R)
-        Zpp = (Z[2:] - 2.0 * Z[1:-1] + Z[:-2]) / h**2
-        Zp = (Z[2:] - Z[:-2]) / (2.0 * h)
-        Rm = R[1:-1]
-        res = np.abs(Zpp + Zp / Rm - Z[1:-1] / Rm**2 - np.asarray(g(Rm), dtype=float))
-        keep = np.ones_like(Rm, dtype=bool)
-        for kn in self.knots:
-            keep &= np.abs(Rm - kn) > 2.0 * h
-        return float(np.max(res[keep]))
-
-
-def radial_poisson(g: Callable, nR: int = 4096) -> RadialSolution:
-    """Solve Z'' + Z'/R - Z/R^2 = g by variation of parameters.
-
-    Requires g supported in (0, 2]; the tail integral truncates there.
-    Panel boundaries respect the profile's knots (its `breakpoints`
-    attribute, when present), so branch jumps are never smeared.
-    """
-    probe = np.linspace(SUPPORT_RADIUS * (1.0 + 1e-9), SUPPORT_RADIUS + 1.0, 64)
-    if np.any(np.abs(np.asarray(g(probe))) > 0.0):
-        raise UnsupportedProfile("density must vanish beyond R = 2")
-    base = np.linspace(0.0, SUPPORT_RADIUS, nR + 1)
-    edges = _panel_edges(g, nR)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    dx = np.diff(edges)
-    gm = np.asarray(g(mid), dtype=float)
-    i1 = np.concatenate([[0.0], np.cumsum(mid**2 * gm * dx)])
-    flux = np.concatenate([[0.0], np.cumsum(gm * dx)])
-    total = float(flux[-1])
-    knots = tuple(getattr(g, "breakpoints", ()) or ())
-    return RadialSolution(edges, i1, total - flux, total, base, knots)
 
 
 def convolution_oracle(f: Callable, probes: np.ndarray,
@@ -427,13 +361,12 @@ def potential_seed(spec: PotentialSpec, grid: Grid) -> ScalarField:
     r_bd = domain_pullback_radius(spec.L)
     psi = quintic_smoothstep_cutoff(0.5 * r_bd, 0.9 * r_bd)
 
-    sol = radial_poisson(radial_profile(spec), spec.nR)
     denom = math.sqrt(spec.L**2 + 1.0)
     X, Y = grid.node_mesh()
     Tx = 2.0 * (X - spec.L / 2.0) / denom
     Ty = 2.0 * (Y - 0.5) / denom
     R = np.hypot(Tx, Ty)
-    ratio = np.where(R > 1e-14, sol(R) / np.where(R > 1e-14, R, 1.0), sol.zprime0)
-    values = psi(R) * ratio * Ty
+    J, i2 = radial_profile(spec).moments(R)
+    values = psi(R) * (-(J + i2) / 2.0) * Ty   # Z/R = -(J + I2)/2
     values[0, :] = 0.0  # no-op (psi vanishes there); keeps the edge exact
     return ScalarField(grid, values)

@@ -53,6 +53,13 @@ class NotAdmissible(ValueError):
     """Field fails the admissibility conditions required by energy()."""
 
 
+def require_admissible(u: ScalarField) -> None:
+    """Raise NotAdmissible, naming each violation, unless u is admissible."""
+    report = validate_admissible(u)
+    if not report.ok:
+        raise NotAdmissible("; ".join(report.violations))
+
+
 class ZeroSmoothing(ValueError):
     """energy_gradient needs smooth_w > 0."""
 
@@ -141,10 +148,15 @@ def _b_cells(u: ScalarField):
         yield r0, q, q >= 1.0 - TIE_TOL
 
 
+def uy_peak(u: ScalarField) -> float:
+    """max |u_y| at cell centers, one strip pass over u."""
+    return max(float(q.max()) for _, q, _ in _b_cells(u))
+
+
 def scale_to_uy_peak(u: ScalarField, peak: float) -> ScalarField:
     """u times peak / max |u_y| at cell centers, or u itself where u_y
     vanishes at every cell center."""
-    top = max(float(q.max()) for _, q, _ in _b_cells(u))
+    top = uy_peak(u)
     if not top > 0:
         return u
     return _adopt(u, u.values * (peak / top))
@@ -283,9 +295,7 @@ def energy(u: ScalarField, p: EnergyParams) -> EnergyBreakdown:
     The well term uses the cell-mask area of A(u), so
     area_A + area_B = |Omega| exactly and total = surface + elastic + well.
     """
-    report = validate_admissible(u)
-    if not report.ok:
-        raise NotAdmissible("; ".join(report.violations))
+    require_admissible(u)
     surface, elastic = surface_and_elastic(u, p.epsilon, p.variant)
     cells = sum(np.count_nonzero(mask) for _, _, mask in _b_cells(u))
     area_b = float(cells) * u.grid.hx * u.grid.hy

@@ -24,11 +24,10 @@ import numpy as np
 from .constructions import BranchedSpec, ResolutionTooCoarse, branched_seed
 # energy_gradient and energy_smoothed are not called here; bench/ wraps them
 # under these names, so they stay importable from this module
-from .energy import (EnergyBreakdown, EnergyParams, NotAdmissible,  # noqa: F401
-                     _smoothed_gradient, _smoothed_terms, b_geometry, energy,
-                     energy_gradient, energy_smoothed, scale_to_uy_peak)
-from .grid import (Grid, ScalarField, Workspace, _adopt, l2_norm,
-                   validate_admissible, zero_field)
+from .energy import (EnergyBreakdown, EnergyParams, _smoothed_gradient,  # noqa: F401
+                     _smoothed_terms, b_geometry, energy, energy_gradient,
+                     energy_smoothed, require_admissible, uy_peak)
+from .grid import Grid, ScalarField, Workspace, _adopt, l2_norm, zero_field
 
 
 class Diverged(RuntimeError):
@@ -206,9 +205,7 @@ def minimize(start: ScalarField, p: EnergyParams,
     certificate among the same fields.
     """
     cfg = cfg or MinimizeConfig()
-    report = validate_admissible(start)
-    if not report.ok:
-        raise NotAdmissible("; ".join(report.violations))
+    require_admissible(start)
     grid = start.grid
     x = np.array(start.values)
     x[0, :] = 0.0  # pin the Dirichlet edge exactly
@@ -536,32 +533,32 @@ def local_minimality_probe(p: EnergyParams, grid: Grid, n_samples: int,
     """
     if (norm_cap is None) == (area_cap is None):
         raise ValueError("pass exactly one of norm_cap / area_cap")
+
+    def rescaled(w: ScalarField) -> Optional[ScalarField]:
+        """w scaled into the probe's window, or None when it cannot be."""
+        if norm_cap is not None:
+            nrm = l2_norm(w)
+            return _adopt(w, w.values * (norm_cap / nrm)) if nrm > 0 else None
+        # a field whose u_y vanishes has area(B) = 0 at every bump
+        peak = uy_peak(w)
+        if not peak > 0:
+            return None
+        for bump in (1.001, 1.01, 1.05):
+            cand = _adopt(w, w.values * (bump / peak))
+            if 0.0 < b_geometry(cand).area_b <= area_cap:
+                return cand
+        return None
+
     rng = np.random.default_rng(seed)
     e0 = p.delta * grid.L
     eligible = 0
     violations = 0
     for _ in range(n_samples):
-        w = random_admissible(grid, rng)
-        if norm_cap is not None:
-            nrm = l2_norm(w)
-            if nrm <= 0:
-                continue
-            v = _adopt(w, w.values * (norm_cap / nrm))
-            eligible += 1
-            if energy(v, p).total <= e0:
-                violations += 1
-        else:
-            # a field whose u_y vanishes has area(B) = 0 at every bump
-            v = None
-            for bump in (1.001, 1.01, 1.05):
-                cand = scale_to_uy_peak(w, bump)
-                if 0.0 < b_geometry(cand).area_b <= area_cap:
-                    v = cand
-                    break
-            if v is None:
-                continue
-            eligible += 1
-            if energy(v, p).total <= e0:
-                violations += 1
+        v = rescaled(random_admissible(grid, rng))
+        if v is None:
+            continue
+        eligible += 1
+        if energy(v, p).total <= e0:
+            violations += 1
     cap = norm_cap if norm_cap is not None else area_cap
     return ProbeReport(n_samples, eligible, violations, float(cap))

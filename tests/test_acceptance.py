@@ -15,7 +15,7 @@ from wellscape import (BranchedSpec, BumpSpec, EnergyParams, MinimizeConfig,
                        energy_gradient, energy_smoothed, fit_power_law,
                        lemma1_check, local_minimality_probe, make_grid, minimize,
                        multistart_portfolio, nucleation_bump, potential_seed,
-                       pq_region, radial_poisson, radial_profile,
+                       pq_region, radial_profile,
                        random_admissible, theorem2_bounds)
 from wellscape.bounds import calibration_value, obstacle_qp_oracle
 from wellscape.energy import CELL_UY
@@ -114,10 +114,8 @@ def test_criterion_4_nucleation_path():
 
 def test_criterion_5_potential_sequence():
     L = 1.0
-    # radial ODE vs direct convolution quadrature
-    spec2 = PotentialSpec(2, L)
-    prof2 = radial_profile(spec2)
-    sol2 = radial_poisson(prof2, 8192)
+    # closed-form radial potential vs direct convolution quadrature
+    prof2 = radial_profile(PotentialSpec(2, L))
 
     def f2(x, y):
         R = np.hypot(x, y)
@@ -130,8 +128,8 @@ def test_criterion_5_potential_sequence():
     z, gz = convolution_oracle(f2, probes, n_r=1600, n_theta=1024)
     R = np.hypot(probes[:, 0], probes[:, 1])
     sth, cth = probes[:, 1] / R, probes[:, 0] / R
-    z_rad = sol2(R) * sth
-    Zp, Zr = sol2.derivative(R), sol2(R)
+    Zr, Zp = prof2.potential(R)
+    z_rad = Zr * sth
     gx = (probes[:, 0] * probes[:, 1] / R**2) * (Zp - Zr / R)
     gy = Zp * sth**2 + (Zr / R) * cth**2
     zerr = np.abs(z - z_rad).max() / np.abs(z_rad).max()
@@ -143,10 +141,10 @@ def test_criterion_5_potential_sequence():
     norms = []
     for j in range(1, 9):
         spec = PotentialSpec(j, L)
-        sol = radial_poisson(radial_profile(spec), spec.nR)
+        prof = radial_profile(spec)
         target = -spec.k / 4 - spec.A_j
-        assert abs(sol.zprime0 - target) / abs(target) < 5e-3
-        norms.append(radial_profile(spec).norm_l2())
+        assert abs(prof.zprime0 - target) / abs(target) < 5e-3
+        norms.append(prof.norm_l2())
     assert all(b < a for a, b in zip(norms, norms[1:]))
 
     grid = make_grid(L, 256, 256)

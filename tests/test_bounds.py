@@ -404,7 +404,7 @@ def test_killerinterp_branched_and_potential():
     g = make_grid(1.0, 256, 256)
     seed = branched_seed(BranchedSpec.from_epsilon(0.01, 1.0), g)
     assert killerinterp_check(seed, 1e30).holds
-    pot = potential_seed(PotentialSpec(4, 1.0, nR=2048), g)
+    pot = potential_seed(PotentialSpec(4, 1.0), g)
     assert killerinterp_check(pot, 1e30).holds
 
 

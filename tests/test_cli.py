@@ -8,8 +8,8 @@ import stat
 import numpy as np
 import pytest
 
-from wellscape import cli
-from wellscape.grid import make_grid, read_field, write_field, zero_field
+from wellscape import EnergyParams, PotentialSpec, cli, energy, potential_seed
+from wellscape.grid import ScalarField, make_grid, read_field, write_field, zero_field
 from wellscape.landscape import PortfolioShrunk
 
 
@@ -46,6 +46,19 @@ def test_construct_branched_roundtrip(tmp_path):
     assert spec["N"] >= 1
     breakdown = json.loads((out_dir / "breakdown.json").read_text())
     assert set(breakdown) == {"surface", "elastic", "well", "total", "area_B", "area_A"}
+
+
+def test_construct_potential_artifacts(tmp_path):
+    cfg = {"schema": 1, "command": "construct-potential",
+           "grid": {"L": 1.5, "nx": 96, "ny": 64}, "construction": {"j": 5}}
+    code, out_dir = _run(tmp_path, cfg)
+    assert code == 0
+    spec = json.loads((out_dir / "spec.json").read_text())
+    assert set(spec) == {"j", "L", "k", "A_j", "alpha_j"}
+    seed = potential_seed(PotentialSpec(5, 1.5), make_grid(1.5, 96, 64))
+    np.testing.assert_array_equal(read_field(out_dir / "field.wsf1").values, seed.values)
+    breakdown = json.loads((out_dir / "breakdown.json").read_text())
+    assert breakdown == energy(seed, EnergyParams(0.1, 0.0, 3)).to_json_dict()
 
 
 def test_energy_command_on_dumped_field(tmp_path):
@@ -347,10 +360,6 @@ OUT_OF_RANGE = {
     "obstacle n 0": {"command": "obstacle-1d", "obstacle": {"n": 0}},
     "obstacle n 1": {"command": "obstacle-1d", "obstacle": {"n": 1}},
     "obstacle n -3": {"command": "obstacle-1d", "obstacle": {"n": -3}},
-    "potential nR 0": {"command": "construct-potential", "grid": GRID32,
-                       "construction": {"j": 1, "nR": 0}},
-    "potential nR -5": {"command": "construct-potential", "grid": GRID32,
-                        "construction": {"j": 1, "nR": -5}},
     "verify n_random -1": {"command": "verify-inequalities", "grid": GRID32,
                            "energy": {"epsilon": 0.1}, "n_random": -1},
     "probe n_samples -1": {"command": "probe-local-min", "grid": GRID32,
@@ -435,6 +444,24 @@ def test_file_start_on_another_grid_is_config_error(tmp_path, capsys):
     assert code == 2
     assert err.startswith("config error")
     assert "nx=16, ny=16" in err and "nx=24, ny=24" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["energy", "minimize"])
+def test_dirichlet_violation_is_config_error(tmp_path, capsys, command):
+    # a field file of ones breaks u(0, .) = 0: the energy command's input and
+    # minimize's start are both checked
+    g = make_grid(1.0, 16, 16)
+    path = str(tmp_path / "ones.wsf1")
+    write_field(path, ScalarField(g, np.ones((g.nx + 1, g.ny))))
+    cfg = {"schema": 1, "command": command, "energy": {"epsilon": 0.1},
+           **({"input": {"field": path}} if command == "energy" else
+              {"grid": {"L": 1.0, "nx": 16, "ny": 16},
+               "start": {"type": "file", "path": path}})}
+    code, out_dir = _run(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("config error: Dirichlet violation at x=0"), err
     assert not out_dir.exists()
 
 

@@ -6,11 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wellscape import (BranchedSpec, BumpSpec, EnergyParams, PotentialSpec,
-                       ResolutionTooCoarse, UnsupportedProfile, b_geometry,
-                       branched_seed, convolution_oracle, d_y, energy,
-                       make_grid, nucleation_bump, potential_seed,
-                       quintic_smoothstep_cutoff, radial_poisson,
-                       radial_profile, validate_admissible)
+                       ResolutionTooCoarse, b_geometry, branched_seed,
+                       convolution_oracle, d_y, energy, make_grid,
+                       nucleation_bump, potential_seed,
+                       quintic_smoothstep_cutoff, radial_profile,
+                       validate_admissible)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +152,34 @@ def test_bump_spec_validation():
 # ---------------------------------------------------------------------------
 # radial machinery
 
+def _knots(spec):
+    """Where the radial profile's branches meet, and the support's edge."""
+    return (2.0**-spec.j, 1.0, 2.0)
+
+
+def radial_poisson(prof, nR):
+    """Reference solve of Z'' + Z'/R - Z/R^2 = g by variation of parameters.
+
+    The moments I1(R) = int_0^R s^2 g and I2(R) = int_R^2 g are accumulated
+    by a midpoint rule on nR uniform panels split at the profile's knots, so
+    its jumps are never smeared, and interpolated linearly.  Returns
+    (potential, zprime0): potential(R) = (Z, Z') for R > 0, with
+    Z = -I1/(2R) - R*I2/2 and Z' = I1/(2R^2) - I2/2, and Z'(0) = -I2(0)/2.
+    """
+    edges = np.unique(np.concatenate([np.linspace(0.0, 2.0, nR + 1), _knots(prof.spec)]))
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    gm = prof(mid) * np.diff(edges)
+    i1 = np.concatenate([[0.0], np.cumsum(mid**2 * gm)])
+    flux = np.concatenate([[0.0], np.cumsum(gm)])
+    i2 = flux[-1] - flux
+
+    def potential(R):
+        m1, m2 = np.interp(R, edges, i1), np.interp(R, edges, i2)
+        return -m1 / (2.0 * R) - R * m2 / 2.0, m1 / (2.0 * R**2) - m2 / 2.0
+
+    return potential, -float(flux[-1]) / 2.0
+
+
 def test_radial_profile_outer_knot_continuous():
     prof = radial_profile(PotentialSpec(1, 1.0))
     eps = 1e-13
@@ -174,7 +202,7 @@ def test_radial_profile_norm_closed_form_and_decay():
     prev = math.inf
     for j in range(1, 9):
         prof = radial_profile(PotentialSpec(j, 1.0))
-        edges = np.unique(np.concatenate([np.linspace(0.0, 2.0, 50_001), prof.breakpoints]))
+        edges = np.unique(np.concatenate([np.linspace(0.0, 2.0, 50_001), _knots(prof.spec)]))
         mid = 0.5 * (edges[1:] + edges[:-1])
         quad = math.sqrt(math.pi * float(np.sum(prof(mid) ** 2 * mid * np.diff(edges))))
         norm = prof.norm_l2()
@@ -183,41 +211,50 @@ def test_radial_profile_norm_closed_form_and_decay():
         prev = norm
 
 
-def test_radial_poisson_constant_annulus():
-    gfun = lambda R: np.where((np.asarray(R) >= 1.0) & (np.asarray(R) <= 2.0), 0.7, 0.0)
-    sol = radial_poisson(gfun, 4096)
-    assert sol.zprime0 == pytest.approx(-0.35, rel=1e-3)
-
-
-def test_radial_poisson_zero_profile():
-    sol = radial_poisson(lambda R: np.zeros_like(np.asarray(R, dtype=float)), 512)
-    r = np.linspace(0.01, 1.9, 50)
-    assert np.abs(sol(r)).max() == 0.0
-
-
-def test_radial_poisson_rejects_wide_support():
-    with pytest.raises(UnsupportedProfile):
-        radial_poisson(lambda R: np.ones_like(np.asarray(R, dtype=float)), 512)
-
-
 def test_radial_poisson_center_slope_matches_reference():
     for j in range(1, 9):
         spec = PotentialSpec(j, 1.0)
-        sol = radial_poisson(radial_profile(spec), spec.nR)
-        assert sol.zprime0 == pytest.approx(-spec.k / 4 - spec.A_j, rel=5e-3)
+        _, zprime0 = radial_poisson(radial_profile(spec), 4096)
+        assert zprime0 == pytest.approx(-spec.k / 4 - spec.A_j, rel=5e-3)
 
 
-def test_radial_poisson_residual_second_order():
-    class Smooth:
-        breakpoints = (1.8,)
+def test_closed_form_is_the_limit_of_the_radial_solve():
+    # the reference's error falls by >= 5x per doubling of nR (second order
+    # gives 4x, the knots' midpoint rule better): relative to Z pointwise,
+    # as Z > 0 on (0, 2), and to max |Z'| for Z', which changes sign
+    R = np.linspace(1e-3, 1.95, 4001)
+    for j in range(1, 9):
+        prof = radial_profile(PotentialSpec(j, 1.0))
+        Z, Zp = prof.potential(R)
+        errors = []
+        for nR in (1024, 2048, 4096, 8192):
+            z, zp = radial_poisson(prof, nR)[0](R)
+            errors.append((np.max(np.abs(z - Z) / Z),
+                           np.max(np.abs(zp - Zp)) / np.max(np.abs(Zp))))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse[0] >= 5.0 * fine[0] and coarse[1] >= 5.0 * fine[1], (j, errors)
 
-        def __call__(self, R):
-            R = np.asarray(R, dtype=float)
-            return np.where(R < 1.8, np.exp(-8 * (R - 0.8) ** 2) * (1.8 - R) ** 3 * R, 0.0)
 
-    g = Smooth()
-    res = {n: radial_poisson(g, n).ode_residual(g) for n in (512, 2048)}
-    assert res[512] / res[2048] >= 10.0  # second order: expect ~16x
+def test_closed_form_center_slope_exact():
+    for L in (0.5, 1.0, 3.0):
+        for j in range(1, 9):
+            spec = PotentialSpec(j, L)
+            target = -spec.k / 4 - spec.A_j
+            assert abs(radial_profile(spec).zprime0 - target) <= 1e-14 * abs(target)
+
+
+def test_closed_form_ratio_at_center_needs_no_guard():
+    # Z/R = -(J + I2)/2 with J = I1/R^2 formed per branch: at R = 0 it is
+    # Z'(0) with no division by zero, and it is continuous there
+    for j in (1, 4, 8):
+        prof = radial_profile(PotentialSpec(j, 1.0))
+        with np.errstate(all="raise"):
+            J, i2 = prof.moments(np.array([0.0, 1e-9]))
+        assert J[0] == 0.0
+        ratio = -(J + i2) / 2.0
+        assert ratio[0] == prof.zprime0
+        assert ratio[1] == pytest.approx(prof.zprime0, rel=1e-6)
+        assert prof.potential(np.array([0.0]))[0][0] == 0.0
 
 
 def test_convolution_oracle_far_field_monopole():
@@ -233,9 +270,7 @@ def test_convolution_oracle_zero_density():
 
 
 def test_convolution_oracle_agrees_with_radial_solve():
-    spec = PotentialSpec(2, 1.0)
-    prof = radial_profile(spec)
-    sol = radial_poisson(prof, 8192)
+    prof = radial_profile(PotentialSpec(2, 1.0))
 
     def f(x, y):
         R = np.hypot(x, y)
@@ -248,8 +283,8 @@ def test_convolution_oracle_agrees_with_radial_solve():
     z, gz = convolution_oracle(f, probes, n_r=1600, n_theta=1024)
     R = np.hypot(probes[:, 0], probes[:, 1])
     sth, cth = probes[:, 1] / R, probes[:, 0] / R
-    z_rad = sol(R) * sth
-    Zp, Zr = sol.derivative(R), sol(R)
+    Zr, Zp = prof.potential(R)
+    z_rad = Zr * sth
     gx = (probes[:, 0] * probes[:, 1] / R**2) * (Zp - Zr / R)
     gy = Zp * sth**2 + (Zr / R) * cth**2
     assert np.abs(z - z_rad).max() / np.abs(z_rad).max() < 1e-3
@@ -262,7 +297,7 @@ def test_convolution_oracle_agrees_with_radial_solve():
 
 def test_potential_seed_admissible_and_supported():
     g = make_grid(1.0, 128, 128)
-    seed = potential_seed(PotentialSpec(2, 1.0, nR=2048), g)
+    seed = potential_seed(PotentialSpec(2, 1.0), g)
     assert np.abs(seed.values[0, :]).max() == 0.0
     assert np.abs(seed.values[-1, :]).max() == 0.0  # compact support inside
     assert validate_admissible(seed).ok
@@ -279,7 +314,7 @@ def test_potential_seed_energy_decreases_with_positive_b():
     g = make_grid(1.0, 128, 128)
     prev = math.inf
     for j in (1, 2, 4, 8):
-        seed = potential_seed(PotentialSpec(j, 1.0, nR=2048), g)
+        seed = potential_seed(PotentialSpec(j, 1.0), g)
         br = energy(seed, EnergyParams(0.1, 0.0, 3))
         cost = br.surface + br.elastic
         assert b_geometry(seed).area_b > 0.0
@@ -289,7 +324,7 @@ def test_potential_seed_energy_decreases_with_positive_b():
 
 def test_potential_seed_variant_domination():
     g = make_grid(1.0, 128, 128)
-    seed = potential_seed(PotentialSpec(3, 1.0, nR=2048), g)
+    seed = potential_seed(PotentialSpec(3, 1.0), g)
     totals = [energy(seed, EnergyParams(0.1, 0.4, v)).total for v in (1, 2, 3)]
     assert totals[0] <= totals[1] <= totals[2]
 

@@ -574,7 +574,7 @@ def test_write_field_branched_seed_matches_loop_writer(tmp_path):
 
 @pytest.mark.parametrize("make", [
     lambda g: branched_seed(BranchedSpec.from_epsilon(1e-3, g.L), g),
-    lambda g: potential_seed(PotentialSpec(4, 1.0, nR=2048), g),
+    lambda g: potential_seed(PotentialSpec(4, 1.0), g),
     lambda g: random_admissible(g, np.random.default_rng(5)),
 ], ids=["branched", "potential", "random"])
 def test_write_field_peak_memory(tmp_path, make, traced_peak):
