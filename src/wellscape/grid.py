@@ -165,8 +165,8 @@ class Workspace:
 
     get() hands out the C-ordered array kept under a key and makes a new one
     only when the key is new or its shape or dtype changed.  A workspace
-    serves one thread: the predicate pool descends two starts at once, so
-    each descent makes its own, and nothing caches one per grid.
+    serves one descent: each minimize makes its own, so descents on
+    several threads never share one, and nothing caches one per grid.
     """
 
     def __init__(self):
@@ -303,10 +303,8 @@ def _evaluate(st: _Stencil, src: np.ndarray, dst: np.ndarray, axis: int,
             f(out, sf[i:i + e - b], out=out)
         np.multiply(out, st.scale, out=out)
     if st.edges:
-        # edge rows are whole input rows, or columns for a y-operator, done
-        # one line at a time: numpy keeps the GIL for loops of at most 500
-        # values, so at 256^2 the predicate pool's two threads do not hand it
-        # over at each of these short products
+        # edge rows are whole input rows, or columns for a y-operator, each
+        # with its own coefficients, so they are done one line at a time
         sv, dv = (src, dst) if axis == 0 else (src.T, dst.T)
         scratch = np.empty(sv.shape[1])
         for r, ((col, a), *more) in st.edges:
@@ -336,19 +334,23 @@ def _blocks(grid: Grid, values: np.ndarray, x: Optional[str], y: Optional[str],
     values is copied to C order first if it is not.  X values Y^T runs the
     y-operator on rows [a, b), then the x-operator; X^T values Y the x-
     operator, then the y-operator on its rows.  A block is a view of `out`
-    (C-ordered) when one is given, else of one buffer that the next window
-    overwrites; with no operator it is a copy of the rows.
+    (C-ordered) when one is given, else one buffer (a view where the window
+    is shorter) that the next window overwrites; with no operator it is a
+    copy of the rows.
     """
     named = ((x, 0), (y, 1)) if transposed else ((y, 1), (x, 0))
     ops = [(_stencils(grid)[n][transposed], axis) for n, axis in named if n is not None]
     values = np.ascontiguousarray(values)
     ny = values.shape[1]
-    if out is None:
-        buf = np.empty((max(r1 - r0 for r0, r1, _, _ in windows), ny))
+    # the intermediate first: freed first, it leaves a hole below the buffer,
+    # not a heap top that glibc trims and the next call faults back in
     if len(ops) == 2:
         mid = np.empty((max(max(r1 - r0, b - a) for r0, r1, a, b in windows), ny))
+    if out is None:
+        buf = np.empty((max(r1 - r0 for r0, r1, _, _ in windows), ny))
     for r0, r1, a, b in windows:
-        block = buf[:r1 - r0] if out is None else out[r0:r1]
+        block = buf if out is None else out[r0:r1]
+        block = block[:r1 - r0] if len(block) > r1 - r0 else block
         src = values[a:b]
         for k, (st, axis) in enumerate(ops):
             dst = block if k == len(ops) - 1 else mid[:len(src) if axis else r1 - r0]
@@ -364,11 +366,11 @@ def _whole(grid: Grid, values: np.ndarray, x: Optional[str], y: Optional[str],
     """apply() or adjoint(): _blocks over the one window of every row."""
     # not strips: same bits, but 5-15 % more CPU for a descent at 256^2
     n = len(values) if x is None else _stencils(grid)[x][transposed].n_out
-    dst = out if out is not None and out.flags.c_contiguous else np.empty((n, values.shape[1]))
-    next(_blocks(grid, values, x, y, transposed, ((0, n, 0, len(values)),), dst))
-    if out is not None and dst is not out:
-        np.copyto(out, dst)
-    return dst if out is None else out
+    dst = out if out is not None and out.flags.c_contiguous else None
+    _, block = next(_blocks(grid, values, x, y, transposed, ((0, n, 0, len(values)),), dst))
+    if out is not None and dst is None:
+        np.copyto(out, block)
+    return block if out is None else out
 
 
 def apply(grid: Grid, values: np.ndarray, x: Optional[str] = None,

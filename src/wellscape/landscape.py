@@ -13,9 +13,7 @@ than its start.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
@@ -385,15 +383,14 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
     sqrt(lo * hi) is then no float inside it.  No predicate runs at a delta
     a certificate settles.  A predicate false at a delta that a later
     certificate reaches is counted in `inversions`.  A predicate descends
-    the starts on min(portfolio, cores) threads; its winner is the first
-    lowest energy in portfolio order, whatever that count.
+    the starts one after another on the calling thread, in portfolio order;
+    its winner is the first lowest energy.
     """
     if min(epsilon, L) <= 0 or tol_rel <= 0:
         raise ValueError("epsilon, L, tol_rel must be positive")
     cfg = cfg or MinimizeConfig()
     starts = multistart_portfolio(epsilon, grid, seed=seed)
     evaluations: list[EvalRecord] = []
-    n_workers = min(len(starts), os.cpu_count() or 1)
     p0 = EnergyParams(epsilon, 0.0, variant)
     best = min((_Certificate(certificate(energy(f, p0), epsilon, grid.L), name, None, f)
                 for name, f in starts), key=lambda c: c.value)
@@ -404,16 +401,13 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
         p = EnergyParams(epsilon, delta, variant)
         e0 = delta * grid.L
 
-        def run(item):
-            name, start_field = item
+        outcomes = []
+        for name, start_field in starts:
             res = minimize(start_field, p, cfg)
-            # best holds still while the pool runs; a field that cannot lower
-            # it is dropped here instead of kept until every start is done
+            # best changes only after the last start, so a field that cannot
+            # lower it is dropped here instead of kept until then
             field = res.certificate_field if res.certificate < best.value else None
-            return name, res.breakdown.total, res.certificate, field
-
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(run, starts))
+            outcomes.append((name, res.breakdown.total, res.certificate, field))
         winner, total, _, _ = min(outcomes, key=lambda o: o[1])
         cert_start, _, cert, cert_field = min(outcomes, key=lambda o: o[2])
         evaluations.append(EvalRecord(delta, total, e0, winner, _beats(total, e0, epsilon),

@@ -439,20 +439,23 @@ def test_constructors_hand_their_array_to_the_field(traced_peak, build, ref):
 
 
 def test_package_runs_without_scipy():
-    # scipy stays a test dependency: importing the package and running a
-    # descent and an energy must not load it
+    # scipy stays a test dependency and the package starts no thread pool:
+    # importing it and running a descent, an energy and a critical_delta
+    # must load neither scipy nor concurrent.futures
     script = "\n".join([
-        "import sys",
+        "import sys, warnings",
         "import numpy as np",
         "import wellscape",
         "from wellscape import EnergyParams, MinimizeConfig, energy, make_grid, minimize",
-        "from wellscape import random_admissible",
+        "from wellscape import PortfolioShrunk, critical_delta, random_admissible",
         "g = make_grid(1.0, 32, 32)",
         "u = random_admissible(g, np.random.default_rng(0), amplitude=0.1)",
         "p = EnergyParams(0.05, 0.5, 1)",
         "minimize(u, p, MinimizeConfig(max_iters=5))",
         "energy(u, p)",
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "warnings.simplefilter('ignore', PortfolioShrunk)",
+        "critical_delta(0.05, 1.0, 1, make_grid(1.0, 16, 16), MinimizeConfig(max_iters=5))",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))",
     ])
     src = os.path.dirname(os.path.dirname(wellscape.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -159,21 +161,26 @@ def test_critical_delta_deterministic(grid64, monkeypatch):
            [(r.delta, r.best_energy) for r in b.evaluations]
 
 
-def test_critical_delta_same_records_on_one_worker(grid64, monkeypatch):
-    # the predicate's winner is the first lowest energy in portfolio order,
-    # however many workers descended the starts
-    args = (0.06, 1.0, 1, grid64, FAST_CFG)
-    kwargs = dict(tol_rel=0.6, seed=5)
+def test_predicate_descends_on_calling_thread_in_portfolio_order(grid64, monkeypatch):
+    # every descent of a predicate runs on the thread that called
+    # critical_delta, one start after another in portfolio order
+    starts = multistart_portfolio(0.06, grid64, seed=5)
+    names = {id(f): name for name, f in starts}
+    calls = []
+    descend = landscape.minimize
+
+    def recording_minimize(start, p, cfg):
+        calls.append((threading.get_ident(), p.delta, names[id(start)]))
+        return descend(start, p, cfg)
+
     monkeypatch.setattr(landscape, "_search_band", _band(0.06, 6.0))
-    pooled = critical_delta(*args, **kwargs)
-    workers = []
-    pool = landscape.ThreadPoolExecutor
-    monkeypatch.setattr(landscape.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(landscape, "ThreadPoolExecutor",
-                        lambda max_workers: workers.append(max_workers) or pool(max_workers))
-    serial = critical_delta(*args, **kwargs)
-    assert workers and set(workers) == {1}
-    assert serial.evaluations == pooled.evaluations
+    monkeypatch.setattr(landscape, "multistart_portfolio", lambda *args, **kwargs: starts)
+    monkeypatch.setattr(landscape, "minimize", recording_minimize)
+    res = critical_delta(0.06, 1.0, 1, grid64, FAST_CFG, tol_rel=0.6, seed=5)
+    assert res.evaluations
+    assert {thread for thread, _, _ in calls} == {threading.get_ident()}
+    assert [call[1:] for call in calls] == [(r.delta, name) for r in res.evaluations
+                                            for name, _ in starts]
 
 
 def test_fit_power_law_exact():
@@ -397,7 +404,7 @@ def test_minimize_result_survives_later_descents(grid64):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with landscape.ThreadPoolExecutor(max_workers=4) as pool:
+        with ThreadPoolExecutor(max_workers=4) as pool:
             futures = {name: pool.submit(minimize, starts[name], p, FAST_CFG)
                        for name in names}
             pooled = {name: fut.result(timeout=300).field.values.tobytes()
@@ -606,7 +613,6 @@ def _critical_delta_ref(epsilon, L, variant, grid, cfg=None, tol_rel=0.25, seed=
     cfg = cfg or MinimizeConfig()
     starts = landscape.multistart_portfolio(epsilon, grid, seed=seed)
     evaluations = []
-    n_workers = min(len(starts), landscape.os.cpu_count() or 1)
     p0 = EnergyParams(epsilon, 0.0, variant)
     best = min((landscape._Certificate(
         landscape.certificate(landscape.energy(f, p0), epsilon, grid.L), name, None, f)
@@ -617,14 +623,11 @@ def _critical_delta_ref(epsilon, L, variant, grid, cfg=None, tol_rel=0.25, seed=
         p = EnergyParams(epsilon, delta, variant)
         e0 = delta * grid.L
 
-        def run(item):
-            name, start_field = item
+        outcomes = []
+        for name, start_field in starts:
             res = landscape.minimize(start_field, p, cfg)
             field = res.certificate_field if res.certificate < best.value else None
-            return name, res.breakdown.total, res.certificate, field
-
-        with landscape.ThreadPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(run, starts))
+            outcomes.append((name, res.breakdown.total, res.certificate, field))
         winner, total, _, _ = min(outcomes, key=lambda o: o[1])
         cert_start, _, cert, cert_field = min(outcomes, key=lambda o: o[2])
         beats = landscape._beats(total, e0, epsilon)
@@ -688,7 +691,7 @@ def _fake_landscape(m, start_certs, kind, delta_true, p_cert, salt):
     """Patch the portfolio, energy, certificate and minimize for a search on
     GRID8.  Start k is k * x/L with certificate start_certs[k]; a descent's
     outcome is a function of (salt, k, delta) alone, so it does not depend on
-    the order the pool runs the starts in.  A descent that beats E(0)
+    the order the starts run in.  A descent that beats E(0)
     certifies delta or less, as its winning field does; one that does not
     certifies above delta, or nothing.  Returns the list of the deltas
     minimize is called at."""
