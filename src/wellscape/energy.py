@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .grid import (Grid, ScalarField, Workspace, _adopt, _field_integral_square,
-                   _field_row_sums, _memoized, adjoint, apply, apply_strips,
+                   _field_row_sums, _memoized, _whole, apply, apply_strips,
                    integrate_square, validate_admissible)
 
 # |u_y| >= 1 is tested with this slack so that exact ties survive roundoff
@@ -311,7 +311,7 @@ class _SmoothedTerms(NamedTuple):
     fields: list          # apply(values, x, y) per SURFACE_STENCILS row
     dx: np.ndarray        # apply(values, "Dx")
     uy: np.ndarray        # cell-center u_y
-    t: np.ndarray         # smoothstep coordinate (|u_y| - (1 - w)) / w, clipped to [0, 1]
+    q: np.ndarray         # t (1 - t), t = (|u_y| - (1 - w)) / w clipped to [0, 1]
 
 
 def _smoothed_terms(values: np.ndarray, grid: Grid, p: EnergyParams,
@@ -319,8 +319,12 @@ def _smoothed_terms(values: np.ndarray, grid: Grid, p: EnergyParams,
     """Value pass of the smoothed energy (smooth_w > 0): every forward apply once.
 
     The indicator chi_(-1,1)(|u_y|) becomes the C^1 smoothstep
-    1 - t^2 (3 - 2t): 1 below |u_y| = 1 - w, 0 above 1, cubic between; the
-    well term sums it over the n cells as n - sum t^2 (3 - 2t).
+    1 - t^2 (3 - 2t): 1 below |u_y| = 1 - w, 0 above 1, cubic between.
+    With q = t (1 - t), t^2 (3 - 2t) = t^2 + 2 t q, so the well term sums
+    it over the n cells as n - sum t^2 - 2 sum t q, two two-operand
+    einsums; q is also the gradient's slope up to sign and a factor.
+    t is divided by w, not multiplied by 1 / w: 1 / w overflows for w
+    below about 5.6e-309, and a tie |u_y| = 1 - w would then give 0 * inf.
     Every array it keeps, the returned terms included, lives in `ws` (a new
     one when none is given) until the next pass that uses it.
     """
@@ -334,11 +338,12 @@ def _smoothed_terms(values: np.ndarray, grid: Grid, p: EnergyParams,
     t -= 1.0 - w
     t /= w
     np.clip(t, 0.0, 1.0, out=t)
-    c = np.multiply(t, -2.0, out=ws.get("well", cells))
-    c += 3.0
-    inside = t.size - float(np.einsum("ij,ij,ij->", t, t, c))
+    q = np.subtract(1.0, t, out=ws.get("well", cells))
+    q *= t
+    inside = (t.size - float(np.einsum("ij,ij->", t, t))
+              - 2.0 * float(np.einsum("ij,ij->", t, q)))
     value = surface + elastic + p.delta * grid.hx * grid.hy * inside
-    return value, _SmoothedTerms(fields, dx, uy, t)
+    return value, _SmoothedTerms(fields, dx, uy, q)
 
 
 def _smoothed_gradient(terms: _SmoothedTerms, grid: Grid, p: EnergyParams,
@@ -351,7 +356,11 @@ def _smoothed_gradient(terms: _SmoothedTerms, grid: Grid, p: EnergyParams,
     i = 0 and nx, 1 between, where x * 1.0 is x, so only the two end rows are
     scaled); the well term contributes the adjoint of the cell-center u_y
     applied to the smoothstep slope -6 t (1 - t) / w times sign(u_y), which
-    vanishes where t is clipped, with -6 / w folded into its scalar factor.
+    vanishes where t is clipped.  Each term's scalar coefficient (2 w eps^2
+    hx hy, 2 hx hy, -6 delta hx hy / w) is folded into its adjoint's last
+    operator (grid._whole's factor), so no term is scaled in a pass of its
+    own; the first term's adjoint is written straight into the gradient
+    and the others are added on, so a zero entry may carry either sign.
     Rows at i = 0 are zeroed (the Dirichlet edge stays pinned during
     descent).  The gradient goes to `out` (a new array when none is given);
     scratch comes from `ws`.
@@ -363,28 +372,23 @@ def _smoothed_gradient(terms: _SmoothedTerms, grid: Grid, p: EnergyParams,
                  for f, (x, y, w) in zip(terms.fields, SURFACE_STENCILS[p.variant])]
     quadratic.append((2.0 * scale, terms.dx, "Dx", None))
 
-    # grad starts at +0 and is accumulated, so the sign of a zero term never
-    # reaches it (at a clipped t the slope is a signed zero)
     grad = np.empty(shape) if out is None else out
-    grad.fill(0.0)
     term = ws.get("term", shape)
-    for coef, f, x, y in quadratic:
+    for k, (coef, f, x, y) in enumerate(quadratic):
         f[0] *= 0.5
         f[-1] *= 0.5
-        adjoint(grid, f, x, y, out=term)
-        term *= coef
-        grad += term
+        dst = term if k else grad
+        _whole(grid, f, x, y, True, dst, factor=coef)
+        if dst is term:
+            grad += term
 
-    # slope * sign(u_y) is formed as -(6 / w) copysign(t (1 - t), u_y): the
-    # same numbers wherever it is nonzero, as the slope is <= 0 and nonzero
-    # only where |u_y| > 1 - w.  The factor saturates at the largest float,
-    # so that where 6 / w overflows the cells outside the band still give 0
-    t = terms.t
-    well = np.subtract(1.0, t, out=ws.get("well", t.shape))  # the value pass is done with it
-    well *= t
-    np.copysign(well, terms.uy, out=well)
-    adjoint(grid, well, *CELL_UY, out=term)
-    term *= max(-6.0 * p.delta * scale / p.smooth_w, -np.finfo(float).max)
+    # slope * sign(u_y) is -(6 / w) copysign(t (1 - t), u_y): the same
+    # numbers wherever it is nonzero, as the slope is <= 0 and nonzero only
+    # where |u_y| > 1 - w.  Where 6 / w overflows, the fold saturates the
+    # factor's products with the stencil coefficients at the largest float,
+    # so the cells outside the band still give 0
+    well = np.copysign(terms.q, terms.uy, out=terms.q)
+    _whole(grid, well, *CELL_UY, True, term, factor=-6.0 * p.delta * scale / p.smooth_w)
     grad += term
 
     grad[0, :] = 0.0

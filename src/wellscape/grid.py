@@ -19,10 +19,12 @@ _evaluate, computes a window of output rows [r0, r1) of an x-operator
 from the window of input rows they read (a y-operator always acts on
 whole rows); one loop, _blocks, runs it over windows of X u Y^T or
 X^T v Y.  apply() and adjoint() are the one window of every row, into a
-caller's array or a new C-ordered one.  An interior output is its unit
-terms summed, then scaled once, so it differs from the matrix product
-D @ u by at most a few roundoffs of |D| @ |u| (Higham, Accuracy and
-Stability of Numerical Algorithms, 2002, ch. 4).
+caller's array or a new C-ordered one; the smoothed energy's gradient
+pass calls the same window with a private factor, folded into the last
+operator's coefficients, in place of a whole-field multiply.  An
+interior output is its unit terms summed, then scaled once, so it differs
+from the matrix product D @ u by at most a few roundoffs of |D| @ |u|
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 4).
 
 A sharp reduction never holds a whole derivative field: apply_strips()
 runs the loop over strips of output rows, each block a view of one buffer
@@ -48,6 +50,7 @@ import warnings
 import numpy as np
 
 TOL_BC = 1e-12  # left-edge Dirichlet tolerance; constructions set the edge exactly
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class InvalidGrid(ValueError):
@@ -272,9 +275,16 @@ def _stencils(grid: Grid) -> dict:
     return {name: (_stencil(r), _stencil(_transposed(r, n))) for name, (r, n) in rows.items()}
 
 
+def _times(a: float, factor: float) -> float:
+    """a * factor, saturated at the largest float: a zero input then still
+    gives 0 where the product overflows or factor is infinite (0 * inf
+    would be nan)."""
+    return min(max(a * factor, -_FLOAT_MAX), _FLOAT_MAX)
+
+
 def _evaluate(st: _Stencil, src: np.ndarray, dst: np.ndarray, axis: int,
-              r0: int, s0: int) -> None:
-    """dst = D along `axis` of src; src and dst are C-ordered.
+              r0: int, s0: int, factor: float = 1.0) -> None:
+    """dst = factor * D along `axis` of src; src and dst are C-ordered.
 
     Along the slow axis dst holds the output rows r0 .. r0 + len(dst) - 1,
     and src the input rows from s0 on, at least those the output rows read
@@ -283,7 +293,8 @@ def _evaluate(st: _Stencil, src: np.ndarray, dst: np.ndarray, axis: int,
     ignored) every row is computed, the interior as one flat run whose row
     seams land on the edge columns, rewritten after.  The interior adds or
     subtracts its unit input slices straight into dst, then multiplies by
-    the scale once.
+    the scale once.  factor is folded into the scale and into each edge
+    coefficient (_times), so it costs no pass; at factor 1 the bits are D's.
     """
     sf, df = src.reshape(-1), dst.reshape(-1)
     if axis == 0:
@@ -301,7 +312,7 @@ def _evaluate(st: _Stencil, src: np.ndarray, dst: np.ndarray, axis: int,
         for o, f in rest:
             i = b + shift + o * step
             f(out, sf[i:i + e - b], out=out)
-        np.multiply(out, st.scale, out=out)
+        np.multiply(out, _times(st.scale, factor), out=out)
     if st.edges:
         # edge rows are whole input rows, or columns for a y-operator, each
         # with its own coefficients, so they are done one line at a time
@@ -311,9 +322,9 @@ def _evaluate(st: _Stencil, src: np.ndarray, dst: np.ndarray, axis: int,
             if not r0 <= r < r1:
                 continue
             acc = dv[r - r0]
-            np.multiply(sv[col - s0], a, out=acc)
+            np.multiply(sv[col - s0], _times(a, factor), out=acc)
             for col, a in more:
-                acc += np.multiply(sv[col - s0], a, out=scratch)
+                acc += np.multiply(sv[col - s0], _times(a, factor), out=scratch)
 
 
 def _input_rows(st: _Stencil, r0: int, r1: int) -> tuple[int, int]:
@@ -327,16 +338,20 @@ def _input_rows(st: _Stencil, r0: int, r1: int) -> tuple[int, int]:
 
 
 def _blocks(grid: Grid, values: np.ndarray, x: Optional[str], y: Optional[str],
-            transposed: bool, windows: tuple, out: Optional[np.ndarray] = None):
+            transposed: bool, windows: tuple, out: Optional[np.ndarray] = None,
+            factor: float = 1.0):
     """Yield (r0, block) per window (r0, r1, a, b): block is rows [r0, r1) of
-    X values Y^T, or of X^T values Y when transposed, from input rows [a, b).
+    X values Y^T, or of X^T values Y when transposed, from input rows [a, b),
+    times factor.
 
     values is copied to C order first if it is not.  X values Y^T runs the
     y-operator on rows [a, b), then the x-operator; X^T values Y the x-
-    operator, then the y-operator on its rows.  A block is a view of `out`
-    (C-ordered) when one is given, else one buffer (a view where the window
-    is shorter) that the next window overwrites; with no operator it is a
-    copy of the rows.
+    operator, then the y-operator on its rows.  factor goes into the last
+    operator's coefficients (_evaluate); with no operator it is ignored.  A
+    block is a view of `out` (C-ordered) when one is given, else one buffer
+    (a view where the window is shorter) that the next window overwrites;
+    with no operator it is a copy of the rows.  With two operators the
+    first writes a whole-window intermediate, allocated per call.
     """
     named = ((x, 0), (y, 1)) if transposed else ((y, 1), (x, 0))
     ops = [(_stencils(grid)[n][transposed], axis) for n, axis in named if n is not None]
@@ -353,8 +368,9 @@ def _blocks(grid: Grid, values: np.ndarray, x: Optional[str], y: Optional[str],
         block = block[:r1 - r0] if len(block) > r1 - r0 else block
         src = values[a:b]
         for k, (st, axis) in enumerate(ops):
-            dst = block if k == len(ops) - 1 else mid[:len(src) if axis else r1 - r0]
-            _evaluate(st, src, dst, axis, r0, a)
+            last = k == len(ops) - 1
+            dst = block if last else mid[:len(src) if axis else r1 - r0]
+            _evaluate(st, src, dst, axis, r0, a, factor if last else 1.0)
             src = dst
         if not ops:
             np.copyto(block, src)
@@ -362,12 +378,16 @@ def _blocks(grid: Grid, values: np.ndarray, x: Optional[str], y: Optional[str],
 
 
 def _whole(grid: Grid, values: np.ndarray, x: Optional[str], y: Optional[str],
-           transposed: bool, out: Optional[np.ndarray]) -> np.ndarray:
-    """apply() or adjoint(): _blocks over the one window of every row."""
+           transposed: bool, out: Optional[np.ndarray],
+           factor: float = 1.0) -> np.ndarray:
+    """apply() or adjoint(), times factor: _blocks over the one window of
+    every row.  The gradient pass passes its coefficients as factor, which
+    saves it a whole-field multiply per term."""
     # not strips: same bits, but 5-15 % more CPU for a descent at 256^2
     n = len(values) if x is None else _stencils(grid)[x][transposed].n_out
     dst = out if out is not None and out.flags.c_contiguous else None
-    _, block = next(_blocks(grid, values, x, y, transposed, ((0, n, 0, len(values)),), dst))
+    _, block = next(_blocks(grid, values, x, y, transposed, ((0, n, 0, len(values)),),
+                            dst, factor))
     if out is not None and dst is None:
         np.copyto(out, block)
     return block if out is None else out

@@ -135,18 +135,24 @@ def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
     """BB two-point steps with Armijo backtracking; monotone in the smoothed energy.
 
     Works on raw arrays: each trial point gets one value pass, and the
-    gradient at an accepted trial reuses the terms of that pass.  Every
-    array lives in the workspace ws: trial iterates rotate through three of
-    its buffers and gradients through two, and the passes and the BB step
-    write into the rest, so no iteration allocates a field.  The BB step's
+    gradient at an accepted trial reuses the terms of that pass.  The
+    descent's own arrays live in the workspace ws: trial iterates rotate
+    through three of its buffers and gradients through two, and the passes
+    write into the rest.  The BB step forms y = g - g_prev and
+    s = x - x_prev in place in the previous gradient and iterate, which
+    nothing reads after (the next gradient and trial overwrite them), and
+    max |g| as max(max g, -min g), so it needs no buffer of its own.  The
+    only whole-field arrays an iteration allocates are the intermediates of
+    its two-operator applies and adjoints (the cell-center u_y, and u_xy
+    for variants 2 and 3), one at a time, in grid._blocks.  The BB step's
     inner products are einsum reductions, which write no product field and
     never call BLAS, so the iterates do not depend on BLAS threads.  The
     returned iterate is one of those buffers, which the next stage on ws
-    overwrites; x may be one too (the previous stage's end).
+    overwrites; x may be one too (the previous stage's end), or the
+    caller's array, which the BB step may overwrite.
     """
     xs = [ws.get(("x", k), x.shape) for k in range(3)]
     gs = [ws.get(("g", k), x.shape) for k in range(2)]
-    a, b = ws.get("bb", x.shape), ws.get("bb2", x.shape)
     finite = ws.get("finite", x.shape, dtype=bool)
     failures = 0
     e, terms = _smoothed_terms(x, grid, p, ws)
@@ -155,7 +161,7 @@ def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
     prev_x = None
     prev_g = None
     for it in range(cfg.max_iters):
-        gnorm = float(np.max(np.abs(g, out=a)))
+        gnorm = float(max(g.max(), -g.min())) + 0.0   # max |g|, +0.0 for -0.0
         trace.append({"stage": stage, "iter": it, "smoothed_energy": e,
                       "grad_norm": gnorm})
         if e > e_cap:
@@ -163,10 +169,10 @@ def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
         if gnorm <= cfg.gtol:
             break
         if prev_x is not None:
-            yv = np.subtract(g, prev_g, out=a)
+            yv = np.subtract(g, prev_g, out=prev_g)
             denom = float(np.einsum("ij,ij->", yv, yv))
             if denom > 0:
-                sv = np.subtract(x, prev_x, out=b)
+                sv = np.subtract(x, prev_x, out=prev_x)
                 t = abs(float(np.einsum("ij,ij->", sv, yv))) / denom
             t = min(max(t, 1e-18), 1e8)
         accepted = False

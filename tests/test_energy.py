@@ -317,42 +317,75 @@ def _gamma(n):
     return n * u / (1.0 - n * u)
 
 
+def _abs_operator(g, x=None, y=None):
+    """|D| of the named x- or y-operator as a dense array, in the orientation
+    that adjoint multiplies by: an x-operator's (rows out, nx + 1) D, to take
+    |D|^T from the left, a y-operator's (ny, ny) D, to take from the right,
+    and the identity for None.  Applying an operator to the identity is
+    exact: each entry is one coefficient or 0."""
+    if x is not None:
+        return np.abs(apply(g, np.eye(g.nx + 1), x))
+    if y is not None:
+        return np.abs(apply(g, np.eye(g.ny), y=y).T)
+    return None
+
+
 def _fused_kernel_bounds(u, p, grad_ref):
     """Entrywise bounds on |kernel - reference| for (value, gradient), fixed
     from the dtype and the terms' magnitudes, not from observed differences.
 
     Both sides take surface and elastic from the same quadrature, the
-    quadratic gradient terms in the same order and the smoothstep
-    coordinate t with the same bits, so they differ only in the well term
-    and in the roundings that add it on.  A product or quotient rounds to
+    adjoints' inputs (the weighted fields, the cell-center u_y) and the
+    smoothstep coordinate t with the same bits.  They differ in the well
+    sum, in the well term, and in the quadratic gradient terms: the kernel
+    rounds each coefficient c times each coefficient of the adjoint's last
+    operator once, then multiplies the inputs by that, where the reference
+    multiplies the adjoint by c after.  A product or quotient rounds to
     x y (1 + d) + e, |d| <= u = 2**-53, and |e| <= eta = 2**-1075 where
     gradual underflow makes it subnormal (Higham, Accuracy and Stability of
     Numerical Algorithms, 2002, sec. 2.1); a sum carries no e.  Each e is
     then scaled by the factors multiplied in after it.
-    * Value: each side sums the n cells' 1 - s (a magnitude of at most 2
-      each; at most 4 roundings per term), scales by delta hx hy and adds
-      surface and elastic, so it lies within gamma_(n+8) of the exact value
-      relative to surface + elastic + 2 n delta hx hy, and the two within
-      twice that.  The e's: 3 products per cell, scaled by delta hx hy,
-      and the three of ((delta hx) hy) times the sum, scaled by hy times
-      the sum (at most n), by the sum and by 1.
-    * Gradient: each side's well term errs by at most gamma_12 times
-      M = delta hx hy |A|^T |slope|, A the cell-center u_y operator (4
-      roundings in the slope, 4 in the two operators, 4 in the factor), and
-      |Fy| = (2 / hy) Ayc.  Adding it onto the quadratic terms Q rounds
-      once, with |Q| <= |reference| + M, so the two differ by at most
-      2 gamma_16 (|reference| + 2 M).  The e's, with a = |A|^T |slope|:
-      - the kernel forms F = ((-6 delta) hx hy) / w, A^T (t (1 - t)) and
-        their product.  F's three e's are scaled by |A^T (t (1 - t))|,
-        at most a w / 6, times hx hy / w, 1 / w and 1.  The e's of
-        t (1 - t), of Axc^T's halving and of Fy^T's 1 / hy (two products at
-        the wrap) come to (4 / hy + 2) eta, scaled by |F|.  The last is 1.
+    * Value: the kernel sums the n cells' t^2 and t q, q = (1 - t) t, in
+      two einsums and forms n - sum t^2 - 2 sum t q: with t^2 + 2 t^2 (1 - t)
+      <= 1, it errs by at most gamma_(n+2) n from the sums (3 roundings in
+      t q) and 2 u n from the two subtractions.  The reference sums the
+      cells' 1 - s (a magnitude of at most 2 each; at most 4 roundings per
+      term).  Each side scales its sum by delta hx hy and adds surface and
+      elastic, so it lies within gamma_(n+8) of the exact value relative to
+      surface + elastic + 2 n delta hx hy, and the two within twice that.
+      The e's, scaled by delta hx hy: the kernel's t t (1), q (2 t: at most
+      2) and t q (2) per cell, the reference's t t (3 - 2 t: at most 3) and
+      its product with 3 - 2 t (1); and on each side the three of
+      ((delta hx) hy) times the sum, scaled by hy times the sum (at most n),
+      by the sum and by 1.
+    * Gradient: with R_k = |X|^T |v_k| |Y| the magnitude of the k-th
+      quadratic term's adjoint of its input v_k, and P = sum_k |c_k| R_k,
+      each side's term errs by at most gamma_9 |c_k| R_k (4 roundings in
+      each operator, one in the coefficient, folded or not).  Each side's
+      well term errs by at most gamma_12 times M = delta hx hy |A|^T |slope|,
+      A the cell-center u_y operator (4 roundings in the slope, 4 in the two
+      operators, 4 in the factor), and |Fy| = (2 / hy) Ayc.  At most 4
+      additions accumulate the terms, so each side lies within
+      gamma_16 (P + M) of the exact gradient and the two within
+      2 gamma_16 (P + M); gamma_17 covers the roundings of P and M, which
+      sum non-negative terms.  The e's, with a = |A|^T |slope|:
+      - the kernel forms F = ((-6 delta) hx hy) / w and folds it into Fy^T:
+        F's three e's are scaled by |A^T (t (1 - t))|, at most a w / 6,
+        times hx hy / w, 1 / w and 1.  The e's of t (1 - t) and of Axc^T's
+        halving come to 4 / hy eta, scaled by |F|.  Fy^T's products with
+        its folded coefficients (two at the wrap) and the e's of those
+        coefficients, scaled by at most 1 / 4 each, are under 3.
       - the reference forms D = delta hx hy, A^T slope with slope =
         ((-6 t)(1 - t)) / w, and D times it.  D's e is scaled by a.  The
         slope's three e's, (2 / w + 1) eta, and the operators' come to
         ((2 / hy)(2 / w + 2) + 2) eta, scaled by |D|.  The last is 1.
+      - each quadratic term: the kernel's folded coefficient c s, its e
+        scaled by the unit sum (at most R_k / s, s the last operator's
+        least coefficient magnitude), and at most 4 products; the
+        reference's at most 4 products, scaled by |c_k|, and the product
+        by c_k: under R_k / s + 6 + 4 |c_k|.
       Together under a (7 + w + hx hy) / 6 + delta hx hy (1 + 7 / w)
-      (4 / hy + 2) + 2 eta's.
+      (4 / hy + 2) + 4 + the quadratic terms' eta's.
     Each eta sum is doubled, for the (1 + u) factors, the eta^2 terms and
     the rounding of the bound itself: eta is no float, 2 eta = 2**-1074 is.
     """
@@ -362,7 +395,18 @@ def _fused_kernel_bounds(u, p, grad_ref):
     scale = g.hx * g.hy
     n = g.nx * g.ny
     value = 2.0 * _gamma(n + 8) * (surface + elastic + 2.0 * n * p.delta * scale)
-    value += 2.0 * eta2 * (3.0 * n * p.delta * scale + n * g.hy + n + 1.0)
+    value += eta2 * (9.0 * n * p.delta * scale + 2.0 * (n * g.hy + n + 1.0))
+    wx = _x_weights(g)[:, None]
+    quad, quad_eta = np.zeros_like(u.values), np.zeros_like(u.values)
+    terms = [(x, y, 2.0 * w * p.epsilon**2 * scale) for x, y, w in SURFACE_STENCILS[p.variant]]
+    for x, y, c in terms + [("Dx", None, 2.0 * scale)]:
+        X, Y = _abs_operator(g, x=x), _abs_operator(g, y=y)
+        r = np.abs(wx * apply(g, u.values, x, y))
+        r = r if X is None else X.T @ r
+        r = r if Y is None else r @ Y
+        last = X if Y is None else Y
+        quad += abs(c) * r
+        quad_eta += r / last[last > 0].min() + 6.0 + 4.0 * abs(c)
     w = p.smooth_w
     t = np.clip((np.abs(_cell_center_uy(u)) - (1.0 - w)) / w, 0.0, 1.0)
     slope = 6.0 * t * (1.0 - t) / w
@@ -371,8 +415,8 @@ def _fused_kernel_bounds(u, p, grad_ref):
     well = d * a
     # d + 7 (d / w), not d (1 + 7 / w): at d = 0 a subnormal w gives 0, not nan
     underflow = eta2 * (a * (7.0 + w + scale) / 6.0
-                        + (d + 7.0 * (d / w)) * (4.0 / g.hy + 2.0) + 2.0)
-    return value, 2.0 * _gamma(16) * (np.abs(grad_ref) + 2.0 * well) + underflow
+                        + (d + 7.0 * (d / w)) * (4.0 / g.hy + 2.0) + 4.0 + quad_eta)
+    return value, 2.0 * _gamma(17) * (quad + well) + underflow
 
 
 @settings(max_examples=150, deadline=None)
@@ -382,13 +426,24 @@ def _fused_kernel_bounds(u, p, grad_ref):
        amplitude=st.floats(0.05, 4.0), seed=st.integers(0, 2**32 - 1))
 @example(shape=(1.0, 64, 64), variant=1, w=0.4375, delta=2.2250738585072014e-308,
          eps=0.25, kind="branched", amplitude=1.0, seed=0)
+@example(shape=(1.0, 64, 64), variant=1, w=5e-324, delta=1.0, eps=0.25, kind="band",
+         amplitude=1.0, seed=0)
+@example(shape=(1.0, 64, 64), variant=1, w=0.5, delta=0.0, eps=0.005, kind="band",
+         amplitude=0.0546875, seed=0)
+@example(shape=(1.0, 64, 64), variant=2, w=0.25, delta=1.0, eps=0.05, kind="band",
+         amplitude=1.0, seed=0)
 def test_fused_smoothed_kernel_matches_two_pass(shape, variant, w, delta, eps, kind,
                                                 amplitude, seed):
     # (value, gradient) within _fused_kernel_bounds of the two-pass
     # references; "band" scales max |u_y| to 1, so cells fall on both sides
-    # of the smoothstep band and inside it.  The example's delta, the least
-    # normal float, makes the well factor subnormal: its gradient entries
-    # differ by a few units of 2**-1074, the bound's underflow terms
+    # of the smoothstep band and inside it.  The first example's delta, the
+    # least normal float, makes the well factor subnormal: its gradient
+    # entries differ by a few units of 2**-1074, the bound's underflow terms.
+    # In the second, 6 / w overflows: the folded well factor must saturate,
+    # or its 0 * inf gives nan.  In the third, delta = 0 leaves only the
+    # quadratic terms, whose folded coefficients round apart from the
+    # reference's where the gradient cancels.  The fourth puts the top
+    # quarter of |u_y| in the band, where every term of the well sum counts
     g = make_grid(*shape)
     rng = np.random.default_rng(seed)
     u = random_admissible(g, rng, amplitude=amplitude)

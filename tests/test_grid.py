@@ -328,6 +328,66 @@ def test_two_operators_act_in_order(pair, nx, ny, L, fortran, seed):
     assert adjoint(g, v, x, y).tobytes() == adjoint(g, adjoint(g, v, x), y=y).tobytes()
 
 
+# every (x, y) whose adjoint the smoothed energy's gradient scales by a
+# factor folded into the last operator: the surface stencils, u_x and the
+# cell-center u_y
+FOLDED_PAIRS = sorted({(x, y) for rows in SURFACE_STENCILS.values() for x, y, _ in rows}
+                      | {("Dx", None), CELL_UY}, key=str)
+
+# The folded evaluation and c * adjoint(v) share the first operator's
+# result m bit for bit.  Each lies within gamma_5 of c times the exact last
+# operator applied to m, relative to |c| times its magnitude: the folded
+# interior sums at most 4 units and multiplies by the rounded product
+# c * scale (5 roundings), a folded edge row multiplies by rounded products
+# c * a and sums at most 4 of them (5), and the reference rounds its sum,
+# scale and c (5), or its edge products, sums and c (5).  |m| is within
+# gamma_4 of |X|^T |v|, so the two differ by at most 2 gamma_5 |c| times
+# |X|^T |v| |Y|: c = 2*5, plus 1 for the O(u**2) terms and the rounding of
+# the magnitudes.  Factors between 1e-100 and 1e100 leave every product
+# normal and finite, so no underflow term enters.
+FOLD_BOUND = (2 * 5 + 1) * 2.0**-53
+FLOAT_MAX = float(np.finfo(float).max)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=st.sampled_from(FOLDED_PAIRS), nx=st.integers(4, 20).map(lambda k: 2 * k + 1),
+       ny=st.integers(4, 20).map(lambda k: 2 * k + 1),
+       L=st.floats(0.25, 4.0).filter(lambda L: L != 1.0),
+       factor=st.floats(1e-100, 1e100) | st.floats(-1e100, -1e-100),
+       seed=st.integers(0, 2**32 - 1))
+@example(pair=CELL_UY, nx=9, ny=11, L=0.7, factor=-3.0, seed=0)
+@example(pair=("Dxx", None), nx=9, ny=9, L=2.5, factor=1e-100, seed=1)
+def test_folded_adjoint_is_factor_times_adjoint(pair, nx, ny, L, factor, seed):
+    # the gradient's adjoint with its coefficient folded into the last
+    # operator: within FOLD_BOUND * |c| * (|X|^T |v| |Y|) of c * adjoint(v),
+    # and adjoint's bits at c = 1.  The folded coefficients saturate at the
+    # largest float, so at c = +-max float, or +-inf, every output that
+    # reads only zeros is 0, not 0 * inf = nan
+    x, y = pair
+    g = make_grid(L, nx, ny)
+    ops = _csr_ops(g)
+    rng = np.random.default_rng(seed)
+    v = _signed_normals(rng, apply(g, np.zeros((nx + 1, ny)), x).shape, "C")
+
+    def magnitude(w):
+        m = abs(w) if x is None else abs(ops[x]).T @ abs(w)
+        return m if y is None else m @ abs(ops[y])
+
+    def folded(w, c):
+        return grid_module._whole(g, w, x, y, True, None, factor=c)
+
+    ref = adjoint(g, v, x, y)
+    assert np.all(np.abs(folded(v, factor) - factor * ref)
+                  <= FOLD_BOUND * abs(factor) * magnitude(v))
+    assert folded(v, 1.0).tobytes() == ref.tobytes()
+    sparse = np.where(rng.random(v.shape) < 0.1, v, 0.0)
+    zero_reads = magnitude(sparse) == 0.0
+    with np.errstate(over="ignore", invalid="ignore"):   # the outputs that read no zero
+        for c in (-math.inf, -FLOAT_MAX, FLOAT_MAX, math.inf):
+            assert np.all(folded(sparse, c)[zero_reads] == 0.0)
+            assert np.all(folded(np.zeros_like(v), c) == 0.0)
+
+
 # every (x, y) that a sharp reduction integrates: the surface stencils, u_x
 # and the u_yy of the column integrals
 SQUARED_PAIRS = sorted({(x, y) for rows in SURFACE_STENCILS.values() for x, y, _ in rows}

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -20,6 +22,9 @@ from wellscape import (BranchedSpec, Diverged, EnergyBreakdown, EnergyParams,
                        make_grid, minimize, multistart_portfolio,
                        random_admissible, zero_field)
 from wellscape import landscape
+from wellscape.grid import Workspace
+
+energy_module = importlib.import_module("wellscape.energy")   # the package's energy is a function
 
 FAST_CFG = MinimizeConfig(max_iters=50, w_init=0.2, w_factor=0.25, w_floor=0.04)
 
@@ -387,6 +392,57 @@ def test_best_before_the_last_stage_matches_two_pass_loop(grid64, monkeypatch, v
     assert fused.field.values.tobytes() == ref.field.values.tobytes()
     assert json.dumps(fused.breakdown.to_json_dict()) == json.dumps(ref.breakdown.to_json_dict())
     assert json.dumps(fused.trace) == json.dumps(ref.trace)
+
+
+@pytest.mark.parametrize("variant", [1, 3])
+def test_descent_iteration_holds_at_most_one_field(monkeypatch, variant):
+    # on a warmed workspace, the only whole-field array a descent iteration
+    # allocates is the intermediate of a two-operator apply or adjoint (the
+    # cell-center u_y, u_xy), one at a time.  Two iterations, the second with
+    # a BB step, are traced in phases split at every operator call the
+    # kernel makes: each call peaks at one node field and a few KiB (the
+    # evaluator's one-row scratch for edge rows), and the code between
+    # calls at a few KiB (the trace records).  A whole-field temporary
+    # anywhere in the iteration fails it
+    g = make_grid(1.0, 256, 256)
+    start = random_admissible(g, np.random.default_rng(variant), amplitude=0.5)
+    p = EnergyParams(0.05, 0.8, variant, smooth_w=0.1)
+    cfg = MinimizeConfig(max_iters=2)
+    ws = Workspace()
+    x = np.array(start.values)
+    # the workspace's arrays and the grid's operator tables are made first
+    landscape._descend_stage(x.copy(), g, p, cfg, 0, [], math.inf, ws)
+
+    peaks = {"operator": 0, "between": 0}
+    base = [0]
+
+    def close(phase):
+        peaks[phase] = max(peaks[phase], tracemalloc.get_traced_memory()[1] - base[0])
+        tracemalloc.reset_peak()
+        base[0] = tracemalloc.get_traced_memory()[0]
+
+    def phased(fn):
+        def call(*args, **kwargs):
+            close("between")
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                close("operator")
+        return call
+
+    for name in ("apply", "_whole"):
+        monkeypatch.setattr(energy_module, name, phased(getattr(energy_module, name)))
+    trace = []
+    tracemalloc.start()
+    try:
+        landscape._descend_stage(x, g, p, cfg, 0, trace, math.inf, ws)
+        close("between")
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 2
+    slack = 8 * 1024
+    assert peaks["operator"] <= start.values.nbytes + slack, peaks
+    assert peaks["between"] <= slack, peaks
 
 
 def test_minimize_result_survives_later_descents(grid64):
