@@ -10,9 +10,9 @@ energy term vanishes as j grows.
 
 import numpy as np
 
-from wellscape import (EnergyParams, PotentialSpec, b_geometry,
+from wellscape import (EnergyParams, PotentialSpec, RadialProfile, b_geometry,
                        convolution_oracle, d_y, energy, make_grid,
-                       potential_seed, radial_profile)
+                       potential_seed)
 
 
 def main():
@@ -20,12 +20,12 @@ def main():
     print("j   ||f_j||_2   z_y(0,0)   -k/4 - A_j")
     for j in (1, 2, 4, 8):
         spec = PotentialSpec(j, L)
-        prof = radial_profile(spec)
+        prof = RadialProfile(spec)
         print(f"{j}   {prof.norm_l2():9.4f}  {prof.zprime0:9.4f}  "
               f"{-spec.k / 4 - spec.A_j:9.4f}")
 
     # cross-check the closed form against direct log-kernel quadrature
-    prof = radial_profile(PotentialSpec(2, L))
+    prof = RadialProfile(PotentialSpec(2, L))
 
     def f(x, y):
         R = np.hypot(x, y)

@@ -29,7 +29,7 @@ def main():
     print("\n1D obstacle sub-problem (analytic 4/(y2-y1) vs 512-node QP):")
     for y1, y2 in [(0.0, 1.0), (0.0, 0.5), (0.2, 0.9)]:
         qp, _, _ = obstacle_qp_oracle(y1, y2, 512)
-        print(f"  ({y1},{y2}): {obstacle_min_1d(y1, y2).value:8.4f} vs {qp:8.4f}")
+        print(f"  ({y1},{y2}): {obstacle_min_1d(y1, y2):8.4f} vs {qp:8.4f}")
 
     print("\nPoincare inequality, extremal profile sin(pi x / 2L):")
     u = field_from_function(grid, lambda X, Y: np.sin(np.pi * X / 2))

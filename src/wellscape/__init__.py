@@ -7,17 +7,16 @@ from .bounds import (BandEmpty, BoundReport, DegenerateInterval, PqRegion,
                      proportional_band, reports_to_csv, theorem2_bounds,
                      wopper_check)
 from .constructions import (BranchedSpec, BumpSpec, PotentialSpec,
-                            ResolutionTooCoarse, branched_seed,
+                            RadialProfile, ResolutionTooCoarse, branched_seed,
                             convolution_oracle, nucleation_bump, potential_seed,
-                            quintic_smoothstep_cutoff, radial_profile)
+                            quintic_smoothstep_cutoff)
 from .energy import (BSetGeometry, EmptyB, EmptyPiM, EnergyBreakdown,
                      EnergyParams, NotAdmissible, TauOne, TruncatedBSet,
                      ZeroSmoothing, b_geometry, energy, energy_gradient,
-                     energy_smoothed, truncate_b, well_potential)
-from .grid import (AdmissibilityReport, Grid, InvalidGrid, ScalarField, d_x,
-                   d_xx, d_xy, d_y, d_yy, field_from_function, integrate,
-                   l2_norm, make_grid, read_field, shift_y,
-                   validate_admissible, write_field, zero_field)
+                     energy_smoothed, require_admissible, truncate_b)
+from .grid import (Grid, InvalidGrid, ScalarField, d_x, d_xx, d_xy, d_y, d_yy,
+                   field_from_function, integrate, l2_norm, make_grid,
+                   read_field, write_field, zero_field)
 from .landscape import (BracketNotFound, CriticalDeltaResult, Diverged,
                         MinimizeConfig, MinimizeResult, PortfolioShrunk,
                         ProbeReport, ScalingFit, critical_delta, fit_power_law,

@@ -93,27 +93,16 @@ def grid_tolerance(u: ScalarField) -> float:
 # ---------------------------------------------------------------------------
 # 1D obstacle problem
 
-@dataclass(frozen=True)
-class ObstacleSolution:
-    value: float
-    y1: float
-    y2: float
-
-    def minimizer(self, y):
-        """The optimal profile (y - (y1+y2)/2)^2 / (y1 - y2)."""
-        mid = 0.5 * (self.y1 + self.y2)
-        return (np.asarray(y) - mid) ** 2 / (self.y1 - self.y2)
-
-
 def _check_interval(y1: float, y2: float) -> None:
     if not (math.isfinite(y1) and math.isfinite(y2) and y2 > y1):
         raise DegenerateInterval(f"need finite y2 > y1, got {y1}, {y2}")
 
 
-def obstacle_min_1d(y1: float, y2: float) -> ObstacleSolution:
-    """min of int f''^2 over f with f'(y1) >= 1, f'(y2) <= -1: 4/(y2-y1)."""
+def obstacle_min_1d(y1: float, y2: float) -> float:
+    """min of int f''^2 over f with f'(y1) >= 1, f'(y2) <= -1: 4/(y2-y1),
+    attained by the profile f(y) = (y - (y1+y2)/2)^2 / (y1 - y2)."""
     _check_interval(y1, y2)
-    return ObstacleSolution(4.0 / (y2 - y1), y1, y2)
+    return 4.0 / (y2 - y1)
 
 
 def obstacle_qp_oracle(y1: float, y2: float, n: int = 512) -> tuple[float, np.ndarray, np.ndarray]:

@@ -281,8 +281,7 @@ def _cmd_sweep_delta(cfg, out_dir, seed):
     eps_list = _scalar(sweep, "epsilons", lambda v: sweep_epsilons([_float(e) for e in v]))
     variant = _built("sweep section", EnergyParams, eps_list[0], 0.0,
                      _scalar(sweep, "variant", _int, 1)).variant
-    fit, results = scaling_sweep(eps_list, grid.L, variant, grid,
-                                 _mincfg_from(cfg),
+    fit, results = scaling_sweep(eps_list, variant, grid, _mincfg_from(cfg),
                                  tol_rel=_scalar(cfg, "tol_rel", _positive, 0.25),
                                  seed=seed)
 
@@ -365,10 +364,10 @@ def _cmd_obstacle(cfg, out_dir, seed):
     n = _scalar(section, "n", _int, 512)
     rows = []
     for y1, y2 in pairs:
-        sol = _built("obstacle section", bnd.obstacle_min_1d, y1, y2)
+        analytic = _built("obstacle section", bnd.obstacle_min_1d, y1, y2)
         qp_value, _, _ = _built("obstacle section", bnd.obstacle_qp_oracle, y1, y2, n)
-        rows.append({"y1": y1, "y2": y2, "analytic": sol.value, "qp": qp_value,
-                     "rel_err": abs(qp_value - sol.value) / sol.value})
+        rows.append({"y1": y1, "y2": y2, "analytic": analytic, "qp": qp_value,
+                     "rel_err": abs(qp_value - analytic) / analytic})
     return [_write_json(out_dir, "obstacle.json", {"n": n, "results": rows})]
 
 

@@ -293,10 +293,6 @@ class RadialProfile:
         return math.sqrt(2.0 * math.pi * s.A_j**2 * (1.0 + 3.0 * s.j / 16.0))
 
 
-def radial_profile(spec: PotentialSpec) -> RadialProfile:
-    return RadialProfile(spec)
-
-
 def convolution_oracle(f: Callable, probes: np.ndarray,
                        n_r: int = 1024, n_theta: int = 720) -> tuple[np.ndarray, np.ndarray]:
     """Direct quadrature of the log kernel and its gradient kernel.
@@ -366,7 +362,7 @@ def potential_seed(spec: PotentialSpec, grid: Grid) -> ScalarField:
     Tx = 2.0 * (X - spec.L / 2.0) / denom
     Ty = 2.0 * (Y - 0.5) / denom
     R = np.hypot(Tx, Ty)
-    J, i2 = radial_profile(spec).moments(R)
+    J, i2 = RadialProfile(spec).moments(R)
     values = psi(R) * (-(J + i2) / 2.0) * Ty   # Z/R = -(J + I2)/2
     values[0, :] = 0.0  # no-op (psi vanishes there); keeps the edge exact
     return ScalarField(grid, values)

@@ -39,7 +39,7 @@ so the bits do not depend on the strips (loop tiling: Wolf and Lam, PLDI
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
 import math
@@ -49,7 +49,6 @@ import warnings
 
 import numpy as np
 
-TOL_BC = 1e-12  # left-edge Dirichlet tolerance; constructions set the edge exactly
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -102,7 +101,7 @@ class ScalarField:
     (the B-geometry, squared row sums), each computed once through
     _memoized.  It cannot go stale: the values are frozen and owned (a view
     or a writable array is copied first), so no caller can change them, and
-    a field made by with_values, replace or _adopt starts with an empty memo.
+    a field made by replace or _adopt starts with an empty memo.
     """
 
     grid: Grid
@@ -125,14 +124,11 @@ class ScalarField:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def with_values(self, values: np.ndarray) -> "ScalarField":
-        return replace(self, values=values)
-
 
 def _adopt(u: ScalarField, values: np.ndarray) -> ScalarField:
-    """u.with_values(values) for a new array: frozen, the field keeps it uncopied."""
+    """A field on u's grid for a new array: frozen, the field keeps it uncopied."""
     values.setflags(write=False)
-    return u.with_values(values)
+    return ScalarField(u.grid, values)
 
 
 def _memoized(u: ScalarField, key, compute: Callable[[ScalarField], object]):
@@ -491,8 +487,7 @@ def integrate(f: ScalarField | np.ndarray, grid: Grid | None = None) -> float:
         if grid is None:
             raise ValueError("grid required when integrating a bare array")
         values = np.asarray(f)
-    w = _x_weights(grid)
-    return float(grid.hx * grid.hy * (w @ values.sum(axis=1)))
+    return _integrate_rows(grid, values.sum(axis=1))
 
 
 def _square_row_sums(grid: Grid, values: np.ndarray, x: Optional[str] = None,
@@ -538,30 +533,6 @@ def _field_integral_square(u: ScalarField, x: Optional[str] = None,
 def l2_norm(u: ScalarField) -> float:
     """sqrt of integrate(u^2), from the field's memoized row sums."""
     return math.sqrt(_field_integral_square(u))
-
-
-def shift_y(u: ScalarField, cells: int) -> ScalarField:
-    """Circular shift by whole cells in y (the periodic direction)."""
-    return _adopt(u, np.roll(u.values, cells, axis=1))
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-def validate_admissible(u: ScalarField) -> AdmissibilityReport:
-    """Check the essential condition: left-edge Dirichlet.
-
-    Finiteness is checked when the ScalarField is made, and periodicity in
-    y is structural (a single stored row per period): both always pass.
-    """
-    violations = []
-    max_edge = float(np.max(np.abs(u.values[0, :])))
-    if max_edge > TOL_BC:
-        violations.append(f"Dirichlet violation at x=0: max |u(0,.)| = {max_edge:.3e}")
-    return AdmissibilityReport(not violations, tuple(violations))
 
 
 # ---------------------------------------------------------------------------

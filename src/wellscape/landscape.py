@@ -394,6 +394,8 @@ def critical_delta(epsilon: float, L: float, variant: int, grid: Grid,
     """
     if min(epsilon, L) <= 0 or tol_rel <= 0:
         raise ValueError("epsilon, L, tol_rel must be positive")
+    if not math.isclose(L, grid.L, rel_tol=1e-12):
+        raise ValueError(f"L {L} != grid width {grid.L}")
     cfg = cfg or MinimizeConfig()
     starts = multistart_portfolio(epsilon, grid, seed=seed)
     evaluations: list[EvalRecord] = []
@@ -498,12 +500,12 @@ def sweep_epsilons(eps_list: Sequence[float]) -> list[float]:
     return eps
 
 
-def scaling_sweep(eps_list: Sequence[float], L: float, variant: int, grid: Grid,
+def scaling_sweep(eps_list: Sequence[float], variant: int, grid: Grid,
                   cfg: Optional[MinimizeConfig] = None, tol_rel: float = 0.25,
                   seed: int = 0) -> tuple[ScalingFit, list[CriticalDeltaResult]]:
-    """Bisect the critical depth per epsilon and fit log delta_c vs log eps."""
+    """Bisect the critical depth per epsilon on grid and fit log delta_c vs log eps."""
     eps = sweep_epsilons(eps_list)
-    results = [critical_delta(e, L, variant, grid, cfg, tol_rel, seed=seed)
+    results = [critical_delta(e, grid.L, variant, grid, cfg, tol_rel, seed=seed)
                for e in eps]
     fit = fit_power_law(eps, [r.midpoint for r in results])
     return fit, results

@@ -10,13 +10,12 @@ import math
 import numpy as np
 
 from wellscape import (BranchedSpec, BumpSpec, EnergyParams, MinimizeConfig,
-                       PotentialSpec, b_geometry, branched_seed,
-                       convolution_oracle, critical_delta, energy,
+                       PotentialSpec, RadialProfile, ScalarField, b_geometry,
+                       branched_seed, convolution_oracle, critical_delta, energy,
                        energy_gradient, energy_smoothed, fit_power_law,
                        lemma1_check, local_minimality_probe, make_grid, minimize,
                        multistart_portfolio, nucleation_bump, potential_seed,
-                       pq_region, radial_profile,
-                       random_admissible, theorem2_bounds)
+                       pq_region, random_admissible, theorem2_bounds)
 from wellscape.bounds import calibration_value, obstacle_qp_oracle
 from wellscape.energy import CELL_UY
 from wellscape.grid import apply
@@ -115,7 +114,7 @@ def test_criterion_4_nucleation_path():
 def test_criterion_5_potential_sequence():
     L = 1.0
     # closed-form radial potential vs direct convolution quadrature
-    prof2 = radial_profile(PotentialSpec(2, L))
+    prof2 = RadialProfile(PotentialSpec(2, L))
 
     def f2(x, y):
         R = np.hypot(x, y)
@@ -141,7 +140,7 @@ def test_criterion_5_potential_sequence():
     norms = []
     for j in range(1, 9):
         spec = PotentialSpec(j, L)
-        prof = radial_profile(spec)
+        prof = RadialProfile(spec)
         target = -spec.k / 4 - spec.A_j
         assert abs(prof.zprime0 - target) / abs(target) < 5e-3
         norms.append(prof.norm_l2())
@@ -176,7 +175,7 @@ def test_criterion_6_obstacle_and_lemma():
         top = float(np.abs(apply(grid, w.values, *CELL_UY)).max())
         if top == 0.0:
             continue
-        u = w.with_values(w.values * (rng.uniform(1.05, 3.0) / top))
+        u = ScalarField(w.grid, w.values * (rng.uniform(1.05, 3.0) / top))
         geom = b_geometry(u)
         if geom.area_b <= 0.0 or geom.tau is None or geom.tau >= 1 - 1e-9:
             continue
@@ -218,8 +217,8 @@ def test_criterion_8_gradient_and_descent():
         d = np.array(random_admissible(grid, rng, amplitude=1.0).values)
         d[0, :] = 0.0
         t = 1e-5
-        fd = (energy_smoothed(u.with_values(u.values + t * d), p)
-              - energy_smoothed(u.with_values(u.values - t * d), p)) / (2 * t)
+        fd = (energy_smoothed(ScalarField(u.grid, u.values + t * d), p)
+              - energy_smoothed(ScalarField(u.grid, u.values - t * d), p)) / (2 * t)
         an = float((grad * d).sum())
         rel = abs(an - fd) / (abs(fd) + 1e-30)
         worst = max(worst, rel)

@@ -35,18 +35,8 @@ energy_module = importlib.import_module("wellscape.energy")
 # obstacle problem
 
 def test_obstacle_analytic_values():
-    assert obstacle_min_1d(0.0, 0.5).value == pytest.approx(8.0)
-    assert obstacle_min_1d(0.0, 1.0).value == pytest.approx(4.0)
-
-
-def test_obstacle_minimizer_profile():
-    sol = obstacle_min_1d(0.2, 0.9)
-    mid = 0.55
-    h = 1e-6
-    slope_mid = (sol.minimizer(mid + h) - sol.minimizer(mid - h)) / (2 * h)
-    assert slope_mid == pytest.approx(0.0, abs=1e-9)
-    slope_left = (sol.minimizer(0.2 + h) - sol.minimizer(0.2 - h)) / (2 * h)
-    assert slope_left == pytest.approx(1.0, rel=1e-6)
+    assert obstacle_min_1d(0.0, 0.5) == pytest.approx(8.0)
+    assert obstacle_min_1d(0.0, 1.0) == pytest.approx(4.0)
 
 
 def test_obstacle_degenerate():
@@ -271,7 +261,7 @@ def test_lemma1_zero_violations_on_random_family(rng):
         top = float(np.abs(apply(g, w.values, *CELL_UY)).max())
         if top == 0.0:
             continue
-        u = w.with_values(w.values * (rng.uniform(1.1, 2.5) / top))
+        u = ScalarField(w.grid, w.values * (rng.uniform(1.1, 2.5) / top))
         geom = b_geometry(u)
         if geom.area_b <= 0 or geom.tau is None or geom.tau >= 1 - 1e-9:
             continue
@@ -585,7 +575,7 @@ def test_checkers_report_the_same_bits_from_a_filled_memo(kind, L, nx, ny, seed,
                 assert a.ndim == 1 and a.size <= nx + 1 and not a.flags.writeable
     # fields made from a filled one start with an empty memo
     assert shared._memo
-    for child in (shared.with_values(shared.values), _adopt(shared, shared.values.copy()),
+    for child in (ScalarField(shared.grid, shared.values), _adopt(shared, shared.values.copy()),
                   dataclasses.replace(shared)):
         assert child._memo == {} and child._memo is not shared._memo
 

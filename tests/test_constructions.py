@@ -6,11 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wellscape import (BranchedSpec, BumpSpec, EnergyParams, PotentialSpec,
-                       ResolutionTooCoarse, b_geometry, branched_seed,
-                       convolution_oracle, d_y, energy, make_grid,
-                       nucleation_bump, potential_seed,
-                       quintic_smoothstep_cutoff, radial_profile,
-                       validate_admissible)
+                       RadialProfile, ResolutionTooCoarse, b_geometry,
+                       branched_seed, convolution_oracle, d_y, energy,
+                       make_grid, nucleation_bump, potential_seed,
+                       quintic_smoothstep_cutoff, require_admissible)
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +28,7 @@ def test_branched_seed_admissible_and_periodic():
     g = make_grid(1.0, 512, 512)
     seed = branched_seed(BranchedSpec.from_epsilon(0.01, 1.0), g)
     assert np.abs(seed.values[0, :]).max() == 0.0
-    assert validate_admissible(seed).ok
+    require_admissible(seed)
 
 
 def test_branched_seed_area_matches_column_oracle():
@@ -114,7 +113,7 @@ def test_bump_area_closed_form():
     g = make_grid(1.0, 1024, 1024)
     spec = BumpSpec(0.01, 0.01, 4.0, 1.0)
     bump = nucleation_bump(spec, g)
-    assert validate_admissible(bump).ok
+    require_admissible(bump)
     closed = 4 * spec.a * spec.delta_x * (1 - spec.lam**-0.5) ** 2
     assert closed == pytest.approx(1e-4)
     assert b_geometry(bump).area_b == pytest.approx(closed, rel=2e-2)
@@ -181,7 +180,7 @@ def radial_poisson(prof, nR):
 
 
 def test_radial_profile_outer_knot_continuous():
-    prof = radial_profile(PotentialSpec(1, 1.0))
+    prof = RadialProfile(PotentialSpec(1, 1.0))
     eps = 1e-13
     assert prof(1.0 - eps) == pytest.approx(prof(1.0 + eps), abs=1e-12)
 
@@ -190,7 +189,7 @@ def test_radial_profile_inner_knot_factor_two():
     # the literal branch definition jumps by exactly 2 at R = 2^-j; the
     # reference values (norm, z_y(0,0)) integrate these branches as written
     for j in (2, 3, 5):
-        prof = radial_profile(PotentialSpec(j, 1.0))
+        prof = RadialProfile(PotentialSpec(j, 1.0))
         eps = 1e-13
         knot = 2.0**-j
         assert prof(knot - eps) / prof(knot + eps) == pytest.approx(2.0, rel=1e-10)
@@ -201,7 +200,7 @@ def test_radial_profile_norm_closed_form_and_decay():
     # closed form against the profile's branches
     prev = math.inf
     for j in range(1, 9):
-        prof = radial_profile(PotentialSpec(j, 1.0))
+        prof = RadialProfile(PotentialSpec(j, 1.0))
         edges = np.unique(np.concatenate([np.linspace(0.0, 2.0, 50_001), _knots(prof.spec)]))
         mid = 0.5 * (edges[1:] + edges[:-1])
         quad = math.sqrt(math.pi * float(np.sum(prof(mid) ** 2 * mid * np.diff(edges))))
@@ -214,7 +213,7 @@ def test_radial_profile_norm_closed_form_and_decay():
 def test_radial_poisson_center_slope_matches_reference():
     for j in range(1, 9):
         spec = PotentialSpec(j, 1.0)
-        _, zprime0 = radial_poisson(radial_profile(spec), 4096)
+        _, zprime0 = radial_poisson(RadialProfile(spec), 4096)
         assert zprime0 == pytest.approx(-spec.k / 4 - spec.A_j, rel=5e-3)
 
 
@@ -224,7 +223,7 @@ def test_closed_form_is_the_limit_of_the_radial_solve():
     # as Z > 0 on (0, 2), and to max |Z'| for Z', which changes sign
     R = np.linspace(1e-3, 1.95, 4001)
     for j in range(1, 9):
-        prof = radial_profile(PotentialSpec(j, 1.0))
+        prof = RadialProfile(PotentialSpec(j, 1.0))
         Z, Zp = prof.potential(R)
         errors = []
         for nR in (1024, 2048, 4096, 8192):
@@ -240,14 +239,14 @@ def test_closed_form_center_slope_exact():
         for j in range(1, 9):
             spec = PotentialSpec(j, L)
             target = -spec.k / 4 - spec.A_j
-            assert abs(radial_profile(spec).zprime0 - target) <= 1e-14 * abs(target)
+            assert abs(RadialProfile(spec).zprime0 - target) <= 1e-14 * abs(target)
 
 
 def test_closed_form_ratio_at_center_needs_no_guard():
     # Z/R = -(J + I2)/2 with J = I1/R^2 formed per branch: at R = 0 it is
     # Z'(0) with no division by zero, and it is continuous there
     for j in (1, 4, 8):
-        prof = radial_profile(PotentialSpec(j, 1.0))
+        prof = RadialProfile(PotentialSpec(j, 1.0))
         with np.errstate(all="raise"):
             J, i2 = prof.moments(np.array([0.0, 1e-9]))
         assert J[0] == 0.0
@@ -270,7 +269,7 @@ def test_convolution_oracle_zero_density():
 
 
 def test_convolution_oracle_agrees_with_radial_solve():
-    prof = radial_profile(PotentialSpec(2, 1.0))
+    prof = RadialProfile(PotentialSpec(2, 1.0))
 
     def f(x, y):
         R = np.hypot(x, y)
@@ -300,7 +299,7 @@ def test_potential_seed_admissible_and_supported():
     seed = potential_seed(PotentialSpec(2, 1.0), g)
     assert np.abs(seed.values[0, :]).max() == 0.0
     assert np.abs(seed.values[-1, :]).max() == 0.0  # compact support inside
-    assert validate_admissible(seed).ok
+    require_admissible(seed)
 
 
 def test_potential_seed_center_gradient_large():

@@ -659,6 +659,23 @@ def test_critical_delta_without_a_certifying_start_begins_at_the_band():
     _check_bracket(res, delta_true, 0.25)
 
 
+def test_critical_delta_rejects_an_L_that_is_not_the_grids(monkeypatch):
+    # every energy and certificate uses grid.L, so another L would only
+    # shift the search band; it is refused before any start is built
+    class Built(Exception):
+        pass
+
+    def portfolio(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(landscape, "multistart_portfolio", portfolio)
+    for L in (2.0, 0.5, 1.0 + 1e-9):
+        with pytest.raises(ValueError, match="grid width"):
+            critical_delta(0.05, L, 1, GRID64, FAST_CFG)
+    with pytest.raises(Built):
+        critical_delta(0.05, 1.0 + 1e-13, 1, GRID64, FAST_CFG)
+
+
 def _critical_delta_ref(epsilon, L, variant, grid, cfg=None, tol_rel=0.25, seed=0):
     """critical_delta as a bisection with a lower_end helper and a climb
     loop that assign hi in place; it reaches minimize, the portfolio,
