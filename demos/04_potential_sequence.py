@@ -10,7 +10,7 @@ energy term vanishes as j grows.
 
 import numpy as np
 
-from wellscape import (EnergyParams, PotentialSpec, RadialProfile, b_geometry,
+from wellscape import (EnergyParams, PotentialSpec, b_geometry,
                        convolution_oracle, d_y, energy, make_grid,
                        potential_seed)
 
@@ -20,22 +20,21 @@ def main():
     print("j   ||f_j||_2   z_y(0,0)   -k/4 - A_j")
     for j in (1, 2, 4, 8):
         spec = PotentialSpec(j, L)
-        prof = RadialProfile(spec)
-        print(f"{j}   {prof.norm_l2():9.4f}  {prof.zprime0:9.4f}  "
+        print(f"{j}   {spec.norm_l2():9.4f}  {spec.zprime0:9.4f}  "
               f"{-spec.k / 4 - spec.A_j:9.4f}")
 
     # cross-check the closed form against direct log-kernel quadrature
-    prof = RadialProfile(PotentialSpec(2, L))
+    spec = PotentialSpec(2, L)
 
     def f(x, y):
         R = np.hypot(x, y)
         safe = np.where(R > 1e-15, R, 1.0)
-        return prof(R) * np.where(R > 1e-15, y / safe, 0.0)
+        return spec.density(R) * np.where(R > 1e-15, y / safe, 0.0)
 
     probes = np.array([[0.25, 0.25], [0.0, 0.8], [-0.9, 0.5]])
     z, _ = convolution_oracle(f, probes, n_r=800, n_theta=512)
     R = np.hypot(probes[:, 0], probes[:, 1])
-    z_rad = prof.potential(R)[0] * probes[:, 1] / R
+    z_rad = spec.potential(R)[0] * probes[:, 1] / R
     print(f"\nconvolution oracle vs closed form, max |diff|: "
           f"{np.abs(z - z_rad).max():.2e}")
 

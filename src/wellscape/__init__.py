@@ -7,9 +7,8 @@ from .bounds import (BandEmpty, BoundReport, DegenerateInterval, PqRegion,
                      proportional_band, reports_to_csv, theorem2_bounds,
                      wopper_check)
 from .constructions import (BranchedSpec, BumpSpec, PotentialSpec,
-                            RadialProfile, ResolutionTooCoarse, branched_seed,
-                            convolution_oracle, nucleation_bump, potential_seed,
-                            quintic_smoothstep_cutoff)
+                            ResolutionTooCoarse, branched_seed, convolution_oracle,
+                            nucleation_bump, potential_seed, quintic_smoothstep_cutoff)
 from .energy import (BSetGeometry, EmptyB, EmptyPiM, EnergyBreakdown,
                      EnergyParams, NotAdmissible, TauOne, TruncatedBSet,
                      ZeroSmoothing, b_geometry, energy, energy_gradient,

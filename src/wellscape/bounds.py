@@ -4,8 +4,8 @@ Every checker returns a BoundReport (lhs, rhs, holds, slack).  Proven-true
 inequalities are verified with the relative tolerance factor
 1 - 10*max(hx, hy), which absorbs discretization error.  Unnamed constants
 of the inequalities are calibration parameters: estimated once by a
-documented sweep (see calibrate.py), frozen into a JSON file, and read-only
-here.  The env var WELLSCAPE_CALIBRATION overrides the packaged file.
+documented sweep (see calibrate.py), frozen into the packaged file
+calibration.json and read-only here: no environment setting changes them.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,18 +42,11 @@ class InequalityViolated(RuntimeError):
 # ---------------------------------------------------------------------------
 # calibration
 
-@lru_cache(maxsize=8)
-def _load_calibration_file(path: Optional[str]) -> dict:
-    if path is not None:
-        with open(path) as fh:
-            return json.load(fh)
+@lru_cache(maxsize=1)
+def load_calibration() -> dict:
+    """Calibration constants (checker name -> value) of the packaged file."""
     with resources.files("wellscape").joinpath("calibration.json").open() as fh:
         return json.load(fh)
-
-
-def load_calibration() -> dict:
-    """Calibration constants (checker name -> value)."""
-    return _load_calibration_file(os.environ.get("WELLSCAPE_CALIBRATION"))
 
 
 def calibration_value(name: str) -> float:
@@ -88,6 +80,11 @@ def reports_to_csv(reports: Sequence[BoundReport], fh) -> None:
 
 def grid_tolerance(u: ScalarField) -> float:
     return 1.0 - 10.0 * max(u.grid.hx, u.grid.hy)
+
+
+def _report(check: str, context: str, lhs: float, rhs: float, u: ScalarField) -> BoundReport:
+    """The report of lhs >= rhs, tested at u's grid tolerance."""
+    return BoundReport(check, context, lhs, rhs, lhs - rhs, lhs >= rhs * grid_tolerance(u))
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +143,7 @@ def lemma1_check(u: ScalarField) -> BoundReport:
         raise TauOne(f"tau = {geom.tau}: occupied columns fully inside B")
     lhs = _field_integral_square(u, y="Dyy") / geom.area_b
     rhs = 4.0 / (geom.tau * (1.0 - geom.tau))
-    holds = lhs >= rhs * grid_tolerance(u)
-    ctx = f"tau={geom.tau:.6g},area_B={geom.area_b:.6g}"
-    return BoundReport("lemma1", ctx, lhs, rhs, lhs - rhs, holds)
+    return _report("lemma1", f"tau={geom.tau:.6g},area_B={geom.area_b:.6g}", lhs, rhs, u)
 
 
 def estimate_interp_constant(family: Iterable[np.ndarray]) -> float:
@@ -181,8 +176,7 @@ def poincare_check(u: ScalarField) -> BoundReport:
     g = u.grid
     lhs = _field_integral_square(u, "Dx")
     rhs = POINCARE_CONSTANT / g.L**2 * _field_integral_square(u)
-    holds = lhs >= rhs * grid_tolerance(u)
-    return BoundReport("poincare", f"L={g.L:g}", lhs, rhs, lhs - rhs, holds)
+    return _report("poincare", f"L={g.L:g}", lhs, rhs, u)
 
 
 def proportional_band(epsilon: float, delta: float) -> tuple[float, float]:
@@ -210,12 +204,10 @@ def killerinterp_sides(u: ScalarField, M: float) -> tuple[float, float, Truncate
 def killerinterp_check(u: ScalarField, M: float) -> BoundReport:
     """||u||_2 ||u_x||_2 >= (C/M) (area(B_M)/len(Pi_M))^2, calibrated C."""
     lhs, base, trunc = killerinterp_sides(u, M)
-    C = calibration_value("killerinterp_C")
-    rhs = C * base
-    holds = lhs >= rhs * grid_tolerance(u)
+    rhs = calibration_value("killerinterp_C") * base
     raw = lhs / base if base > 0 else math.inf
     ctx = f"M={M:.6g},raw_C={raw:.6g},area_B_M={trunc.area_b_m:.6g}"
-    return BoundReport("killerinterp", ctx, lhs, rhs, lhs - rhs, holds)
+    return _report("killerinterp", ctx, lhs, rhs, u)
 
 
 def wopper_check(u: ScalarField, epsilon: float) -> BoundReport:
@@ -230,10 +222,9 @@ def wopper_check(u: ScalarField, epsilon: float) -> BoundReport:
     geom = b_geometry(u)
     lhs = sum(surface_and_elastic(u, epsilon, 1))
     if geom.area_b <= 0.0:
-        return BoundReport("wopper", "vacuous (B empty)", lhs, 0.0, lhs, True)
-    rhs = epsilon * float(geom.column_lengths.max())
-    holds = lhs >= rhs * grid_tolerance(u)
-    return BoundReport("wopper", f"eps={epsilon:g}", lhs, rhs, lhs - rhs, holds)
+        return _report("wopper", "vacuous (B empty)", lhs, 0.0, u)
+    return _report("wopper", f"eps={epsilon:g}", lhs,
+                   epsilon * float(geom.column_lengths.max()), u)
 
 
 # ---------------------------------------------------------------------------

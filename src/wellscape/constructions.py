@@ -16,10 +16,10 @@
       Z'' + Z'/R - Z/R^2 = g(R),
       Z(R) = -(1/(2R)) int_0^R s^2 g(s) ds - (R/2) int_R^inf g(s) ds,
 
-  with both moments elementary for the piecewise power-law g_j, and the
-  pullback of the cut-off potential to Omega by the affine map
-  T(x) = 2(x - P)/sqrt(L^2+1), P = (L/2, 1/2).  A direct log-kernel
-  convolution quadrature is kept as an independent oracle.
+  with both moments elementary for the piecewise power-law g_j
+  (PotentialSpec.moments), and the pullback of the cut-off potential to
+  Omega by the affine map T(x) = 2(x - P)/sqrt(L^2+1), P = (L/2, 1/2).
+  A direct log-kernel convolution quadrature is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -196,10 +196,14 @@ def nucleation_bump(spec: BumpSpec, grid: Grid) -> ScalarField:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Index j of the density sequence on a domain of width L.
+    """Index j of the density sequence on a domain of width L, and the
+    radial factor g(R) of its density g(R) sin(theta) on the disk.
 
-    k = -6*sqrt(L^2+1), A_j = k/j, alpha_j = 1/j - 2.  The density carries
-    no cutoff, because the reference values -k/4 - A_j for z_y(0,0)
+    k = -6*sqrt(L^2+1), A_j = k/j, alpha_j = 1/j - 2, 1 <= j <= 1023 (2^j
+    stays a float).  g is 2^j A_j on [0, 2^-j], A_j R^(1/j-1) on (2^-j, 1],
+    A_j on (1, 2] and 0 beyond, so the potential z = Z(R) sin(theta), the
+    solution of Z'' + Z'/R - Z/R^2 = g, is elementary (see potential).  g
+    carries no cutoff: the reference values -k/4 - A_j for z_y(0,0)
     integrate the bare branches; the seed's cutoff psi lives on Omega (see
     potential_seed).
     """
@@ -208,8 +212,8 @@ class PotentialSpec:
     L: float
 
     def __post_init__(self):
-        if self.j < 1:
-            raise ValueError(f"sequence index must be >= 1, got {self.j}")
+        if not 1 <= self.j <= 1023:
+            raise ValueError(f"sequence index must be in 1..1023, got {self.j}")
         if self.L <= 0:
             raise ValueError(f"L must be positive, got {self.L}")
 
@@ -229,27 +233,15 @@ class PotentialSpec:
         return {"j": self.j, "L": self.L, "k": self.k, "A_j": self.A_j,
                 "alpha_j": self.alpha_j}
 
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """Radial factor g(R) of a density g(R)*sin(theta) on the disk.
-
-    g is 2^j A_j on [0, 2^-j], A_j R^(1/j-1) on (2^-j, 1], A_j on (1, 2] and
-    0 beyond, so the potential z = Z(R) sin(theta) of the density, the
-    solution of Z'' + Z'/R - Z/R^2 = g, is elementary (see potential).
-    """
-
-    spec: PotentialSpec
-
-    def __call__(self, R) -> np.ndarray:
-        s = self.spec
+    def density(self, R) -> np.ndarray:
+        """The radial factor g(R) of the density g(R) sin(theta)."""
         R = np.asarray(R, dtype=float)
-        inner = 2.0**s.j * s.A_j
+        inner = 2.0**self.j * self.A_j
         with np.errstate(invalid="ignore"):
-            middle = s.A_j * np.power(np.maximum(R, 1e-300), s.alpha_j + 1.0)
-        return np.where(R <= 2.0**(-s.j), inner,
+            middle = self.A_j * np.power(np.maximum(R, 1e-300), self.alpha_j + 1.0)
+        return np.where(R <= 2.0**(-self.j), inner,
                         np.where(R <= 1.0, middle,
-                                 np.where(R <= SUPPORT_RADIUS, s.A_j, 0.0)))
+                                 np.where(R <= SUPPORT_RADIUS, self.A_j, 0.0)))
 
     def moments(self, R) -> tuple[np.ndarray, np.ndarray]:
         """(J, I2) with J = I1/R^2, I1(R) = int_0^R s^2 g ds and
@@ -259,17 +251,16 @@ class RadialProfile:
         the branch.  J is formed per branch: on the inner disk it is
         2^j A_j R/3, so J(0) = 0 with no division by R.
         """
-        s = self.spec
         R = np.asarray(R, dtype=float)
-        knot, inner, p = 2.0**(-s.j), 2.0**s.j * s.A_j, 1.0 / s.j
+        knot, inner, p = 2.0**(-self.j), 2.0**self.j * self.A_j, 1.0 / self.j
         r0 = np.minimum(R, knot)
         r1 = np.clip(R, knot, 1.0)
         r2 = np.clip(R, 1.0, SUPPORT_RADIUS)
         i1 = (inner * r0**3 / 3.0
-              + s.A_j * (np.power(r1, p + 2.0) - knot ** (p + 2.0)) / (p + 2.0)
-              + s.A_j * (r2**3 - 1.0) / 3.0)
-        i2 = (inner * (knot - r0) + s.A_j * s.j * (1.0 - np.power(r1, p))
-              + s.A_j * (SUPPORT_RADIUS - r2))
+              + self.A_j * (np.power(r1, p + 2.0) - knot ** (p + 2.0)) / (p + 2.0)
+              + self.A_j * (r2**3 - 1.0) / 3.0)
+        i2 = (inner * (knot - r0) + self.A_j * self.j * (1.0 - np.power(r1, p))
+              + self.A_j * (SUPPORT_RADIUS - r2))
         J = np.where(R <= knot, inner * R / 3.0, i1 / np.maximum(R, knot) ** 2)
         return J, i2
 
@@ -289,8 +280,7 @@ class RadialProfile:
 
         The three branches give int g^2 R dR = A_j^2 (1/2 + 3j/8 + 3/2).
         """
-        s = self.spec
-        return math.sqrt(2.0 * math.pi * s.A_j**2 * (1.0 + 3.0 * s.j / 16.0))
+        return math.sqrt(2.0 * math.pi * self.A_j**2 * (1.0 + 3.0 * self.j / 16.0))
 
 
 def convolution_oracle(f: Callable, probes: np.ndarray,
@@ -362,7 +352,7 @@ def potential_seed(spec: PotentialSpec, grid: Grid) -> ScalarField:
     Tx = 2.0 * (X - spec.L / 2.0) / denom
     Ty = 2.0 * (Y - 0.5) / denom
     R = np.hypot(Tx, Ty)
-    J, i2 = RadialProfile(spec).moments(R)
+    J, i2 = spec.moments(R)
     values = psi(R) * (-(J + i2) / 2.0) * Ty   # Z/R = -(J + I2)/2
     values[0, :] = 0.0  # no-op (psi vanishes there); keeps the edge exact
     return ScalarField(grid, values)

@@ -28,7 +28,7 @@ from the matrix product D @ u by at most a few roundoffs of |D| @ |u|
 
 A sharp reduction never holds a whole derivative field: apply_strips()
 runs the loop over strips of output rows, each block a view of one buffer
-reused from strip to strip, and integrate_square(f, grid, x, y) sums the
+reused from strip to strip, and _square_row_sums(grid, f, x, y) sums the
 squares of each strip's rows into one vector.  A strip holds about
 _STRIP_BYTES (32 rows at ny = 1024, the whole field at ny <= 128); the
 y-operator runs on its rows plus the x-operator's halo.  Every output
@@ -53,7 +53,8 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 
 class InvalidGrid(ValueError):
-    """Raised for nonpositive widths or undersized cell counts."""
+    """Raised for nonpositive widths, cell counts that are not integers >= 8,
+    and spacings h whose stencil scale 1/h^2 is not a positive finite float."""
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,15 @@ class Grid:
 def make_grid(L: float, nx: int, ny: int) -> Grid:
     if not np.isfinite(L) or L <= 0:
         raise InvalidGrid(f"domain width must be positive, got L={L}")
+    if not all(np.isfinite(n) and n == int(n) for n in (nx, ny)):
+        raise InvalidGrid(f"cell counts must be integers, got nx={nx}, ny={ny}")
     if nx < 8 or ny < 8:
         raise InvalidGrid(f"need nx, ny >= 8, got nx={nx}, ny={ny}")
-    return Grid(float(L), int(nx), int(ny))
+    grid = Grid(float(L), int(nx), int(ny))
+    # products, not h**2, which raises OverflowError where h * h is inf
+    if not all(0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf for h in (grid.hx, grid.hy)):
+        raise InvalidGrid(f"L={L} on {nx}x{ny} cells: h^2 or 1/h^2 is not a finite float")
+    return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -516,17 +523,16 @@ def _integrate_rows(grid: Grid, rows: np.ndarray) -> float:
     return float(grid.hx * grid.hy * (_x_weights(grid) @ rows))
 
 
-def integrate_square(f: np.ndarray, grid: Grid, x: Optional[str] = None,
-                     y: Optional[str] = None) -> float:
-    """integrate((X f Y^T)^2, grid) for the named operators (None: identity),
-    with the bits of integrate_square(apply(grid, f, x, y), grid) and no
-    whole-field array written: f is read once per strip."""
-    return _integrate_rows(grid, _square_row_sums(grid, f, x, y))
+def integrate_square(f: np.ndarray, grid: Grid) -> float:
+    """integrate(f^2, grid), with no square array written."""
+    return _integrate_rows(grid, _square_row_sums(grid, f))
 
 
 def _field_integral_square(u: ScalarField, x: Optional[str] = None,
                            y: Optional[str] = None) -> float:
-    """integrate_square(u.values, u.grid, x, y), from the field's memoized row sums."""
+    """integrate((X u Y^T)^2) for the named operators (None: identity), with
+    the bits of integrate_square(apply(u.grid, u.values, x, y), u.grid),
+    from the field's memoized row sums."""
     return _integrate_rows(u.grid, _field_row_sums(u, x, y))
 
 

@@ -535,6 +535,9 @@ def local_minimality_probe(p: EnergyParams, grid: Grid, n_samples: int,
     """
     if (norm_cap is None) == (area_cap is None):
         raise ValueError("pass exactly one of norm_cap / area_cap")
+    cap = norm_cap if norm_cap is not None else area_cap
+    if not 0.0 < cap < math.inf:
+        raise ValueError(f"the cap must be positive and finite, got {cap}")
 
     def rescaled(w: ScalarField) -> Optional[ScalarField]:
         """w scaled into the probe's window, or None when it cannot be."""
@@ -562,5 +565,4 @@ def local_minimality_probe(p: EnergyParams, grid: Grid, n_samples: int,
         eligible += 1
         if energy(v, p).total <= e0:
             violations += 1
-    cap = norm_cap if norm_cap is not None else area_cap
     return ProbeReport(n_samples, eligible, violations, float(cap))

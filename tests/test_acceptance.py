@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from wellscape import (BranchedSpec, BumpSpec, EnergyParams, MinimizeConfig,
-                       PotentialSpec, RadialProfile, ScalarField, b_geometry,
+                       PotentialSpec, ScalarField, b_geometry,
                        branched_seed, convolution_oracle, critical_delta, energy,
                        energy_gradient, energy_smoothed, fit_power_law,
                        lemma1_check, local_minimality_probe, make_grid, minimize,
@@ -114,12 +114,12 @@ def test_criterion_4_nucleation_path():
 def test_criterion_5_potential_sequence():
     L = 1.0
     # closed-form radial potential vs direct convolution quadrature
-    prof2 = RadialProfile(PotentialSpec(2, L))
+    prof2 = PotentialSpec(2, L)
 
     def f2(x, y):
         R = np.hypot(x, y)
         safe = np.where(R > 1e-15, R, 1.0)
-        return prof2(R) * np.where(R > 1e-15, y / safe, 0.0)
+        return prof2.density(R) * np.where(R > 1e-15, y / safe, 0.0)
 
     angles = [(0.35, 0.4), (0.35, 2.1), (0.8, 0.7), (0.8, 2.8),
               (1.3, 1.0), (1.3, 5.0), (1.7, 0.3), (1.7, 4.0)]
@@ -140,10 +140,9 @@ def test_criterion_5_potential_sequence():
     norms = []
     for j in range(1, 9):
         spec = PotentialSpec(j, L)
-        prof = RadialProfile(spec)
         target = -spec.k / 4 - spec.A_j
-        assert abs(prof.zprime0 - target) / abs(target) < 5e-3
-        norms.append(prof.norm_l2())
+        assert abs(spec.zprime0 - target) / abs(target) < 5e-3
+        norms.append(spec.norm_l2())
     assert all(b < a for a, b in zip(norms, norms[1:]))
 
     grid = make_grid(L, 256, 256)

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import json
 import math
 import os
+from pathlib import Path
 import re
 import stat
 
@@ -11,6 +13,8 @@ import pytest
 from wellscape import EnergyParams, PotentialSpec, cli, energy, potential_seed
 from wellscape.grid import ScalarField, make_grid, read_field, write_field, zero_field
 from wellscape.landscape import PortfolioShrunk
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wellscape"
 
 
 def _run(tmp_path, cfg, name="cfg.json", seed=None, out="out"):
@@ -59,6 +63,16 @@ def test_construct_potential_artifacts(tmp_path):
     np.testing.assert_array_equal(read_field(out_dir / "field.wsf1").values, seed.values)
     breakdown = json.loads((out_dir / "breakdown.json").read_text())
     assert breakdown == energy(seed, EnergyParams(0.1, 0.0, 3)).to_json_dict()
+
+
+def test_construct_potential_takes_the_last_index(tmp_path):
+    # 2^1023 is the largest power of two a float holds; j = 1024 is a config
+    # error (OUT_OF_RANGE)
+    cfg = {"schema": 1, "command": "construct-potential",
+           "grid": {"L": 1.0, "nx": 32, "ny": 32}, "construction": {"j": 1023}}
+    code, out_dir = _run(tmp_path, cfg)
+    assert code == 0
+    assert json.loads((out_dir / "spec.json").read_text())["j"] == 1023
 
 
 def test_energy_command_on_dumped_field(tmp_path):
@@ -221,17 +235,21 @@ def test_artifacts_follow_the_umask(tmp_path, umask, mode):
     assert len(modes) == 4 and set(modes.values()) == {mode}, modes
 
 
-def test_calibration_env_override(tmp_path, monkeypatch):
-    from wellscape import bounds
-    alt = tmp_path / "alt.json"
-    alt.write_text(json.dumps({"killerinterp_C": 123.0}))
-    monkeypatch.setenv("WELLSCAPE_CALIBRATION", str(alt))
-    bounds._load_calibration_file.cache_clear()
-    try:
-        assert bounds.calibration_value("killerinterp_C") == 123.0
-    finally:
-        monkeypatch.delenv("WELLSCAPE_CALIBRATION")
-        bounds._load_calibration_file.cache_clear()
+def test_no_module_reads_the_environment():
+    # one JSON config determines a run: no module of the package reads
+    # os.environ or os.getenv, so no setting outside the config reaches an artifact
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if names & {"environ", "getenv"}:
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []
 
 
 def test_config_errors(tmp_path):
@@ -354,6 +372,15 @@ OUT_OF_RANGE = {
                         "construction": {"a": 0.08, "delta_x": 0.2, "lambda": 0.5}},
     "potential j 0": {"command": "construct-potential", "grid": GRID32,
                       "construction": {"j": 0}},
+    "potential j 1024": {"command": "construct-potential", "grid": GRID32,
+                         "construction": {"j": 1024}},
+    # h^2 overflows, 1/h^2 overflows, h^2 underflows to 0
+    **{f"verify L {L:g}": {"command": "verify-inequalities", "grid": {**GRID16, "L": L},
+                           "energy": {"epsilon": 0.1}, "n_random": 1}
+       for L in (1e160, 1e-160, 1e-300)},
+    "branched L 1e300": {"command": "construct-branched",
+                         "grid": {"L": 1e300, "nx": 64, "ny": 64},
+                         "construction": {"epsilon": 0.1}},
     "probe without delta": {"command": "probe-local-min", "grid": GRID32,
                             "energy": {"epsilon": 0.05}},
     "obstacle y2 < y1": {"command": "obstacle-1d", "obstacle": {"pairs": [[0.5, 0.2]]}},

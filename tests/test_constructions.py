@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wellscape import (BranchedSpec, BumpSpec, EnergyParams, PotentialSpec,
-                       RadialProfile, ResolutionTooCoarse, b_geometry,
+                       ResolutionTooCoarse, b_geometry,
                        branched_seed, convolution_oracle, d_y, energy,
                        make_grid, nucleation_bump, potential_seed,
                        quintic_smoothstep_cutoff, require_admissible)
@@ -165,9 +165,9 @@ def radial_poisson(prof, nR):
     (potential, zprime0): potential(R) = (Z, Z') for R > 0, with
     Z = -I1/(2R) - R*I2/2 and Z' = I1/(2R^2) - I2/2, and Z'(0) = -I2(0)/2.
     """
-    edges = np.unique(np.concatenate([np.linspace(0.0, 2.0, nR + 1), _knots(prof.spec)]))
+    edges = np.unique(np.concatenate([np.linspace(0.0, 2.0, nR + 1), _knots(prof)]))
     mid = 0.5 * (edges[1:] + edges[:-1])
-    gm = prof(mid) * np.diff(edges)
+    gm = prof.density(mid) * np.diff(edges)
     i1 = np.concatenate([[0.0], np.cumsum(mid**2 * gm)])
     flux = np.concatenate([[0.0], np.cumsum(gm)])
     i2 = flux[-1] - flux
@@ -180,19 +180,19 @@ def radial_poisson(prof, nR):
 
 
 def test_radial_profile_outer_knot_continuous():
-    prof = RadialProfile(PotentialSpec(1, 1.0))
+    prof = PotentialSpec(1, 1.0)
     eps = 1e-13
-    assert prof(1.0 - eps) == pytest.approx(prof(1.0 + eps), abs=1e-12)
+    assert prof.density(1.0 - eps) == pytest.approx(prof.density(1.0 + eps), abs=1e-12)
 
 
 def test_radial_profile_inner_knot_factor_two():
     # the literal branch definition jumps by exactly 2 at R = 2^-j; the
     # reference values (norm, z_y(0,0)) integrate these branches as written
     for j in (2, 3, 5):
-        prof = RadialProfile(PotentialSpec(j, 1.0))
+        prof = PotentialSpec(j, 1.0)
         eps = 1e-13
         knot = 2.0**-j
-        assert prof(knot - eps) / prof(knot + eps) == pytest.approx(2.0, rel=1e-10)
+        assert prof.density(knot - eps) / prof.density(knot + eps) == pytest.approx(2.0, rel=1e-10)
 
 
 def test_radial_profile_norm_closed_form_and_decay():
@@ -200,10 +200,10 @@ def test_radial_profile_norm_closed_form_and_decay():
     # closed form against the profile's branches
     prev = math.inf
     for j in range(1, 9):
-        prof = RadialProfile(PotentialSpec(j, 1.0))
-        edges = np.unique(np.concatenate([np.linspace(0.0, 2.0, 50_001), _knots(prof.spec)]))
+        prof = PotentialSpec(j, 1.0)
+        edges = np.unique(np.concatenate([np.linspace(0.0, 2.0, 50_001), _knots(prof)]))
         mid = 0.5 * (edges[1:] + edges[:-1])
-        quad = math.sqrt(math.pi * float(np.sum(prof(mid) ** 2 * mid * np.diff(edges))))
+        quad = math.sqrt(math.pi * float(np.sum(prof.density(mid) ** 2 * mid * np.diff(edges))))
         norm = prof.norm_l2()
         assert norm == pytest.approx(quad, rel=1e-6)
         assert norm < prev
@@ -213,7 +213,7 @@ def test_radial_profile_norm_closed_form_and_decay():
 def test_radial_poisson_center_slope_matches_reference():
     for j in range(1, 9):
         spec = PotentialSpec(j, 1.0)
-        _, zprime0 = radial_poisson(RadialProfile(spec), 4096)
+        _, zprime0 = radial_poisson(spec, 4096)
         assert zprime0 == pytest.approx(-spec.k / 4 - spec.A_j, rel=5e-3)
 
 
@@ -223,7 +223,7 @@ def test_closed_form_is_the_limit_of_the_radial_solve():
     # as Z > 0 on (0, 2), and to max |Z'| for Z', which changes sign
     R = np.linspace(1e-3, 1.95, 4001)
     for j in range(1, 9):
-        prof = RadialProfile(PotentialSpec(j, 1.0))
+        prof = PotentialSpec(j, 1.0)
         Z, Zp = prof.potential(R)
         errors = []
         for nR in (1024, 2048, 4096, 8192):
@@ -239,14 +239,14 @@ def test_closed_form_center_slope_exact():
         for j in range(1, 9):
             spec = PotentialSpec(j, L)
             target = -spec.k / 4 - spec.A_j
-            assert abs(RadialProfile(spec).zprime0 - target) <= 1e-14 * abs(target)
+            assert abs(spec.zprime0 - target) <= 1e-14 * abs(target)
 
 
 def test_closed_form_ratio_at_center_needs_no_guard():
     # Z/R = -(J + I2)/2 with J = I1/R^2 formed per branch: at R = 0 it is
     # Z'(0) with no division by zero, and it is continuous there
     for j in (1, 4, 8):
-        prof = RadialProfile(PotentialSpec(j, 1.0))
+        prof = PotentialSpec(j, 1.0)
         with np.errstate(all="raise"):
             J, i2 = prof.moments(np.array([0.0, 1e-9]))
         assert J[0] == 0.0
@@ -269,12 +269,12 @@ def test_convolution_oracle_zero_density():
 
 
 def test_convolution_oracle_agrees_with_radial_solve():
-    prof = RadialProfile(PotentialSpec(2, 1.0))
+    prof = PotentialSpec(2, 1.0)
 
     def f(x, y):
         R = np.hypot(x, y)
         safe = np.where(R > 1e-15, R, 1.0)
-        return prof(R) * np.where(R > 1e-15, y / safe, 0.0)
+        return prof.density(R) * np.where(R > 1e-15, y / safe, 0.0)
 
     angles = [(0.35, 0.4), (0.35, 2.1), (0.8, 0.7), (0.8, 2.8),
               (1.3, 1.0), (1.3, 5.0), (1.7, 0.3), (1.7, 4.0)]

@@ -21,8 +21,9 @@ from wellscape.constructions import BumpSpec, nucleation_bump
 from wellscape.energy import CELL_UY, SURFACE_STENCILS, scale_to_uy_peak
 import wellscape
 import wellscape.grid as grid_module
-from wellscape.grid import (_BLOCK_ROWS, _TABLE_COST, _groups, _strip_windows,
-                            _table_values, adjoint, apply, apply_strips, integrate_square)
+from wellscape.grid import (_BLOCK_ROWS, _TABLE_COST, _groups, _integrate_rows,
+                            _square_row_sums, _strip_windows, _table_values, adjoint,
+                            apply, apply_strips, integrate_square)
 
 # every (x, y) operator pair the energies apply: the surface stencils, the
 # elastic u_x and the cell-center u_y of the well term; and Axc, Ayc, the
@@ -40,10 +41,22 @@ def test_make_grid_spacings():
 def test_make_grid_boundary_of_precondition():
     g = make_grid(1.0, 8, 8)
     assert g.nx == 8 and g.ny == 8
+    assert make_grid(1.0, 8.0, 16.0) == make_grid(1.0, 8, 16)
+    # extreme widths whose stencil scales stay finite on 16 cells
+    for L in (1e150, 1e-150):
+        g = make_grid(L, 16, 16)
+        assert g.hx == L / 16 and np.isfinite(apply(g, np.ones((17, 16)), "Dxx")).all()
 
 
 @pytest.mark.parametrize("args", [(1.0, 4, 64), (1.0, 64, 4), (0.0, 64, 64),
-                                  (-1.0, 64, 64)])
+                                  (-1.0, 64, 64),
+                                  # cell counts that are not finite integers
+                                  (1.0, 8.7, 8), (1.0, 8, 9.99), (1.0, math.nan, 8),
+                                  (1.0, 8, math.inf),
+                                  # on 16 cells h^2 overflows (1e160, 1e300), 1/h^2
+                                  # overflows (1e-160), h^2 underflows to 0 (1e-300)
+                                  (1e160, 16, 16), (1e300, 16, 16), (1e-160, 16, 16),
+                                  (1e-300, 16, 16)])
 def test_make_grid_rejects(args):
     with pytest.raises(InvalidGrid):
         make_grid(*args)
@@ -404,8 +417,8 @@ SQUARED_PAIRS = sorted({(x, y) for rows in SURFACE_STENCILS.values() for x, y, _
 @example(nx=8, ny=11, L=2.5, rows=5, seed=3)   # nx + 1 no multiple of the height
 @example(nx=8, ny=11, L=2.5, rows=8, seed=4)   # a seam just before row nx
 def test_strips_have_the_bits_of_the_whole_field(strip_rows, nx, ny, L, rows, seed):
-    # apply_strips' blocks, in order, are apply()'s rows, and
-    # integrate_square(v, g, x, y) is integrate_square(apply(g, v, x, y), g):
+    # apply_strips' blocks, in order, are apply()'s rows, and the integral
+    # of _square_row_sums(g, v, x, y) is integrate_square(apply(g, v, x, y), g):
     # bit for bit, whatever the strip height
     g = make_grid(L, nx, ny)
     v = _signed_normals(np.random.default_rng(seed), (nx + 1, ny), "C")
@@ -416,7 +429,8 @@ def test_strips_have_the_bits_of_the_whole_field(strip_rows, nx, ny, L, rows, se
             assert list(starts) == list(range(0, len(whole), rows))
             assert np.concatenate(blocks).tobytes() == whole.tobytes()
             if (x, y) != CELL_UY:
-                assert integrate_square(v, g, x, y).hex() == integrate_square(whole, g).hex()
+                strips = _integrate_rows(g, _square_row_sums(g, v, x, y))
+                assert strips.hex() == integrate_square(whole, g).hex()
 
 
 def test_strip_height_follows_the_byte_budget():

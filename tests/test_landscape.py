@@ -215,6 +215,12 @@ def test_probe_argument_validation(grid64):
         local_minimality_probe(EnergyParams(0.1), grid64, 5)
     with pytest.raises(ValueError):
         local_minimality_probe(EnergyParams(0.1), grid64, 5, norm_cap=1.0, area_cap=1.0)
+    # norm_cap = 0 rescales every sample to the zero field, which ties E(0)
+    # and so counts as a violation; area_cap = 0 leaves no sample eligible
+    for mode in ("norm_cap", "area_cap"):
+        for cap in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                local_minimality_probe(EnergyParams(0.1, 0.5, 1), grid64, 5, **{mode: cap})
 
 
 def test_random_admissible_properties(grid64, rng):
