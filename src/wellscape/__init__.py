@@ -1,6 +1,6 @@
 """Numerical laboratory for well-depth microstructure energies on [0,L]x[0,1]."""
 
-from .bounds import (BandEmpty, BoundReport, DegenerateInterval, PqRegion,
+from .bounds import (BandEmpty, BoundReport, DegenerateInterval, GridTooCoarse, PqRegion,
                      estimate_interp_constant, killerinterp_check,
                      lemma1_check, load_calibration, obstacle_min_1d,
                      obstacle_qp_oracle, poincare_check, pq_region,

@@ -2,10 +2,12 @@
 
 Every checker returns a BoundReport (lhs, rhs, holds, slack).  Proven-true
 inequalities are verified with the relative tolerance factor
-1 - 10*max(hx, hy), which absorbs discretization error.  Unnamed constants
-of the inequalities are calibration parameters: estimated once by a
-documented sweep (see calibrate.py), frozen into the packaged file
-calibration.json and read-only here: no environment setting changes them.
+1 - 10*max(hx, hy), which absorbs discretization error; where it is not
+positive every field would pass, so the checkers raise GridTooCoarse.
+Unnamed constants of the inequalities are calibration parameters:
+estimated once by a documented sweep (see calibrate.py), frozen into the
+packaged file calibration.json and read-only here: no environment
+setting changes them.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ class BandEmpty(ValueError):
 
 class InequalityViolated(RuntimeError):
     """A proven inequality failed its tolerance-adjusted check."""
+
+
+class GridTooCoarse(ValueError):
+    """The grid tolerance 1 - 10*max(hx, hy) is not positive: no check can fail."""
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +84,12 @@ def reports_to_csv(reports: Sequence[BoundReport], fh) -> None:
                          repr(r.slack), r.holds])
 
 
-def grid_tolerance(u: ScalarField) -> float:
-    return 1.0 - 10.0 * max(u.grid.hx, u.grid.hy)
-
-
 def _report(check: str, context: str, lhs: float, rhs: float, u: ScalarField) -> BoundReport:
-    """The report of lhs >= rhs, tested at u's grid tolerance."""
-    return BoundReport(check, context, lhs, rhs, lhs - rhs, lhs >= rhs * grid_tolerance(u))
+    """The report of lhs >= rhs, tested at u's grid tolerance 1 - 10*max(hx, hy)."""
+    tolerance = 1.0 - 10.0 * max(u.grid.hx, u.grid.hy)
+    if tolerance <= 0.0:
+        raise GridTooCoarse(f"{check}: grid tolerance {tolerance:g} <= 0 on {u.grid}")
+    return BoundReport(check, context, lhs, rhs, lhs - rhs, lhs >= rhs * tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -405,7 +405,7 @@ def run(config_path: str, out_dir: str = ".", seed: int | None = None) -> int:
 
     try:
         artifacts = _COMMANDS[command](cfg, out_dir, run_seed)
-    except (ConfigError, cons.ResolutionTooCoarse, NotAdmissible) as exc:
+    except (ConfigError, cons.ResolutionTooCoarse, bnd.GridTooCoarse, NotAdmissible) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (Diverged, BracketNotFound, bnd.InequalityViolated) as exc:

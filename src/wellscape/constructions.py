@@ -248,8 +248,9 @@ class PotentialSpec:
         I2(R) = int_R^2 g ds, in closed form.
 
         Each branch adds its integral over its part of [0, R], R clipped to
-        the branch.  J is formed per branch: on the inner disk it is
-        2^j A_j R/3, so J(0) = 0 with no division by R.
+        the branch.  J is 2^j A_j R/3 on the inner disk R <= knot, and I1/R^2
+        only beyond it, where R^2 underflows to 0 below about R = 2^-537 and J
+        is then not finite: no node of the shipped grids lies in that band.
         """
         R = np.asarray(R, dtype=float)
         knot, inner, p = 2.0**(-self.j), 2.0**self.j * self.A_j, 1.0 / self.j
@@ -261,7 +262,7 @@ class PotentialSpec:
               + self.A_j * (r2**3 - 1.0) / 3.0)
         i2 = (inner * (knot - r0) + self.A_j * self.j * (1.0 - np.power(r1, p))
               + self.A_j * (SUPPORT_RADIUS - r2))
-        J = np.where(R <= knot, inner * R / 3.0, i1 / np.maximum(R, knot) ** 2)
+        J = np.divide(i1, R * R, out=np.asarray(inner * R / 3.0), where=R > knot)
         return J, i2
 
     def potential(self, R) -> tuple[np.ndarray, np.ndarray]:

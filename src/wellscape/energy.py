@@ -313,7 +313,7 @@ class _SmoothedTerms(NamedTuple):
 
 
 def _smoothed_terms(values: np.ndarray, grid: Grid, p: EnergyParams,
-                    ws: Optional[Workspace] = None) -> tuple[float, _SmoothedTerms]:
+                    ws: Workspace) -> tuple[float, _SmoothedTerms]:
     """Value pass of the smoothed energy (smooth_w > 0): every forward apply once.
 
     The indicator chi_(-1,1)(|u_y|) becomes the C^1 smoothstep
@@ -323,10 +323,8 @@ def _smoothed_terms(values: np.ndarray, grid: Grid, p: EnergyParams,
     einsums; q is also the gradient's slope up to sign and a factor.
     t is divided by w, not multiplied by 1 / w: 1 / w overflows for w
     below about 5.6e-309, and a tie |u_y| = 1 - w would then give 0 * inf.
-    Every array it keeps, the returned terms included, lives in `ws` (a new
-    one when none is given) until the next pass that uses it.
+    Its arrays, the returned terms included, live in `ws` until reused.
     """
-    ws = Workspace() if ws is None else ws
     w = p.smooth_w
     surface, elastic, (*fields, dx) = _quadratic_sums(values, grid, p.epsilon,
                                                       p.variant, ws)
@@ -345,8 +343,7 @@ def _smoothed_terms(values: np.ndarray, grid: Grid, p: EnergyParams,
 
 
 def _smoothed_gradient(terms: _SmoothedTerms, grid: Grid, p: EnergyParams,
-                       ws: Optional[Workspace] = None,
-                       out: Optional[np.ndarray] = None) -> np.ndarray:
+                       ws: Workspace, grad: np.ndarray) -> np.ndarray:
     """Gradient pass: only adjoint applies, on the value pass's terms (overwritten).
 
     Each quadratic term w * integral (X u Y^T)^2 contributes
@@ -360,18 +357,15 @@ def _smoothed_gradient(terms: _SmoothedTerms, grid: Grid, p: EnergyParams,
     own; the first term's adjoint is written straight into the gradient
     and the others are added on, so a zero entry may carry either sign.
     Rows at i = 0 are zeroed (the Dirichlet edge stays pinned during
-    descent).  The gradient goes to `out` (a new array when none is given);
+    descent).  The gradient goes to `grad`, a C-ordered node field, and
     scratch comes from `ws`.
     """
-    ws = Workspace() if ws is None else ws
-    shape = (grid.nx + 1, grid.ny)
     scale = grid.hx * grid.hy
     quadratic = [(2.0 * w * p.epsilon**2 * scale, f, x, y)
                  for f, (x, y, w) in zip(terms.fields, SURFACE_STENCILS[p.variant])]
     quadratic.append((2.0 * scale, terms.dx, "Dx", None))
 
-    grad = np.empty(shape) if out is None else out
-    term = ws.get("term", shape)
+    term = ws.get("term", grad.shape)
     for k, (coef, f, x, y) in enumerate(quadratic):
         f[0] *= 0.5
         f[-1] *= 0.5
@@ -400,12 +394,13 @@ def energy_smoothed(u: ScalarField, p: EnergyParams) -> float:
     """
     if p.smooth_w == 0.0:
         return energy(u, p).total
-    return _smoothed_terms(u.values, u.grid, p)[0]
+    return _smoothed_terms(u.values, u.grid, p, Workspace())[0]
 
 
 def energy_gradient(u: ScalarField, p: EnergyParams) -> ScalarField:
     """Exact gradient of energy_smoothed with respect to the nodal values."""
     if p.smooth_w <= 0.0:
         raise ZeroSmoothing("gradient needs smooth_w > 0")
-    terms = _smoothed_terms(u.values, u.grid, p)[1]
-    return _adopt(u, _smoothed_gradient(terms, u.grid, p))
+    ws = Workspace()
+    terms = _smoothed_terms(u.values, u.grid, p, ws)[1]
+    return _adopt(u, _smoothed_gradient(terms, u.grid, p, ws, np.empty(u.values.shape)))

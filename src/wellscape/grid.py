@@ -18,13 +18,14 @@ rows) are listed explicitly as float coefficients.  One evaluator,
 _evaluate, computes a window of output rows [r0, r1) of an x-operator
 from the window of input rows they read (a y-operator always acts on
 whole rows); one loop, _blocks, runs it over windows of X u Y^T or
-X^T v Y.  apply() and adjoint() are the one window of every row, into a
-caller's array or a new C-ordered one; the smoothed energy's gradient
-pass calls the same window with a private factor, folded into the last
-operator's coefficients, in place of a whole-field multiply.  An
-interior output is its unit terms summed, then scaled once, so it differs
-from the matrix product D @ u by at most a few roundoffs of |D| @ |u|
-(Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 4).
+X^T v Y.  apply() and adjoint(), which name at least one operator, are
+the one window of every row, into a caller's C-ordered array or a new
+one; the smoothed energy's gradient pass calls the same window with a
+private factor, folded into the last operator's coefficients, in place
+of a whole-field multiply.  An interior output is its unit terms summed,
+then scaled once, so it differs from the matrix product D @ u by at most
+a few roundoffs of |D| @ |u| (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, ch. 4).
 
 A sharp reduction never holds a whole derivative field: apply_strips()
 runs the loop over strips of output rows, each block a view of one buffer
@@ -100,6 +101,11 @@ def make_grid(L: float, nx: int, ny: int) -> Grid:
     return grid
 
 
+def _finite(values: np.ndarray) -> bool:
+    """Whether every value is finite, from min and max: no mask is written."""
+    return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """Nodal values on a Grid, y-periodic by storage, immutable.
@@ -124,9 +130,7 @@ class ScalarField:
             # defensive copy, then freeze; a frozen float array that owns its
             # memory, as read_field and branched_seed make, is kept
             vals = np.array(vals, dtype=float)
-        # min and max are NaN if any value is, and read the values without
-        # writing a mask of the field
-        if not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
+        if not _finite(vals):
             raise ValueError("field values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -167,10 +171,10 @@ def field_from_function(grid: Grid,
 # reaches them except through apply(), adjoint() and apply_strips()
 
 class Workspace:
-    """A descent's own arrays (no operator's), reused from iteration to iteration.
+    """A descent's own float arrays (no operator's), reused across iterations.
 
-    get() hands out the C-ordered array kept under a key and makes a new one
-    only when the key is new or its shape or dtype changed.  A workspace
+    get() hands out the C-ordered float64 array kept under a key and makes
+    a new one only when the key is new or its shape changed.  A workspace
     serves one descent: each minimize makes its own, so descents on
     several threads never share one, and nothing caches one per grid.
     """
@@ -178,10 +182,10 @@ class Workspace:
     def __init__(self):
         self._arrays: dict = {}
 
-    def get(self, key, shape: tuple, dtype=float) -> np.ndarray:
+    def get(self, key, shape: tuple) -> np.ndarray:
         a = self._arrays.get(key)
-        if a is None or a.shape != shape or a.dtype != dtype:
-            a = self._arrays[key] = np.empty(shape, dtype)
+        if a is None or a.shape != shape:
+            a = self._arrays[key] = np.empty(shape)
         return a
 
 
@@ -345,15 +349,14 @@ def _blocks(grid: Grid, values: np.ndarray, x: Optional[str], y: Optional[str],
             factor: float = 1.0):
     """Yield (r0, block) per window (r0, r1, a, b): block is rows [r0, r1) of
     X values Y^T, or of X^T values Y when transposed, from input rows [a, b),
-    times factor.
+    times factor; at least one of x and y is named.
 
     values is copied to C order first if it is not.  X values Y^T runs the
     y-operator on rows [a, b), then the x-operator; X^T values Y the x-
     operator, then the y-operator on its rows.  factor goes into the last
-    operator's coefficients (_evaluate); with no operator it is ignored.  A
-    block is a view of `out` (C-ordered) when one is given, else one buffer
-    (a view where the window is shorter) that the next window overwrites;
-    with no operator it is a copy of the rows.  With two operators the
+    operator's coefficients (_evaluate).  A block is a view of `out`
+    (C-ordered) when one is given, else one buffer (a view where the window
+    is shorter) that the next window overwrites.  With two operators the
     first writes a whole-window intermediate, allocated per call.
     """
     named = ((x, 0), (y, 1)) if transposed else ((y, 1), (x, 0))
@@ -375,8 +378,6 @@ def _blocks(grid: Grid, values: np.ndarray, x: Optional[str], y: Optional[str],
             dst = block if last else mid[:len(src) if axis else r1 - r0]
             _evaluate(st, src, dst, axis, r0, a, factor if last else 1.0)
             src = dst
-        if not ops:
-            np.copyto(block, src)
         yield r0, block
 
 
@@ -386,13 +387,14 @@ def _whole(grid: Grid, values: np.ndarray, x: Optional[str], y: Optional[str],
     """apply() or adjoint(), times factor: _blocks over the one window of
     every row.  The gradient pass passes its coefficients as factor, which
     saves it a whole-field multiply per term."""
+    if x is None and y is None:
+        raise ValueError("apply and adjoint need an x- or a y-operator")
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous array")
     # not strips: same bits, but 5-15 % more CPU for a descent at 256^2
     n = len(values) if x is None else _stencils(grid)[x][transposed].n_out
-    dst = out if out is not None and out.flags.c_contiguous else None
     _, block = next(_blocks(grid, values, x, y, transposed, ((0, n, 0, len(values)),),
-                            dst, factor))
-    if out is not None and dst is None:
-        np.copyto(out, block)
+                            out, factor))
     return block if out is None else out
 
 
@@ -401,11 +403,10 @@ def apply(grid: Grid, values: np.ndarray, x: Optional[str] = None,
     """X @ values @ Y^T for the named x- and y-operators (None: identity), y first.
 
     Names: Dx, Dxx, Axc (nodes -> cells) in x; Dy, Dyy, Fy, Ayc (cell circle) in y.
-    The result is a new C-ordered array, or `out` (C or F order, the
-    caller's choice) when one is given, with the same bits either way; with
-    no operator named, a copy of values.  An input that is not C-ordered is
-    copied to C order first.  With two operators, the first writes a new
-    array of its own.
+    At least one is named, and `out`, when given, is C-contiguous: anything
+    else raises ValueError.  The result is a new C-ordered array or `out`,
+    with the same bits.  An input that is not C-ordered is copied to C order
+    first.  With two operators, the first writes a new array of its own.
     """
     return _whole(grid, values, x, y, False, out)
 
@@ -414,7 +415,7 @@ def adjoint(grid: Grid, values: np.ndarray, x: Optional[str] = None,
             y: Optional[str] = None, out: Optional[np.ndarray] = None) -> np.ndarray:
     """X^T @ values @ Y, the adjoint of apply(); the x-operator acts first.
 
-    Evaluated, laid out and written as apply() does.
+    Evaluated, laid out, written and refused as apply() is.
     """
     return _whole(grid, values, x, y, True, out)
 

@@ -25,7 +25,7 @@ from .constructions import BranchedSpec, ResolutionTooCoarse, branched_seed
 from .energy import (EnergyBreakdown, EnergyParams, _smoothed_gradient,  # noqa: F401
                      _smoothed_terms, b_geometry, energy, energy_gradient,
                      energy_smoothed, require_admissible, uy_peak)
-from .grid import Grid, ScalarField, Workspace, _adopt, l2_norm, zero_field
+from .grid import Grid, ScalarField, Workspace, _adopt, _finite, l2_norm, zero_field
 
 
 class Diverged(RuntimeError):
@@ -153,10 +153,9 @@ def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
     """
     xs = [ws.get(("x", k), x.shape) for k in range(3)]
     gs = [ws.get(("g", k), x.shape) for k in range(2)]
-    finite = ws.get("finite", x.shape, dtype=bool)
     failures = 0
     e, terms = _smoothed_terms(x, grid, p, ws)
-    g = _smoothed_gradient(terms, grid, p, ws, out=gs[0])
+    g = _smoothed_gradient(terms, grid, p, ws, gs[0])
     t = STEP0
     prev_x = None
     prev_g = None
@@ -181,7 +180,7 @@ def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
         for _ in range(MAX_BACKTRACKS):
             np.multiply(g, t, out=x_new)
             np.subtract(x, x_new, out=x_new)
-            if not np.isfinite(x_new, out=finite).all():
+            if not _finite(x_new):
                 raise Diverged(f"non-finite trial iterate in stage {stage}, "
                                f"iteration {it} (step {t:.3e})")
             e_new, terms = _smoothed_terms(x_new, grid, p, ws)
@@ -195,8 +194,7 @@ def _descend_stage(x: np.ndarray, grid: Grid, p: EnergyParams,
             break
         prev_x, prev_g = x, g
         x, e = x_new, e_new
-        g = _smoothed_gradient(terms, grid, p, ws,
-                               out=next(buf for buf in gs if buf is not prev_g))
+        g = _smoothed_gradient(terms, grid, p, ws, next(buf for buf in gs if buf is not prev_g))
     return x, failures
 
 

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wellscape import (BandEmpty, BranchedSpec, BumpSpec, DegenerateInterval,
-                       EmptyB, EmptyPiM, EnergyParams, ScalarField, TauOne, branched_seed, cli,
-                       energy, estimate_interp_constant,
+                       EmptyB, EmptyPiM, EnergyParams, GridTooCoarse, ScalarField, TauOne,
+                       branched_seed, cli, energy, estimate_interp_constant,
                        field_from_function, killerinterp_check, lemma1_check,
                        make_grid, nucleation_bump,
                        obstacle_min_1d, poincare_check, potential_seed,
@@ -506,7 +506,7 @@ def _bits(value):
 def _outcome(check, u):
     try:
         return "value", _bits(check(u))
-    except (EmptyB, TauOne, EmptyPiM) as exc:
+    except (EmptyB, TauOne, EmptyPiM, GridTooCoarse) as exc:
         return "raised", type(exc).__name__, str(exc)
 
 

@@ -156,6 +156,24 @@ def test_verify_inequalities_all_hold(tmp_path):
     assert all(line.endswith("True") for line in lines[1:])
 
 
+@pytest.mark.parametrize("L, n, tolerance", [(1.0, 8, "-0.25"), (1.0, 10, "0"),
+                                             (4.0, 32, "-0.25"), (1.0, 11, None)])
+def test_verify_inequalities_needs_a_positive_grid_tolerance(tmp_path, capsys, L, n, tolerance):
+    # where 1 - 10 max(hx, hy) <= 0 every lhs >= 0 would pass, so the run is
+    # refused and writes no report; 11 cells at L = 1 (1/11) still report
+    cfg = {"schema": 1, "command": "verify-inequalities", "seed": 0,
+           "grid": {"L": L, "nx": n, "ny": n}, "energy": {"epsilon": 0.1}, "n_random": 2}
+    code, out_dir = _run(tmp_path, cfg)
+    err = capsys.readouterr().err
+    if tolerance is None:
+        assert code == 0, err
+        assert (out_dir / "reports.csv").read_text().startswith("check,context,lhs,rhs")
+    else:
+        assert code == 2, err
+        assert err.startswith("config error:") and f"grid tolerance {tolerance} <= 0" in err, err
+        assert not (out_dir / "reports.csv").exists()
+
+
 def test_probe_command(tmp_path):
     cfg = {"schema": 1, "command": "probe-local-min", "seed": 0,
            "grid": {"L": 1.0, "nx": 48, "ny": 48},

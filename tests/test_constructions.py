@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,16 @@ def test_closed_form_ratio_at_center_needs_no_guard():
         assert ratio[0] == prof.zprime0
         assert ratio[1] == pytest.approx(prof.zprime0, rel=1e-6)
         assert prof.potential(np.array([0.0]))[0][0] == 0.0
+
+
+@pytest.mark.parametrize("j", [537, 538, 1023])
+def test_moments_at_the_centre_divide_nothing(j):
+    # from j = 538 on, knot^2 = 2^-2j underflows to 0, so a division at
+    # R = 0, even one whose result is dropped, would be 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        J, _ = PotentialSpec(j, 1.0).moments(np.array([0.0]))
+    assert J[0] == 0.0
 
 
 def test_convolution_oracle_far_field_monopole():

@@ -295,9 +295,8 @@ CSR_BOUND = (2 * 4 + 1) * 2.0**-53
 def test_apply_adjoint_match_plain_products(name, nx, ny, L, fortran, seed):
     # apply/adjoint against the CSR products D @ v, D.T @ v, v @ D.T and v @ D:
     # the same shape, within CSR_BOUND * (|D| @ |v|) entrywise, in a C-ordered
-    # array without out=; the same bits, written into out, in either order,
-    # with out=.  With no operator named, the result is a C-ordered copy of
-    # v, or out with v's values
+    # array without out=; the same bits, written into a C-ordered out, with
+    # out=
     g = make_grid(L, nx, ny)
     D = _csr_ops(g)[name]
     A = abs(D)
@@ -311,21 +310,33 @@ def test_apply_adjoint_match_plain_products(name, nx, ny, L, fortran, seed):
     else:
         cases = [(apply, u, dict(y=name), u @ D.T, abs(u) @ A.T),
                  (adjoint, u, dict(y=name), u @ D, abs(u) @ A)]
-    cases += [(fn, u, {}, u, np.zeros(u.shape)) for fn in (apply, adjoint)]
     for fn, arg, ops, want, scale in cases:
         got = fn(g, arg, **ops)
         assert got.shape == want.shape and got.flags.c_contiguous
         assert np.all(np.abs(got - want) <= CSR_BOUND * scale)
-        for out_order in "CF":
-            out = np.full(got.shape, np.nan, order=out_order)
-            assert fn(g, arg, **ops, out=out) is out
-            assert out.tobytes(order="C") == got.tobytes()
+        out = np.full(got.shape, np.nan)
+        assert fn(g, arg, **ops, out=out) is out
+        assert out.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("fn", [apply, adjoint])
+def test_apply_adjoint_refuse_no_operator_and_a_non_c_out(fn):
+    # no operator named, or an out that is not C-contiguous (F order, a
+    # strided view): ValueError, and out is left as it was
+    g = make_grid(1.0, 9, 11)
+    u = np.random.default_rng(0).normal(size=(10, 11))
+    with pytest.raises(ValueError, match="operator"):
+        fn(g, u)
+    for out in (np.full((10, 11), np.nan, order="F"), np.full((10, 22), np.nan)[:, ::2]):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            fn(g, u, "Dx", "Dy", out=out)
+        assert np.isnan(out).all()
 
 
 @settings(max_examples=60, deadline=None)
-@given(pair=st.sampled_from(OPERATOR_PAIRS), nx=st.integers(8, 48),
-       ny=st.integers(8, 48), L=st.floats(0.25, 4.0), fortran=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
+@given(pair=st.sampled_from([p for p in OPERATOR_PAIRS if None not in p]),
+       nx=st.integers(8, 48), ny=st.integers(8, 48), L=st.floats(0.25, 4.0),
+       fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @example(pair=CELL_UY, nx=9, ny=11, L=0.7, fortran=False, seed=0)
 @example(pair=("Dx", "Dy"), nx=13, ny=9, L=2.5, fortran=True, seed=1)
 def test_two_operators_act_in_order(pair, nx, ny, L, fortran, seed):
@@ -380,7 +391,7 @@ def test_folded_adjoint_is_factor_times_adjoint(pair, nx, ny, L, factor, seed):
     g = make_grid(L, nx, ny)
     ops = _csr_ops(g)
     rng = np.random.default_rng(seed)
-    v = _signed_normals(rng, apply(g, np.zeros((nx + 1, ny)), x).shape, "C")
+    v = _signed_normals(rng, apply(g, np.zeros((nx + 1, ny)), x, y).shape, "C")
 
     def magnitude(w):
         m = abs(w) if x is None else abs(ops[x]).T @ abs(w)
@@ -698,6 +709,32 @@ def test_scalar_field_copies_what_others_can_write(rng):
     assert ScalarField(g, view).values is not view
     assert ScalarField(g, u.values).values is u.values
     assert not ScalarField(g, writable).values.flags.writeable
+
+
+# values whose finiteness a min/max test could get wrong: both infinities,
+# NaN, both zeros, the least subnormal and a negative subnormal
+FINITENESS_SPECIALS = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -2.0**-1030]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       marks=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                st.sampled_from(FINITENESS_SPECIALS)), max_size=4),
+       layout=st.sampled_from(["C", "F", "strided"]))
+def test_finite_is_isfinite_all(rows, cols, seed, marks, layout):
+    # the min/max test of ScalarField and the descent's trial check is
+    # np.isfinite(a).all(), in C order, in F order and on a strided view
+    # whose skipped entries are all NaN
+    a = np.random.default_rng(seed).normal(size=(rows, cols))
+    for pos, value in marks:
+        a.reshape(-1)[int(pos * a.size)] = value
+    if layout == "F":
+        a = np.asfortranarray(a)
+    elif layout == "strided":
+        big = np.full((2 * rows, 3 * cols), math.nan)
+        big[::2, ::3] = a
+        a = big[::2, ::3]
+    assert grid_module._finite(a) == bool(np.isfinite(a).all())
 
 
 def _read_field_ref(path):

@@ -282,14 +282,16 @@ def test_portfolio_shrink_warns():
     assert [name for name, _ in starts] == ["zero", "random"]
 
 
-def test_minimize_overflowing_start_diverges(grid64, rng):
+@pytest.mark.parametrize("variant", [1, 2, 3])
+def test_minimize_overflowing_start_diverges(grid64, rng, variant):
     # the start's energy overflows, so does its gradient, and the first trial
     # step leaves the finite numbers
     start = random_admissible(grid64, rng, amplitude=1e305)
+    p = EnergyParams(0.05, 0.5, variant)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert not np.isfinite(energy(start, EnergyParams(0.05, 0.5, 1)).total)
+        assert not np.isfinite(energy(start, p).total)
         with pytest.raises(Diverged, match="non-finite trial iterate in stage 0, iteration 0"):
-            minimize(start, EnergyParams(0.05, 0.5, 1), FAST_CFG)
+            minimize(start, p, FAST_CFG)
 
 
 def _descend_stage_ref(x, grid, p, cfg, stage, trace, e_cap, ws=None):
@@ -449,6 +451,18 @@ def test_descent_iteration_holds_at_most_one_field(monkeypatch, variant):
     slack = 8 * 1024
     assert peaks["operator"] <= start.values.nbytes + slack, peaks
     assert peaks["between"] <= slack, peaks
+
+
+@pytest.mark.parametrize("variant", [1, 3])
+def test_descent_workspace_holds_only_float_arrays(variant):
+    # after a warm stage every array a descent keeps in its workspace, the
+    # iterates, gradients and kernel terms, is float64
+    g = make_grid(1.0, 32, 32)
+    start = random_admissible(g, np.random.default_rng(variant), amplitude=0.5)
+    ws = Workspace()
+    landscape._descend_stage(np.array(start.values), g, EnergyParams(0.05, 0.8, variant, 0.1),
+                             MinimizeConfig(max_iters=3), 0, [], math.inf, ws)
+    assert ws._arrays and all(a.dtype == np.float64 for a in ws._arrays.values())
 
 
 def test_minimize_result_survives_later_descents(grid64):
