@@ -316,17 +316,16 @@ def _cmd_verify(cfg, out_dir, seed):
         for i in range(n_random):
             yield f"random{i}", scale_to_uy_peak(random_admissible(grid, rng), 1.5)
 
+    checks = (bnd.lemma1_check, bnd.poincare_check,
+              lambda fld: bnd.wopper_check(fld, p.epsilon),
+              lambda fld: bnd.killerinterp_check(fld, 1e30))
     # a field outside a checker's domain gets no row from that checker
     reports = []
     for name, fld in fields():
-        with suppress(EmptyB, TauOne):
-            rep = bnd.lemma1_check(fld)
-            reports.append(replace(rep, context=f"{name};{rep.context}"))
-        reports.append(replace(bnd.poincare_check(fld), context=name))
-        rep = bnd.wopper_check(fld, p.epsilon)
-        reports.append(replace(rep, context=f"{name};{rep.context}"))
-        with suppress(EmptyB):
-            reports.append(replace(bnd.killerinterp_check(fld, 1e30), context=name))
+        for check in checks:
+            with suppress(EmptyB, TauOne):
+                rep = check(fld)
+                reports.append(replace(rep, context=f"{name};{rep.context}"))
 
     artifacts = [_write_text(out_dir, "reports.csv",
                              lambda fh: bnd.reports_to_csv(reports, fh))]

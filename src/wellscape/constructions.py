@@ -25,7 +25,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -85,8 +85,7 @@ class BranchedSpec:
         return cls(epsilon, L, c, h, l, h / (2.0 * l), N)
 
     def to_json_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "L": self.L, "c": self.c,
-                "h": self.h, "l": self.l, "k": self.k, "N": self.N}
+        return asdict(self)
 
 
 def _reflected_phase(y: np.ndarray, h: float) -> np.ndarray:

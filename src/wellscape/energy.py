@@ -25,7 +25,7 @@ interpolant at the cell center.  Two measures of B coexist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -112,9 +112,7 @@ class EnergyBreakdown:
     area_A: float
 
     def to_json_dict(self) -> dict:
-        return {"surface": self.surface, "elastic": self.elastic,
-                "well": self.well, "total": self.total,
-                "area_B": self.area_B, "area_A": self.area_A}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

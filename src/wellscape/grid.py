@@ -389,10 +389,13 @@ def _whole(grid: Grid, values: np.ndarray, x: Optional[str], y: Optional[str],
     saves it a whole-field multiply per term."""
     if x is None and y is None:
         raise ValueError("apply and adjoint need an x- or a y-operator")
-    if out is not None and not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous array")
-    # not strips: same bits, but 5-15 % more CPU for a descent at 256^2
     n = len(values) if x is None else _stencils(grid)[x][transposed].n_out
+    shape = (n, values.shape[1])
+    if out is not None and not (out.flags.c_contiguous and out.shape == shape
+                                and out.dtype == np.float64):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}, "
+                         f"got {out.dtype} {out.shape}")
+    # not strips: same bits, but 5-15 % more CPU for a descent at 256^2
     _, block = next(_blocks(grid, values, x, y, transposed, ((0, n, 0, len(values)),),
                             out, factor))
     return block if out is None else out
@@ -403,10 +406,11 @@ def apply(grid: Grid, values: np.ndarray, x: Optional[str] = None,
     """X @ values @ Y^T for the named x- and y-operators (None: identity), y first.
 
     Names: Dx, Dxx, Axc (nodes -> cells) in x; Dy, Dyy, Fy, Ayc (cell circle) in y.
-    At least one is named, and `out`, when given, is C-contiguous: anything
-    else raises ValueError.  The result is a new C-ordered array or `out`,
-    with the same bits.  An input that is not C-ordered is copied to C order
-    first.  With two operators, the first writes a new array of its own.
+    At least one is named, and `out`, when given, is a C-contiguous float64
+    array of the result's shape: anything else raises ValueError.  The
+    result is a new C-ordered array or `out`, with the same bits.  An input
+    that is not C-ordered is copied to C order first.  With two operators,
+    the first writes a new array of its own.
     """
     return _whole(grid, values, x, y, False, out)
 

@@ -57,7 +57,7 @@ class MinimizeConfig:
     max_iters: int = 150
     w_init: float = 0.3
     w_factor: float = 0.5
-    w_floor: Optional[float] = None   # None -> 2*hy of the grid in use
+    w_floor: Optional[float] = None   # None -> 2*hy of the grid in use, >= 1e-6
     gtol: float = 1e-9
 
     def __post_init__(self):
@@ -65,12 +65,16 @@ class MinimizeConfig:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if not 0.0 < self.w_factor < 1.0:
             raise ValueError(f"w_factor must lie in (0, 1), got {self.w_factor}")
+        if not 1e-6 <= self.w_init <= 0.5:
+            raise ValueError(f"w_init must lie in [1e-6, 0.5], got {self.w_init}")
+        if self.w_floor is not None and not 1e-6 <= self.w_floor <= 0.5:
+            raise ValueError(f"w_floor must be None or lie in [1e-6, 0.5], got {self.w_floor}")
+        if not 0.0 <= self.gtol < math.inf:
+            raise ValueError(f"gtol must be finite and >= 0, got {self.gtol}")
 
     def schedule(self, hy: float) -> list[float]:
-        floor = self.w_floor if self.w_floor is not None else 2.0 * hy
-        floor = min(max(floor, 1e-6), 0.5)
-        ws = []
-        w = min(self.w_init, 0.5)
+        floor = self.w_floor if self.w_floor is not None else max(2.0 * hy, 1e-6)
+        ws, w = [], self.w_init
         while w > floor * (1.0 + 1e-12):
             ws.append(w)
             w *= self.w_factor

@@ -270,6 +270,25 @@ def test_no_module_reads_the_environment():
     assert reads == []
 
 
+def test_calibration_runs_no_descent():
+    # a constant estimated through descent would move whenever descent does,
+    # so calibrate.py names none of the descent or search entry points
+    descent = {"minimize", "multistart_portfolio", "MinimizeConfig", "critical_delta",
+               "scaling_sweep"}
+    reads = []
+    for node in ast.walk(ast.parse((PACKAGE / "calibrate.py").read_text())):
+        if isinstance(node, ast.Name):
+            names = {node.id}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+        else:
+            continue
+        reads += [f"{name}:{node.lineno}" for name in sorted(names & descent)]
+    assert reads == []
+
+
 def test_config_errors(tmp_path):
     code, _ = _run(tmp_path, {"schema": 2, "command": "energy"})
     assert code == 2
@@ -412,6 +431,11 @@ OUT_OF_RANGE = {
                            "probe": {"n_samples": -1}},
     "minimize max_iters -1": {"command": "minimize", "grid": GRID32,
                               "energy": {"epsilon": 0.1}, "minimize": {"max_iters": -1}},
+    # settings the continuation schedule would otherwise replace or never meet
+    **{f"minimize {key} {value:g}": {"command": "minimize", "grid": GRID32,
+                                      "energy": {"epsilon": 0.1}, "minimize": {key: value}}
+       for key, value in (("w_init", -1), ("w_init", 5), ("w_floor", 0), ("w_floor", -3),
+                          ("w_floor", 0.9), ("gtol", -1))},
     "sweep variant 4": {"command": "sweep-delta", "grid": GRID32,
                         "sweep": {"epsilons": [0.01, 0.03, 0.1, 0.3], "variant": 4}},
 }
@@ -538,7 +562,7 @@ def test_verify_inequalities_violation_exit_code(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert (out_dir / "reports.csv").exists()
     err = capsys.readouterr().err
-    assert "2 of" in err and "checks failed: poincare (random0); poincare (random1)" in err
+    assert "2 of" in err and "checks failed: poincare (random0;L=1); poincare (random1;L=1)" in err
 
 
 def test_main_entry(tmp_path):

@@ -322,13 +322,16 @@ def test_apply_adjoint_match_plain_products(name, nx, ny, L, fortran, seed):
 @pytest.mark.parametrize("fn", [apply, adjoint])
 def test_apply_adjoint_refuse_no_operator_and_a_non_c_out(fn):
     # no operator named, or an out that is not C-contiguous (F order, a
-    # strided view): ValueError, and out is left as it was
+    # strided view), has too few or too many rows, or is not float64:
+    # ValueError, and out is left as it was
     g = make_grid(1.0, 9, 11)
     u = np.random.default_rng(0).normal(size=(10, 11))
     with pytest.raises(ValueError, match="operator"):
         fn(g, u)
-    for out in (np.full((10, 11), np.nan, order="F"), np.full((10, 22), np.nan)[:, ::2]):
-        with pytest.raises(ValueError, match="C-contiguous"):
+    for out in (np.full((10, 11), np.nan, order="F"), np.full((10, 22), np.nan)[:, ::2],
+                np.full((5, 11), np.nan), np.full((12, 11), np.nan),
+                np.full((10, 11), np.nan, dtype=np.float32)):
+        with pytest.raises(ValueError, match=r"C-contiguous float64 array of shape \(10, 11\)"):
             fn(g, u, "Dx", "Dy", out=out)
         assert np.isnan(out).all()
 
